@@ -8,8 +8,8 @@ violation is squeezed under a quadratic envelope that shrinks with alpha.
 
 import numpy as np
 
-from fbopt import (ScenarioConfig, builtin_example, certified_step_size,
-                   estimate_constants, run_trajectory, sweep)
+from fbopt import (ScenarioConfig, builtin_example, estimate_constants,
+                   run_trajectory, sweep)
 
 problem = builtin_example()
 
@@ -20,7 +20,7 @@ print(f"  output-row curvature    {np.array2string(np.asarray(constants.output_l
 print(f"  multiplier bound        {constants.multiplier_bound:.2f}")
 print(f"  metric floor            {constants.metric_floor:.2f}")
 
-alpha_star = certified_step_size(constants)
+alpha_star = constants.step_size_bound
 alpha = 0.9 * alpha_star
 print(f"\ncertified step size bound {alpha_star:.3e}; running at 0.9x = {alpha:.3e}")
 

@@ -10,154 +10,19 @@ primal-dual baseline for comparison, tangent-cone limit diagnostics, and a
 deterministic simulation harness with CSV logging.
 """
 
-from .model import (
-    DEFAULT_ACTIVE_TOL,
-    MetricField,
-    ObjectiveSpec,
-    PlantModel,
-    Polyhedron,
-    ProblemSpec,
-    active_set,
-    eval_plant,
-    eval_plant_jacobian,
-    reduced_cost,
-    reduced_gradient,
-    violation,
-)
-from .qp import (
-    Infeasible,
-    MaxIterations,
-    NotPositiveDefinite,
-    QpProblem,
-    QpSolution,
-    RankDeficientActiveSet,
-    enumerate_oracle,
-    kkt_residual,
-    solve_qp,
-)
-from .controller import (
-    ControllerStep,
-    LicqReport,
-    LinearizedSetEmpty,
-    assemble_projection_qp,
-    check_licq,
-    controller_step,
-    feedback_step,
-    kkt_point_residual,
-    stationarity_residual,
-)
-from .certificates import (
-    CertificateConstants,
-    SamplerSpec,
-    certified_step_size,
-    estimate_constants,
-    estimate_lipschitz_constants,
-    estimate_multiplier_bound,
-    lyapunov_value,
-    sample_input_set,
-    transient_violation_bound,
-)
-from .saddle import (
-    SaddlePointState,
-    augmented_lagrangian,
-    augmented_lagrangian_gradients,
-    project_polyhedron,
-    saddle_point_step,
-    saddle_residual,
-)
-from .tangent import (
-    NotFeasible,
-    TangentCone,
-    finite_step_projection_qp,
-    limit_consistency,
-    project_tangent_cone,
-    tangent_cone,
-)
-from .problems import builtin_example, get_problem, problem_names, register_problem
-from .harness import (
-    FiniteDifferenceReport,
-    GridSpec,
-    RunStatus,
-    ScenarioConfig,
-    TrajectoryLog,
-    finite_difference_check,
-    input_grid,
-    load_scenario,
-    read_csv,
-    run_trajectory,
-    sweep,
-    write_csv,
-)
+from . import certificates, controller, harness, model, problems, qp, saddle, tangent
+from .model import *
+from .qp import *
+from .controller import *
+from .certificates import *
+from .saddle import *
+from .tangent import *
+from .problems import *
+from .harness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ACTIVE_TOL",
-    "MetricField",
-    "ObjectiveSpec",
-    "PlantModel",
-    "Polyhedron",
-    "ProblemSpec",
-    "active_set",
-    "eval_plant",
-    "eval_plant_jacobian",
-    "reduced_cost",
-    "reduced_gradient",
-    "violation",
-    "Infeasible",
-    "MaxIterations",
-    "NotPositiveDefinite",
-    "QpProblem",
-    "QpSolution",
-    "RankDeficientActiveSet",
-    "enumerate_oracle",
-    "kkt_residual",
-    "solve_qp",
-    "ControllerStep",
-    "LicqReport",
-    "LinearizedSetEmpty",
-    "assemble_projection_qp",
-    "check_licq",
-    "controller_step",
-    "feedback_step",
-    "kkt_point_residual",
-    "stationarity_residual",
-    "CertificateConstants",
-    "SamplerSpec",
-    "certified_step_size",
-    "estimate_constants",
-    "estimate_lipschitz_constants",
-    "estimate_multiplier_bound",
-    "lyapunov_value",
-    "sample_input_set",
-    "transient_violation_bound",
-    "SaddlePointState",
-    "augmented_lagrangian",
-    "augmented_lagrangian_gradients",
-    "project_polyhedron",
-    "saddle_point_step",
-    "saddle_residual",
-    "NotFeasible",
-    "TangentCone",
-    "finite_step_projection_qp",
-    "limit_consistency",
-    "project_tangent_cone",
-    "tangent_cone",
-    "builtin_example",
-    "get_problem",
-    "problem_names",
-    "register_problem",
-    "FiniteDifferenceReport",
-    "GridSpec",
-    "RunStatus",
-    "ScenarioConfig",
-    "TrajectoryLog",
-    "finite_difference_check",
-    "input_grid",
-    "load_scenario",
-    "read_csv",
-    "run_trajectory",
-    "sweep",
-    "write_csv",
-    "__version__",
-]
+# The public surface is the union of the modules' own ``__all__`` lists.
+__all__ = [name for module in (model, qp, controller, certificates, saddle,
+                               tangent, problems, harness)
+           for name in module.__all__] + ["__version__"]

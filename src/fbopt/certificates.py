@@ -14,7 +14,7 @@ harness flags trajectories that contradict them instead of aborting.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .controller import LinearizedSetEmpty, controller_step
 from .model import (
     Polyhedron,
     ProblemSpec,
+    _read_only,
     eval_plant,
     eval_plant_jacobian,
     reduced_cost,
@@ -37,7 +38,6 @@ __all__ = [
     "estimate_lipschitz_constants",
     "estimate_multiplier_bound",
     "estimate_constants",
-    "certified_step_size",
     "transient_violation_bound",
 ]
 
@@ -101,8 +101,9 @@ class CertificateConstants:
     ``grad_lipschitz`` bounds the variation of the reduced cost gradient,
     ``output_lipschitz`` the variation of each linearized output row,
     ``multiplier_bound`` the output multipliers along trajectories, and
-    ``metric_floor`` the smallest metric eigenvalue.  ``step_size_bound``
-    is derived from the other fields at construction:
+    ``metric_floor`` the smallest metric eigenvalue.  ``step_size_bound``,
+    the largest step size covered by the descent certificate, is derived
+    from the other fields at construction and cannot be passed:
 
         2 * metric_floor / (grad_lipschitz + multiplier_bound * sum(output_lipschitz))
     """
@@ -111,7 +112,7 @@ class CertificateConstants:
     output_lipschitz: Array
     multiplier_bound: float
     metric_floor: float
-    step_size_bound: float = 0.0
+    step_size_bound: float = field(init=False)
 
     def __post_init__(self):
         ell = np.asarray(self.output_lipschitz, dtype=float).reshape(-1)
@@ -121,26 +122,9 @@ class CertificateConstants:
             raise ValueError("metric floor must be positive")
         if np.any(ell < 0.0):
             raise ValueError("output Lipschitz constants must be nonnegative")
-        ell = np.array(ell)
-        ell.setflags(write=False)
-        object.__setattr__(self, "output_lipschitz", ell)
-        object.__setattr__(self, "step_size_bound", _step_bound(
-            self.metric_floor, self.grad_lipschitz, self.multiplier_bound, ell))
-
-
-def _step_bound(metric_floor: float, grad_lipschitz: float,
-                multiplier_bound: float, ell: Array) -> float:
-    return 2.0 * metric_floor / (grad_lipschitz + multiplier_bound * float(np.sum(ell)))
-
-
-def certified_step_size(constants: CertificateConstants) -> float:
-    """Largest step size covered by the descent certificate.
-
-    Recomputed exactly from the stored fields, so it always equals
-    ``constants.step_size_bound``.
-    """
-    return _step_bound(constants.metric_floor, constants.grad_lipschitz,
-                       constants.multiplier_bound, constants.output_lipschitz)
+        object.__setattr__(self, "output_lipschitz", _read_only(ell))
+        object.__setattr__(self, "step_size_bound", 2.0 * self.metric_floor / (
+            self.grad_lipschitz + self.multiplier_bound * float(np.sum(ell))))
 
 
 def lyapunov_value(problem: ProblemSpec, penalty: float, u) -> float:

@@ -21,31 +21,22 @@ from dataclasses import replace
 import numpy as np
 
 from .certificates import SamplerSpec, estimate_constants, sample_input_set
-from .harness import GridSpec, RunStatus, load_scenario, run_trajectory, sweep, \
-    write_csv, finite_difference_check
+from .harness import GridSpec, RunStatus, _read_key_values, load_scenario, \
+    run_trajectory, sweep, write_csv, finite_difference_check
 from .problems import get_problem, problem_names
 
 __all__ = ["main"]
 
 
+_GRID_KINDS = {"alpha": float, "gamma": float, "rho": float,
+               "max_iters": int, "stationarity_tol": float, "seed": int}
+_GRID_KEYS = {key: lambda text, kind=kind: [kind(part) for part in text.split(",")]
+              for key, kind in _GRID_KINDS.items()}
+
+
 def _parse_grid_file(path) -> dict:
     """Parse a grid file: ``key = v1, v2, ...`` per line (scalar fields only)."""
-    kinds = {"alpha": float, "gamma": float, "rho": float,
-             "max_iters": int, "stationarity_tol": float, "seed": int}
-    grid: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = v1, v2, ...")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in kinds:
-                raise ValueError(f"{path}:{lineno}: unknown grid key {key!r}")
-            grid[key] = [kinds[key](part) for part in value.split(",")]
-    return grid
+    return dict(_read_key_values(path, _GRID_KEYS))
 
 
 def _summary_line(label: str, log) -> str:

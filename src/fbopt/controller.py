@@ -21,7 +21,7 @@ from .model import (
     DEFAULT_ACTIVE_TOL,
     ProblemSpec,
     eval_plant,
-    eval_plant_jacobian,
+    linearized_constraints,
     reduced_gradient,
 )
 from .qp import Infeasible, QpProblem, solve_qp
@@ -33,7 +33,6 @@ __all__ = [
     "assemble_projection_qp",
     "controller_step",
     "feedback_step",
-    "stationarity_residual",
     "check_licq",
     "kkt_point_residual",
 ]
@@ -99,12 +98,9 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float) -> QpProble
     y = np.asarray(y, dtype=float).reshape(-1)
     g = reduced_gradient(problem, u, y)
     G = problem.metric.eval(u)
-    J = eval_plant_jacobian(problem.plant, u)
-    A, b = problem.input_set.A, problem.input_set.b
-    C, d = problem.output_set.A, problem.output_set.b
-    M = np.vstack([alpha * A, alpha * (C @ J)])
-    r = np.concatenate([b - A @ u, d - C @ y])
-    return QpProblem(Q=alpha * np.asarray(G, dtype=float), c=alpha * g, M=M, r=r)
+    rows, slack = linearized_constraints(problem, u, y)
+    return QpProblem(Q=alpha * np.asarray(G, dtype=float), c=alpha * g,
+                     M=alpha * rows, r=slack)
 
 
 def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
@@ -142,11 +138,6 @@ def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
     return controller_step(problem, u, y, alpha)
 
 
-def stationarity_residual(step: ControllerStep) -> float:
-    """Metric norm of the projected direction; zero exactly at fixed points."""
-    return step.sigma_norm_G
-
-
 def check_licq(problem: ProblemSpec, u, y, alpha: float, w,
                tol: float = 1e-9) -> LicqReport:
     """Check linear independence of the active constraint rows at ``w``.
@@ -159,11 +150,8 @@ def check_licq(problem: ProblemSpec, u, y, alpha: float, w,
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float).reshape(-1)
-    J = eval_plant_jacobian(problem.plant, u)
-    A, b = problem.input_set.A, problem.input_set.b
-    C, d = problem.output_set.A, problem.output_set.b
-    rows = np.vstack([A, C @ J])
-    resid = alpha * (rows @ w) - np.concatenate([b - A @ u, d - C @ y])
+    rows, slack = linearized_constraints(problem, u, y)
+    resid = alpha * (rows @ w) - slack
     active = np.flatnonzero(np.abs(resid) <= DEFAULT_ACTIVE_TOL)
     if active.size == 0:
         return LicqReport(True, 0, 0, (), np.zeros(0))
@@ -187,12 +175,11 @@ def kkt_point_residual(problem: ProblemSpec, u, nu, mu) -> float:
     mu = np.asarray(mu, dtype=float).reshape(-1)
     y = eval_plant(problem.plant, u)
     g = reduced_gradient(problem, u, y)
-    J = eval_plant_jacobian(problem.plant, u)
-    A, b = problem.input_set.A, problem.input_set.b
-    C, d = problem.output_set.A, problem.output_set.b
-    stat = g + nu @ A + mu @ (C @ J)
-    in_resid = A @ u - b
-    out_resid = C @ y - d
+    rows, slack = linearized_constraints(problem, u, y)
+    q = problem.input_set.num_rows
+    stat = g + nu @ rows[:q] + mu @ rows[q:]
+    in_resid = -slack[:q]
+    out_resid = -slack[q:]
     pieces = [
         float(np.linalg.norm(stat, ord=np.inf)) if stat.size else 0.0,
         float(np.max(in_resid, initial=0.0)),

@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certificates import CertificateConstants, lyapunov_value, transient_violation_bound
+from .certificates import CertificateConstants, SamplerSpec, lyapunov_value, \
+    sample_input_set, transient_violation_bound
 from .controller import feedback_step
-from .model import ProblemSpec, eval_plant, eval_plant_jacobian, reduced_cost, \
-    reduced_gradient, violation
+from .model import ProblemSpec, _read_only, eval_plant, eval_plant_jacobian, \
+    reduced_cost, reduced_gradient, violation
 from .problems import get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
@@ -34,7 +35,6 @@ __all__ = [
     "TrajectoryLog",
     "FiniteDifferenceReport",
     "load_scenario",
-    "input_grid",
     "run_trajectory",
     "sweep",
     "finite_difference_check",
@@ -114,9 +114,7 @@ class ScenarioConfig:
             u0 = np.asarray(self.u0, dtype=float).reshape(-1)
             if not np.all(np.isfinite(u0)):
                 raise ValueError("u0 must be finite")
-            u0 = np.array(u0)
-            u0.setflags(write=False)
-            object.__setattr__(self, "u0", u0)
+            object.__setattr__(self, "u0", _read_only(u0))
 
 
 @dataclass(frozen=True)
@@ -154,23 +152,19 @@ class TrajectoryLog:
         return len(self.iters)
 
 
-def input_grid(problem: ProblemSpec, spec: GridSpec) -> list[Array]:
-    """Grid starting points: an even lattice over the input set's bounding
-    box, filtered to the set."""
-    lo, hi = problem.input_set.bounding_box()
-    axes = [np.linspace(lo[j], hi[j], spec.points_per_dim)
-            for j in range(problem.input_dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return [p for p in pts if problem.input_set.membership(p, tol=1e-12)]
-
-
 # ----------------------------------------------------------------- scenarios
 
-_SCALAR_KEYS = {
+def _parse_u0(text: str):
+    if text.startswith("grid:"):
+        return GridSpec(points_per_dim=int(text[len("grid:"):]))
+    return np.array([float(part) for part in text.split(",")])
+
+
+_SCENARIO_KEYS = {
     "problem_name": str,
     "scheme": str,
     "alpha": float,
+    "u0": _parse_u0,
     "max_iters": int,
     "stationarity_tol": float,
     "gamma": float,
@@ -181,10 +175,25 @@ _SCALAR_KEYS = {
 _REQUIRED_KEYS = ("problem_name", "scheme", "alpha", "u0")
 
 
-def _parse_u0(text: str):
-    if text.startswith("grid:"):
-        return GridSpec(points_per_dim=int(text[len("grid:"):]))
-    return np.array([float(part) for part in text.split(",")])
+def _read_key_values(path, kinds: dict):
+    """Yield ``(key, kinds[key](value))`` for each ``key = value`` line.
+
+    Lines starting with ``#`` and blank lines are skipped; a line without
+    ``=`` or with a key outside ``kinds`` raises ``ValueError`` naming
+    ``path:lineno``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in kinds:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            yield key, kinds[key](value.strip())
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -194,22 +203,7 @@ def load_scenario(path) -> ScenarioConfig:
     comma-separated floats or ``grid:<points per dimension>``.  A concrete
     ``u0`` must belong to the problem's input set.
     """
-    fields: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "u0":
-                fields[key] = _parse_u0(value)
-            elif key in _SCALAR_KEYS:
-                fields[key] = _SCALAR_KEYS[key](value)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+    fields = dict(_read_key_values(path, _SCENARIO_KEYS))
     missing = [k for k in _REQUIRED_KEYS if k not in fields]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
@@ -290,72 +284,62 @@ def run_trajectory(config: ScenarioConfig,
     violated = False
     message = ""
 
+    # Per scheme: the start state, ``logged(state)`` -> (input, multipliers)
+    # logged if the state's step fails, and ``step(state)`` -> (next state,
+    # measured y, residual, multipliers, direction w or None if unprojected).
     if config.scheme == "projected":
-        u = config.u0
-        prev_V = None
-        status = RunStatus.ITER_BUDGET
-        for k in range(config.max_iters + 1):
-            try:
-                step = feedback_step(problem, u, config.alpha)
-            except Exception as exc:  # solver/model failures end the run
-                y = eval_plant(problem.plant, u)
-                V = lyapunov_value(problem, penalty, u)
-                rec.add(k, u, y, V, np.nan, violation(problem.output_set, y),
-                        np.full(l, np.nan))
-                status, message = RunStatus.ERROR, f"{type(exc).__name__}: {exc}"
-                break
-            V = lyapunov_value(problem, penalty, u)
-            viol = violation(problem.output_set, step.y)
-            rec.add(k, u, step.y, V, step.sigma_norm_G, viol, step.mu)
-            if certify and prev_V is not None \
-                    and V > prev_V + MERIT_SLACK * (1.0 + abs(prev_V)):
-                violated = True
-            prev_V = V
-            if step.sigma_norm_G <= config.stationarity_tol:
-                status = RunStatus.CONVERGED
-                break
-            if k == config.max_iters:
-                break
-            if certify:
-                next_viol = violation(problem.output_set,
-                                      eval_plant(problem.plant, step.u_next))
-                bound = transient_violation_bound(constants.output_lipschitz,
-                                                  config.alpha, step.w)
-                if np.any(next_viol > bound + VIOLATION_SLACK):
-                    violated = True
-            u = step.u_next
+        state = config.u0
+        nan_mu = np.full(l, np.nan)
+
+        def logged(u):
+            return u, nan_mu
+
+        def step(u):
+            st = feedback_step(problem, u, config.alpha)
+            return st.u_next, st.y, st.sigma_norm_G, st.mu, st.w
     else:
         state = SaddlePointState(u=config.u0, mu=np.zeros(l),
                                  alpha=config.alpha, gamma=config.gamma,
                                  rho=config.rho)
-        prev_V = None
-        status = RunStatus.ITER_BUDGET
-        for k in range(config.max_iters + 1):
-            try:
-                nxt = saddle_point_step(problem, state)
-            except Exception as exc:
-                y = eval_plant(problem.plant, state.u)
-                V = lyapunov_value(problem, penalty, state.u)
-                rec.add(k, state.u, y, V, np.nan,
-                        violation(problem.output_set, y), state.mu)
-                status, message = RunStatus.ERROR, f"{type(exc).__name__}: {exc}"
-                break
-            residual = (float(np.linalg.norm(nxt.u - state.u)) / config.alpha
-                        + float(np.linalg.norm(nxt.mu - state.mu)) / config.gamma)
-            y = eval_plant(problem.plant, state.u)
-            V = lyapunov_value(problem, penalty, state.u)
-            rec.add(k, state.u, y, V, residual,
-                    violation(problem.output_set, y), state.mu)
-            if certify and prev_V is not None \
-                    and V > prev_V + MERIT_SLACK * (1.0 + abs(prev_V)):
+
+        def logged(s):
+            return s.u, s.mu
+
+        def step(s):
+            nxt = saddle_point_step(problem, s)
+            residual = (float(np.linalg.norm(nxt.u - s.u)) / config.alpha
+                        + float(np.linalg.norm(nxt.mu - s.mu)) / config.gamma)
+            return nxt, eval_plant(problem.plant, s.u), residual, s.mu, None
+
+    prev_V = None
+    status = RunStatus.ITER_BUDGET
+    for k in range(config.max_iters + 1):
+        u, mu = logged(state)
+        try:
+            nxt, y, residual, mu, w = step(state)
+        except Exception as exc:  # solver/model failures end the run
+            status, message = RunStatus.ERROR, f"{type(exc).__name__}: {exc}"
+            y, residual = eval_plant(problem.plant, u), np.nan
+        V = lyapunov_value(problem, penalty, u)
+        rec.add(k, u, y, V, residual, violation(problem.output_set, y), mu)
+        if status is RunStatus.ERROR:
+            break
+        if certify and prev_V is not None \
+                and V > prev_V + MERIT_SLACK * (1.0 + abs(prev_V)):
+            violated = True
+        prev_V = V
+        if residual <= config.stationarity_tol:
+            status = RunStatus.CONVERGED
+            break
+        if k == config.max_iters:
+            break
+        if certify and w is not None:  # nxt is the projected scheme's next input
+            next_viol = violation(problem.output_set, eval_plant(problem.plant, nxt))
+            bound = transient_violation_bound(constants.output_lipschitz,
+                                              config.alpha, w)
+            if np.any(next_viol > bound + VIOLATION_SLACK):
                 violated = True
-            prev_V = V
-            if residual <= config.stationarity_tol:
-                status = RunStatus.CONVERGED
-                break
-            if k == config.max_iters:
-                break
-            state = nxt
+        state = nxt
 
     if violated and status is not RunStatus.CONVERGED and status is not RunStatus.ERROR:
         status = RunStatus.CERTIFICATE_VIOLATED
@@ -375,7 +359,8 @@ def sweep(base: ScenarioConfig, grid: dict,
     grid = dict(grid)
     if isinstance(base.u0, GridSpec) and "u0" not in grid:
         problem = get_problem(base.problem_name)
-        grid["u0"] = input_grid(problem, base.u0)
+        grid["u0"] = sample_input_set(problem.input_set,
+                                      SamplerSpec(count=base.u0.points_per_dim))
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("sweep grid is empty")
     for key in grid:

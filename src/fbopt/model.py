@@ -29,6 +29,7 @@ __all__ = [
     "eval_plant_jacobian",
     "reduced_gradient",
     "reduced_cost",
+    "linearized_constraints",
     "active_set",
     "violation",
 ]
@@ -80,6 +81,7 @@ class Polyhedron:
     Boxes are stored in the same row form; :meth:`box` builds the
     2p-row encoding (upper bounds first, then lower bounds) and remembers
     the bounds so that callers can use cheap clamping and sampling paths.
+    ``lower`` and ``upper`` are given together or not at all.
     """
 
     A: Array
@@ -99,9 +101,14 @@ class Polyhedron:
             raise ValueError(f"rows with zero norm are not allowed (rows {np.flatnonzero(zero)})")
         object.__setattr__(self, "A", _read_only(A))
         object.__setattr__(self, "b", _read_only(b))
+        if (self.lower is None) != (self.upper is None):
+            raise ValueError("lower and upper bounds must be given together")
         if self.lower is not None:
-            object.__setattr__(self, "lower", _read_only(self.lower))
-            object.__setattr__(self, "upper", _read_only(self.upper))
+            for name in ("lower", "upper"):
+                bound = _read_only(np.reshape(getattr(self, name), -1))
+                if bound.size != A.shape[1]:
+                    raise ValueError(f"{name} must have length {A.shape[1]}, got {bound.size}")
+                object.__setattr__(self, name, bound)
 
     @classmethod
     def box(cls, lower, upper) -> "Polyhedron":
@@ -256,6 +263,19 @@ def reduced_cost(problem: ProblemSpec, u) -> float:
     u = _vector(u, problem.input_dim, "u")
     y = eval_plant(problem.plant, u)
     return float(problem.objective.eval(u, y))
+
+
+def linearized_constraints(problem: ProblemSpec, u, y) -> tuple[Array, Array]:
+    """Constraint rows linearized at input ``u`` with measured output ``y``.
+
+    Returns ``rows = [A; C J(u)]`` and ``slack = [b - A u; d - C y]``: the
+    input rows come first, and an input increment ``du`` keeps every
+    constraint satisfied to first order when ``rows @ du <= slack``.
+    """
+    J = eval_plant_jacobian(problem.plant, u)
+    A, b = problem.input_set.A, problem.input_set.b
+    C, d = problem.output_set.A, problem.output_set.b
+    return np.vstack([A, C @ J]), np.concatenate([b - A @ u, d - C @ y])
 
 
 def active_set(set_: Polyhedron, x, tol: float = DEFAULT_ACTIVE_TOL) -> Array:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .model import _read_only
+
 __all__ = [
     "Infeasible",
     "NotPositiveDefinite",
@@ -61,12 +63,6 @@ class MaxIterations(RuntimeError):
 
 class RankDeficientActiveSet(UserWarning):
     """The active rows are linearly dependent; multipliers are not unique."""
-
-
-def _read_only(a: Array) -> Array:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Polyhedron, ProblemSpec, eval_plant, eval_plant_jacobian, \
-    reduced_cost, reduced_gradient
+from .model import Polyhedron, ProblemSpec, _read_only, eval_plant, \
+    eval_plant_jacobian, reduced_cost, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "augmented_lagrangian",
     "augmented_lagrangian_gradients",
     "saddle_point_step",
-    "saddle_residual",
     "project_polyhedron",
 ]
 
@@ -72,12 +71,8 @@ class SaddlePointState:
             raise ValueError("step sizes must be positive")
         if self.rho < 0.0:
             raise ValueError("penalty weight must be nonnegative")
-        u = np.array(u)
-        mu = np.array(mu)
-        u.setflags(write=False)
-        mu.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "u", _read_only(u))
+        object.__setattr__(self, "mu", _read_only(mu))
 
 
 def _residual(problem: ProblemSpec, y: Array) -> Array:
@@ -136,14 +131,3 @@ def saddle_point_step(problem: ProblemSpec, state: SaddlePointState) -> SaddlePo
     return SaddlePointState(u=u_next, mu=mu_next, alpha=state.alpha,
                             gamma=state.gamma, rho=state.rho)
 
-
-def saddle_residual(problem: ProblemSpec, state: SaddlePointState) -> float:
-    """Fixed-point residual of the primal-dual map.
-
-    Step-size-normalized displacement ``||u+ - u|| / alpha + ||mu+ - mu|| /
-    gamma``; zero exactly at fixed points, which satisfy the first-order
-    conditions of the constrained problem.
-    """
-    nxt = saddle_point_step(problem, state)
-    return (float(np.linalg.norm(nxt.u - state.u)) / state.alpha
-            + float(np.linalg.norm(nxt.mu - state.mu)) / state.gamma)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, eval_plant, \
-    eval_plant_jacobian, reduced_gradient
+from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _read_only, eval_plant, \
+    linearized_constraints, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -33,19 +33,22 @@ class NotFeasible(ValueError):
     """The point does not lie in the feasible set, so no tangent cone exists."""
 
 
-def _constraint_rows(problem: ProblemSpec, u: Array) -> tuple[Array, Array]:
-    """Stacked constraint rows and slacks at ``u``.
-
-    Rows are ``[A; C J(u)]``, slacks ``[b - A u; d - C h(u)]``; the
-    linearized feasible set at ``u`` with step size ``alpha`` is
-    ``{w : rows @ w <= slack / alpha}``.
-    """
+def _feasible_rows(problem: ProblemSpec, u: Array,
+                   tol: float) -> tuple[Array, Array, Array]:
+    """Measure the plant once at ``u``; return ``(y, rows, slack)`` of the
+    linearized constraints, or raise :class:`NotFeasible` if ``u`` violates
+    a constraint by more than ``tol``."""
     y = eval_plant(problem.plant, u)
-    J = eval_plant_jacobian(problem.plant, u)
-    rows = np.vstack([problem.input_set.A, problem.output_set.A @ J])
-    slack = np.concatenate([problem.input_set.b - problem.input_set.A @ u,
-                            problem.output_set.b - problem.output_set.A @ y])
-    return rows, slack
+    rows, slack = linearized_constraints(problem, u, y)
+    if np.any(slack < -tol):
+        raise NotFeasible(f"point violates constraints by {float(-slack.min()):.3e}")
+    return y, rows, slack
+
+
+def _target(problem: ProblemSpec, u: Array, y: Array) -> tuple[Array, Array]:
+    """Metric ``G(u)`` and the scaled negative gradient ``-G^{-1} grad``."""
+    G = np.asarray(problem.metric.eval(u), dtype=float)
+    return G, -np.linalg.solve(G, reduced_gradient(problem, u, y))
 
 
 @dataclass(frozen=True)
@@ -67,12 +70,8 @@ class TangentCone:
             rows = rows.reshape(0, base.size)
         if rows.shape[1] != base.size:
             raise ValueError("row width does not match the base point")
-        rows = np.array(rows)
-        base = np.array(base)
-        rows.setflags(write=False)
-        base.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "base_point", base)
+        object.__setattr__(self, "rows", _read_only(rows))
+        object.__setattr__(self, "base_point", _read_only(base))
 
     @property
     def dim(self) -> int:
@@ -95,11 +94,8 @@ def tangent_cone(problem: ProblemSpec, u, tol: float = DEFAULT_ACTIVE_TOL) -> Ta
     for every constraint row active at ``u``.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    rows, slack = _constraint_rows(problem, u)
-    if np.any(slack < -tol):
-        raise NotFeasible(f"point violates constraints by {float(-slack.min()):.3e}")
-    active = slack <= tol
-    return TangentCone(rows=rows[active], base_point=u)
+    _, rows, slack = _feasible_rows(problem, u, tol)
+    return TangentCone(rows=rows[slack <= tol], base_point=u)
 
 
 def _projection_qp(G: Array, f: Array, rows: Array, rhs: Array) -> QpProblem:
@@ -134,13 +130,8 @@ def finite_step_projection_qp(problem: ProblemSpec, u, alpha: float,
     u = np.asarray(u, dtype=float).reshape(-1)
     if alpha <= 0.0:
         raise ValueError("step size must be positive")
-    rows, slack = _constraint_rows(problem, u)
-    if np.any(slack < -tol):
-        raise NotFeasible(f"point violates constraints by {float(-slack.min()):.3e}")
-    y = eval_plant(problem.plant, u)
-    G = np.asarray(problem.metric.eval(u), dtype=float)
-    grad = reduced_gradient(problem, u, y)
-    f = -np.linalg.solve(G, grad)
+    y, rows, slack = _feasible_rows(problem, u, tol)
+    G, f = _target(problem, u, y)
     rhs = slack / alpha
     if zero_active:
         rhs = np.where(slack <= tol, 0.0, rhs)
@@ -169,14 +160,10 @@ def limit_consistency(problem: ProblemSpec, u,
         raise ValueError("step sizes must be positive")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("step sizes must be strictly decreasing")
-    cone = tangent_cone(problem, u)
-    y = eval_plant(problem.plant, u)
-    G = np.asarray(problem.metric.eval(u), dtype=float)
-    grad = reduced_gradient(problem, u, y)
-    f = -np.linalg.solve(G, grad)
-    w_limit = solve_qp(_projection_qp(G, f, cone.rows,
-                                      np.zeros(cone.rows.shape[0]))).w
-    rows, slack = _constraint_rows(problem, u)
+    y, rows, slack = _feasible_rows(problem, u, DEFAULT_ACTIVE_TOL)
+    G, f = _target(problem, u, y)
+    cone = TangentCone(rows=rows[slack <= DEFAULT_ACTIVE_TOL], base_point=u)
+    w_limit = project_tangent_cone(cone, G, f)
     out = []
     for a in alphas:
         w = solve_qp(_projection_qp(G, f, rows, slack / a)).w

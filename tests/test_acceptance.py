@@ -9,8 +9,8 @@ import time
 import numpy as np
 
 from fbopt import (
-    GridSpec,
     QpProblem,
+    SamplerSpec,
     ScenarioConfig,
     RunStatus,
     builtin_example,
@@ -20,10 +20,10 @@ from fbopt import (
     feedback_step,
     finite_difference_check,
     get_problem,
-    input_grid,
     kkt_point_residual,
     limit_consistency,
     run_trajectory,
+    sample_input_set,
     solve_qp,
     transient_violation_bound,
     violation,
@@ -54,7 +54,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def grid_starts(problem, points_per_dim=5):
-    return input_grid(problem, GridSpec(points_per_dim=points_per_dim))
+    return sample_input_set(problem.input_set, SamplerSpec(count=points_per_dim))
 
 
 def test_criterion_1_grid_convergence_to_kkt_points():

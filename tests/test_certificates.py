@@ -13,7 +13,6 @@ from fbopt import (
     ProblemSpec,
     SamplerSpec,
     builtin_example,
-    certified_step_size,
     estimate_constants,
     estimate_lipschitz_constants,
     estimate_multiplier_bound,
@@ -128,23 +127,31 @@ def test_certified_step_size_example():
                                      output_lipschitz=[6.0, 6.0],
                                      multiplier_bound=1.0,
                                      metric_floor=1.0)
-    assert certified_step_size(constants) == 0.125
     assert constants.step_size_bound == 0.125
 
 
 def test_certified_step_size_matches_stored_field():
     prob = builtin_example()
     constants = estimate_constants(prob, 0.01)
-    assert certified_step_size(constants) == constants.step_size_bound
+    assert constants.step_size_bound == 2.0 * constants.metric_floor / (
+        constants.grad_lipschitz
+        + constants.multiplier_bound * float(np.sum(constants.output_lipschitz)))
     assert 0.0 < constants.step_size_bound < 1.0
     assert constants.metric_floor == 1.0
 
 
 def test_certified_step_size_decreases_with_multiplier_bound():
     base = dict(grad_lipschitz=4.0, output_lipschitz=[6.0, 6.0], metric_floor=1.0)
-    bounds = [certified_step_size(CertificateConstants(multiplier_bound=m, **base))
+    bounds = [CertificateConstants(multiplier_bound=m, **base).step_size_bound
               for m in (0.5, 1.0, 2.0, 8.0)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
+
+
+def test_step_size_bound_cannot_be_passed():
+    with pytest.raises(TypeError):
+        CertificateConstants(grad_lipschitz=4.0, output_lipschitz=[6.0, 6.0],
+                             multiplier_bound=1.0, metric_floor=1.0,
+                             step_size_bound=123.0)
 
 
 def test_constants_validation():

@@ -10,17 +10,18 @@ from fbopt import (
     Polyhedron,
     ProblemSpec,
     RunStatus,
+    SamplerSpec,
     ScenarioConfig,
     TrajectoryLog,
     builtin_example,
     estimate_constants,
     finite_difference_check,
     get_problem,
-    input_grid,
     load_scenario,
     read_csv,
     register_problem,
     run_trajectory,
+    sample_input_set,
     sweep,
     write_csv,
 )
@@ -98,7 +99,7 @@ def test_run_status_labels_stable():
 
 def test_input_grid_counts():
     prob = builtin_example()
-    pts = input_grid(prob, GridSpec(points_per_dim=5))
+    pts = sample_input_set(prob.input_set, SamplerSpec(count=5))
     assert len(pts) == 25
     for u in pts:
         assert prob.input_set.membership(u)
@@ -394,6 +395,16 @@ def test_cli_sweep(tmp_path):
                      "--grid", str(grid), "--out", str(out)]) == 0
     assert (out / "run_000.csv").exists()
     assert (out / "run_001.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["beta = 0.1, 0.2", "alpha 0.1"])
+def test_cli_sweep_rejects_bad_grid_line(tmp_path, capsys, line):
+    scenario = write_scenario(tmp_path / "s.txt")
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"# ladder\n{line}\n", encoding="utf-8")
+    assert cli_main(["sweep", "--scenario", str(scenario), "--grid", str(grid),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert f"{grid}:2:" in capsys.readouterr().err
 
 
 def test_cli_compare(tmp_path, capsys):

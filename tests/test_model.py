@@ -12,6 +12,7 @@ from fbopt import (
     builtin_example,
     eval_plant,
     eval_plant_jacobian,
+    linearized_constraints,
     reduced_cost,
     reduced_gradient,
     violation,
@@ -92,6 +93,14 @@ def test_reduced_cost_matches_objective_composition():
     assert reduced_cost(prob, u) == prob.objective.eval(u, y)
 
 
+def test_linearized_constraints_at_optimum():
+    prob = builtin_example()
+    u = np.array([-0.5, 1.0])
+    rows, slack = linearized_constraints(prob, u, eval_plant(prob.plant, u))
+    assert_allclose(rows, [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 2], [-1, -2]])
+    assert_allclose(slack, [1.5, 0, 0.5, 2, 1, 0])
+
+
 def test_active_set_face():
     box = Polyhedron.box([-1, -1], [1, 1])
     assert list(active_set(box, [1.0, 0.0], tol=1e-9)) == [0]
@@ -159,6 +168,16 @@ def test_general_polyhedron_bounding_box():
 def test_zero_row_rejected():
     with pytest.raises(ValueError):
         Polyhedron(A=np.array([[1.0, 0.0], [0.0, 0.0]]), b=np.array([1.0, 1.0]))
+
+
+def test_box_bounds_must_come_together_with_set_dimension():
+    box = Polyhedron.box([-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        Polyhedron(box.A, box.b, lower=box.lower)  # upper missing
+    with pytest.raises(ValueError):
+        Polyhedron(box.A, box.b, upper=box.upper)  # lower missing
+    with pytest.raises(ValueError):
+        Polyhedron(box.A, box.b, lower=[-1.0], upper=[1.0])  # wrong length
 
 
 def test_membership_tolerance():
