@@ -25,7 +25,6 @@ from .model import (
     _read_only,
     eval_plant,
     eval_plant_jacobian,
-    reduced_cost,
     reduced_gradient,
     violation,
 )
@@ -127,16 +126,19 @@ class CertificateConstants:
             self.grad_lipschitz + self.multiplier_bound * float(np.sum(ell))))
 
 
-def lyapunov_value(problem: ProblemSpec, penalty: float, u) -> float:
-    """Merit value: reduced cost plus ``penalty`` times summed output violations.
+def lyapunov_value(problem: ProblemSpec, penalty: float, u, y) -> float:
+    """Merit value: cost plus ``penalty`` times summed output violations.
 
-    Coincides with the reduced cost on the feasible set; non-increasing along
+    The caller supplies the output ``y`` measured at ``u``, so the value is
+    the reduced cost plus the penalty term at that measurement.  Coincides
+    with the reduced cost on the feasible set; non-increasing along
     closed-loop trajectories whenever the step size is below the certified
     bound computed with the same penalty.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    y = eval_plant(problem.plant, u)
-    return reduced_cost(problem, u) + penalty * float(np.sum(violation(problem.output_set, y)))
+    y = np.asarray(y, dtype=float).reshape(-1)
+    return (float(problem.objective.eval(u, y))
+            + penalty * float(np.sum(violation(problem.output_set, y))))
 
 
 def _max_pair_slope(points: Array, values: Array) -> float:
@@ -165,11 +167,14 @@ def estimate_lipschitz_constants(problem: ProblemSpec,
     pts = sample_input_set(problem.input_set, sampler)
     if pts.shape[0] < 2:
         raise ValueError("sampler produced fewer than two feasible points")
-    grads = np.array([reduced_gradient(problem, u, eval_plant(problem.plant, u))
-                      for u in pts])
-    grad_lipschitz = LIPSCHITZ_SAFETY * _max_pair_slope(pts, grads)
     C = problem.output_set.A
-    rows = np.array([C @ eval_plant_jacobian(problem.plant, u) for u in pts])
+    grads, rows = [], []
+    for u in pts:
+        J = eval_plant_jacobian(problem.plant, u)
+        grads.append(reduced_gradient(problem, u, eval_plant(problem.plant, u), J))
+        rows.append(C @ J)
+    grad_lipschitz = LIPSCHITZ_SAFETY * _max_pair_slope(pts, np.array(grads))
+    rows = np.array(rows)
     ell = np.empty(problem.output_set.num_rows)
     for i in range(ell.size):
         ell[i] = max(LIPSCHITZ_SAFETY * _max_pair_slope(pts, rows[:, i, :]),

@@ -21,6 +21,7 @@ from .model import (
     DEFAULT_ACTIVE_TOL,
     ProblemSpec,
     eval_plant,
+    eval_plant_jacobian,
     linearized_constraints,
     reduced_gradient,
 )
@@ -96,9 +97,10 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float) -> QpProble
         raise ValueError("alpha must be positive")
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    g = reduced_gradient(problem, u, y)
+    J = eval_plant_jacobian(problem.plant, u)
+    g = reduced_gradient(problem, u, y, J)
     G = problem.metric.eval(u)
-    rows, slack = linearized_constraints(problem, u, y)
+    rows, slack = linearized_constraints(problem, u, y, J)
     return QpProblem(Q=alpha * np.asarray(G, dtype=float), c=alpha * g,
                      M=alpha * rows, r=slack)
 
@@ -150,7 +152,8 @@ def check_licq(problem: ProblemSpec, u, y, alpha: float, w,
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float).reshape(-1)
-    rows, slack = linearized_constraints(problem, u, y)
+    rows, slack = linearized_constraints(problem, u, y,
+                                         eval_plant_jacobian(problem.plant, u))
     resid = alpha * (rows @ w) - slack
     active = np.flatnonzero(np.abs(resid) <= DEFAULT_ACTIVE_TOL)
     if active.size == 0:
@@ -174,8 +177,9 @@ def kkt_point_residual(problem: ProblemSpec, u, nu, mu) -> float:
     nu = np.asarray(nu, dtype=float).reshape(-1)
     mu = np.asarray(mu, dtype=float).reshape(-1)
     y = eval_plant(problem.plant, u)
-    g = reduced_gradient(problem, u, y)
-    rows, slack = linearized_constraints(problem, u, y)
+    J = eval_plant_jacobian(problem.plant, u)
+    g = reduced_gradient(problem, u, y, J)
+    rows, slack = linearized_constraints(problem, u, y, J)
     q = problem.input_set.num_rows
     stat = g + nu @ rows[:q] + mu @ rows[q:]
     in_resid = -slack[:q]

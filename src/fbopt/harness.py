@@ -252,6 +252,10 @@ def run_trajectory(config: ScenarioConfig,
                    constants: CertificateConstants | None = None) -> TrajectoryLog:
     """Run one closed-loop trajectory to convergence, budget, or error.
 
+    Each logged row costs one plant measurement: the step measures ``y``
+    (and the sensitivity) at the row's input, and the same ``y`` fills the
+    row and its merit value and violation.
+
     The merit column uses the penalty from ``constants`` when given and 1.0
     otherwise.  When ``constants`` are given and the step size is below their
     certified bound, every step is checked against the certificate's
@@ -259,12 +263,16 @@ def run_trajectory(config: ScenarioConfig,
     per-row violation within the quadratic transient bound — and breaches
     are flagged; a run that hits the budget with a breach ends as
     ``CERTIFICATE_VIOLATED``.  (A converged run keeps ``CONVERGED`` and only
-    the flag.)  Merit monotonicity is also checked for saddle runs, where a
-    rising merit is the usual instability signature.
+    the flag.)  The transient bound of step ``k -> k+1`` is checked at row
+    ``k+1``, on its measurement, before that row's convergence and budget
+    checks and also when its step fails.  Merit monotonicity is also checked
+    for saddle runs, where a rising merit is the usual instability signature.
 
-    Exceptions raised by a step (empty linearized set, solver failure) end
-    the run with status ``ERROR`` and the message recorded; the offending
-    iterate is still logged with NaN residual and multipliers.
+    Exceptions raised by a step (empty linearized set, solver or plant
+    failure) end the run with status ``ERROR`` and the message recorded; the
+    offending iterate is still logged, re-measured, with NaN residual and
+    multipliers.  If that re-measurement fails too, its output, merit and
+    worst violation are logged as NaN.
     """
     if isinstance(config.u0, GridSpec):
         raise ValueError("run_trajectory needs a concrete u0; "
@@ -306,12 +314,13 @@ def run_trajectory(config: ScenarioConfig,
             return s.u, s.mu
 
         def step(s):
-            nxt = saddle_point_step(problem, s)
+            y = eval_plant(problem.plant, s.u)
+            nxt = saddle_point_step(problem, s, y)
             residual = (float(np.linalg.norm(nxt.u - s.u)) / config.alpha
                         + float(np.linalg.norm(nxt.mu - s.mu)) / config.gamma)
-            return nxt, eval_plant(problem.plant, s.u), residual, s.mu, None
+            return nxt, y, residual, s.mu, None
 
-    prev_V = None
+    prev_V = prev_w = None
     status = RunStatus.ITER_BUDGET
     for k in range(config.max_iters + 1):
         u, mu = logged(state)
@@ -319,26 +328,33 @@ def run_trajectory(config: ScenarioConfig,
             nxt, y, residual, mu, w = step(state)
         except Exception as exc:  # solver/model failures end the run
             status, message = RunStatus.ERROR, f"{type(exc).__name__}: {exc}"
-            y, residual = eval_plant(problem.plant, u), np.nan
-        V = lyapunov_value(problem, penalty, u)
-        rec.add(k, u, y, V, residual, violation(problem.output_set, y), mu)
+            residual = np.nan
+            try:
+                y = eval_plant(problem.plant, u)
+            except Exception:  # the plant keeps failing: log NaN
+                y = None
+        if y is None:
+            y, V, viol = np.full(problem.output_dim, np.nan), np.nan, np.full(l, np.nan)
+        else:
+            V = lyapunov_value(problem, penalty, u, y)
+            viol = violation(problem.output_set, y)
+        rec.add(k, u, y, V, residual, viol, mu)
+        if certify and prev_w is not None:  # the step into this row
+            bound = transient_violation_bound(constants.output_lipschitz,
+                                              config.alpha, prev_w)
+            if np.any(viol > bound + VIOLATION_SLACK):
+                violated = True
         if status is RunStatus.ERROR:
             break
         if certify and prev_V is not None \
                 and V > prev_V + MERIT_SLACK * (1.0 + abs(prev_V)):
             violated = True
-        prev_V = V
+        prev_V, prev_w = V, w
         if residual <= config.stationarity_tol:
             status = RunStatus.CONVERGED
             break
         if k == config.max_iters:
             break
-        if certify and w is not None:  # nxt is the projected scheme's next input
-            next_viol = violation(problem.output_set, eval_plant(problem.plant, nxt))
-            bound = transient_violation_bound(constants.output_lipschitz,
-                                              config.alpha, w)
-            if np.any(next_viol > bound + VIOLATION_SLACK):
-                violated = True
         state = nxt
 
     if violated and status is not RunStatus.CONVERGED and status is not RunStatus.ERROR:
@@ -423,9 +439,9 @@ def finite_difference_check(problem: ProblemSpec, points) -> FiniteDifferenceRep
     for u in points:
         u = np.asarray(u, dtype=float).reshape(-1)
         y = eval_plant(problem.plant, u)
+        J = eval_plant_jacobian(problem.plant, u)
         fd_jac = _central_diff(lambda x: problem.plant.eval(x), u)
-        worst_jac = max(worst_jac, _rel_error(
-            fd_jac, eval_plant_jacobian(problem.plant, u)))
+        worst_jac = max(worst_jac, _rel_error(fd_jac, J))
         z = np.concatenate([u, y])
         p = u.size
         fd_obj = _central_diff(
@@ -434,7 +450,7 @@ def finite_difference_check(problem: ProblemSpec, points) -> FiniteDifferenceRep
             fd_obj, problem.objective.gradient(u, y)))
         fd_red = _central_diff(lambda x: reduced_cost(problem, x), u)
         worst_red = max(worst_red, _rel_error(
-            fd_red, reduced_gradient(problem, u, y)))
+            fd_red, reduced_gradient(problem, u, y, J)))
     return FiniteDifferenceReport(plant_jacobian=worst_jac,
                                   objective_gradient=worst_obj,
                                   reduced_gradient=worst_red)

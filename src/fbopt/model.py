@@ -240,13 +240,14 @@ def eval_plant_jacobian(plant: PlantModel, u) -> Array:
     return J
 
 
-def reduced_gradient(problem: ProblemSpec, u, y) -> Array:
+def reduced_gradient(problem: ProblemSpec, u, y, J) -> Array:
     """Gradient of the cost along the plant manifold, as a function of the
     input alone.
 
-    The caller supplies the measured output ``y``; the chain rule folds the
+    The caller supplies the measured output ``y`` and the sensitivity
+    ``J = eval_plant_jacobian(problem.plant, u)``; the chain rule folds the
     output sensitivity into the input coordinates:
-    ``grad_u cost + grad_y cost @ jacobian``.
+    ``grad_u cost + grad_y cost @ J``.
     """
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
@@ -254,7 +255,6 @@ def reduced_gradient(problem: ProblemSpec, u, y) -> Array:
     g = np.asarray(problem.objective.gradient(u, y), dtype=float).reshape(-1)
     if g.size != p + problem.output_dim:
         raise ValueError(f"objective gradient must have length {p + problem.output_dim}")
-    J = eval_plant_jacobian(problem.plant, u)
     return g[:p] + g[p:] @ J
 
 
@@ -265,14 +265,14 @@ def reduced_cost(problem: ProblemSpec, u) -> float:
     return float(problem.objective.eval(u, y))
 
 
-def linearized_constraints(problem: ProblemSpec, u, y) -> tuple[Array, Array]:
-    """Constraint rows linearized at input ``u`` with measured output ``y``.
+def linearized_constraints(problem: ProblemSpec, u, y, J) -> tuple[Array, Array]:
+    """Constraint rows linearized at input ``u`` with measured output ``y``
+    and sensitivity ``J``, both supplied by the caller.
 
-    Returns ``rows = [A; C J(u)]`` and ``slack = [b - A u; d - C y]``: the
+    Returns ``rows = [A; C J]`` and ``slack = [b - A u; d - C y]``: the
     input rows come first, and an input increment ``du`` keeps every
     constraint satisfied to first order when ``rows @ du <= slack``.
     """
-    J = eval_plant_jacobian(problem.plant, u)
     A, b = problem.input_set.A, problem.input_set.b
     C, d = problem.output_set.A, problem.output_set.b
     return np.vstack([A, C @ J]), np.concatenate([b - A @ u, d - C @ y])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Polyhedron, ProblemSpec, _read_only, eval_plant, \
-    eval_plant_jacobian, reduced_cost, reduced_gradient
+    eval_plant_jacobian, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -92,42 +92,46 @@ def augmented_lagrangian(problem: ProblemSpec, u, mu, rho: float) -> float:
     y = eval_plant(problem.plant, u)
     resid = _residual(problem, y)
     viol = np.maximum(resid, 0.0)
-    return (reduced_cost(problem, u) + float(mu @ resid)
+    return (float(problem.objective.eval(u, y)) + float(mu @ resid)
             + 0.5 * float(rho) * float(viol @ viol))
 
 
-def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu,
-                                   rho: float) -> tuple[Array, Array]:
-    """Gradients of the augmented Lagrangian in ``u`` and ``mu``.
+def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
+                                   y) -> tuple[Array, Array]:
+    """Gradients of the augmented Lagrangian in ``u`` and ``mu``, from the
+    output ``y`` measured at ``u`` by the caller.
 
     Returns ``(grad_u, grad_mu)`` with
 
-        grad_u  = reduced gradient + (mu + rho * max(0, C h - d)) C J(u)
-        grad_mu = C h(u) - d
+        grad_u  = reduced gradient + (mu + rho * max(0, C y - d)) C J(u)
+        grad_mu = C y - d
 
-    The penalty gradient uses the value 0 exactly on the constraint
-    boundary (the squared positive part makes this the continuous choice).
+    The sensitivity ``J(u)`` is evaluated once, here.  The penalty gradient
+    uses the value 0 exactly on the constraint boundary (the squared
+    positive part makes this the continuous choice).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    y = eval_plant(problem.plant, u)
+    y = np.asarray(y, dtype=float).reshape(-1)
     J = eval_plant_jacobian(problem.plant, u)
     resid = _residual(problem, y)
     weights = mu + rho * np.maximum(resid, 0.0)
-    grad_u = reduced_gradient(problem, u, y) + weights @ (problem.output_set.A @ J)
+    grad_u = reduced_gradient(problem, u, y, J) + weights @ (problem.output_set.A @ J)
     return grad_u, resid
 
 
-def saddle_point_step(problem: ProblemSpec, state: SaddlePointState) -> SaddlePointState:
-    """One primal-dual update.
+def saddle_point_step(problem: ProblemSpec, state: SaddlePointState,
+                      y) -> SaddlePointState:
+    """One primal-dual update from the output ``y`` measured at ``state.u``.
 
-    Projected gradient descent on ``u`` (Euclidean projection onto the input
-    set), projected gradient ascent on ``mu`` (clipped at zero).
+    The caller takes the measurement, so one step costs one plant
+    measurement and one sensitivity evaluation.  Projected gradient descent
+    on ``u`` (Euclidean projection onto the input set), projected gradient
+    ascent on ``mu`` (clipped at zero).
     """
-    grad_u, grad_mu = augmented_lagrangian_gradients(problem, state.u,
-                                                     state.mu, state.rho)
+    grad_u, grad_mu = augmented_lagrangian_gradients(problem, state.u, state.mu,
+                                                     state.rho, y)
     u_next = project_polyhedron(problem.input_set, state.u - state.alpha * grad_u)
     mu_next = np.maximum(state.mu + state.gamma * grad_mu, 0.0)
     return SaddlePointState(u=u_next, mu=mu_next, alpha=state.alpha,
                             gamma=state.gamma, rho=state.rho)
-

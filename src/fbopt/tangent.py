@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _read_only, eval_plant, \
-    linearized_constraints, reduced_gradient
+    eval_plant_jacobian, linearized_constraints, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -34,21 +34,22 @@ class NotFeasible(ValueError):
 
 
 def _feasible_rows(problem: ProblemSpec, u: Array,
-                   tol: float) -> tuple[Array, Array, Array]:
-    """Measure the plant once at ``u``; return ``(y, rows, slack)`` of the
-    linearized constraints, or raise :class:`NotFeasible` if ``u`` violates
-    a constraint by more than ``tol``."""
+                   tol: float) -> tuple[Array, Array, Array, Array]:
+    """Measure the plant and its sensitivity once at ``u``; return ``(y, J,
+    rows, slack)`` with the linearized constraints, or raise
+    :class:`NotFeasible` if ``u`` violates a constraint by more than ``tol``."""
     y = eval_plant(problem.plant, u)
-    rows, slack = linearized_constraints(problem, u, y)
+    J = eval_plant_jacobian(problem.plant, u)
+    rows, slack = linearized_constraints(problem, u, y, J)
     if np.any(slack < -tol):
         raise NotFeasible(f"point violates constraints by {float(-slack.min()):.3e}")
-    return y, rows, slack
+    return y, J, rows, slack
 
 
-def _target(problem: ProblemSpec, u: Array, y: Array) -> tuple[Array, Array]:
+def _target(problem: ProblemSpec, u: Array, y: Array, J: Array) -> tuple[Array, Array]:
     """Metric ``G(u)`` and the scaled negative gradient ``-G^{-1} grad``."""
     G = np.asarray(problem.metric.eval(u), dtype=float)
-    return G, -np.linalg.solve(G, reduced_gradient(problem, u, y))
+    return G, -np.linalg.solve(G, reduced_gradient(problem, u, y, J))
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def tangent_cone(problem: ProblemSpec, u, tol: float = DEFAULT_ACTIVE_TOL) -> Ta
     for every constraint row active at ``u``.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    _, rows, slack = _feasible_rows(problem, u, tol)
+    _, _, rows, slack = _feasible_rows(problem, u, tol)
     return TangentCone(rows=rows[slack <= tol], base_point=u)
 
 
@@ -130,8 +131,8 @@ def finite_step_projection_qp(problem: ProblemSpec, u, alpha: float,
     u = np.asarray(u, dtype=float).reshape(-1)
     if alpha <= 0.0:
         raise ValueError("step size must be positive")
-    y, rows, slack = _feasible_rows(problem, u, tol)
-    G, f = _target(problem, u, y)
+    y, J, rows, slack = _feasible_rows(problem, u, tol)
+    G, f = _target(problem, u, y, J)
     rhs = slack / alpha
     if zero_active:
         rhs = np.where(slack <= tol, 0.0, rhs)
@@ -160,8 +161,8 @@ def limit_consistency(problem: ProblemSpec, u,
         raise ValueError("step sizes must be positive")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("step sizes must be strictly decreasing")
-    y, rows, slack = _feasible_rows(problem, u, DEFAULT_ACTIVE_TOL)
-    G, f = _target(problem, u, y)
+    y, J, rows, slack = _feasible_rows(problem, u, DEFAULT_ACTIVE_TOL)
+    G, f = _target(problem, u, y, J)
     cone = TangentCone(rows=rows[slack <= DEFAULT_ACTIVE_TOL], base_point=u)
     w_limit = project_tangent_cone(cone, G, f)
     out = []

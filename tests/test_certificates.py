@@ -36,7 +36,8 @@ def scalar_plant():
 def test_lyapunov_feasible_point_ignores_penalty():
     prob = builtin_example()
     for penalty in (0.0, 1.0, 50.0):
-        assert_allclose(lyapunov_value(prob, penalty, [0.0, 0.0]), 2.0)
+        assert_allclose(lyapunov_value(prob, penalty, [0.0, 0.0],
+                                       eval_plant(prob.plant, [0.0, 0.0])), 2.0)
 
 
 def test_lyapunov_adds_scaled_violation():
@@ -45,8 +46,8 @@ def test_lyapunov_adds_scaled_violation():
     y = eval_plant(prob.plant, u)
     assert y[0] == 1.2
     expected = reduced_cost(prob, u) + 10.0 * (1.2 - 1.0)
-    assert_allclose(lyapunov_value(prob, 10.0, u), expected, rtol=1e-12)
-    assert_allclose(lyapunov_value(prob, 10.0, u), reduced_cost(prob, u) + 2.0,
+    assert_allclose(lyapunov_value(prob, 10.0, u, y), expected, rtol=1e-12)
+    assert_allclose(lyapunov_value(prob, 10.0, u, y), reduced_cost(prob, u) + 2.0,
                     rtol=1e-12)
 
 
@@ -60,7 +61,7 @@ def test_lyapunov_penalty_independent_on_feasible_samples():
         if not prob.output_set.membership(y):
             continue
         count += 1
-        assert lyapunov_value(prob, 1.0, u) == lyapunov_value(prob, 100.0, u)
+        assert lyapunov_value(prob, 1.0, u, y) == lyapunov_value(prob, 100.0, u, y)
 
 
 def test_gradient_curvature_estimate():

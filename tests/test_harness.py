@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from fbopt import (
+    CertificateConstants,
     GridSpec,
     MetricField,
     ObjectiveSpec,
@@ -15,6 +18,7 @@ from fbopt import (
     TrajectoryLog,
     builtin_example,
     estimate_constants,
+    feedback_step,
     finite_difference_check,
     get_problem,
     load_scenario,
@@ -240,6 +244,96 @@ def test_saddle_run_diverges_with_large_dual_rate():
     log = run_trajectory(make_config(scheme="saddle", gamma=5.0, rho=1.0,
                                      max_iters=3000, stationarity_tol=1e-6))
     assert log.status is RunStatus.ITER_BUDGET
+
+
+class CountedCubic2d:
+    """cubic2d registered under ``name`` with its plant's ``eval`` and
+    ``jacobian`` calls counted; with ``fail_after`` set, every plant call
+    after that many raises."""
+
+    def __init__(self, name, fail_after=None):
+        self.name = name
+        self.fail_after = fail_after
+        self.calls = {"eval": 0, "jacobian": 0}
+        self.failed = []  # numbers of the plant calls that raised
+        register_problem(name, self.problem)
+
+    def problem(self):
+        prob = get_problem("cubic2d")
+        plant = prob.plant
+        return dataclasses.replace(prob, plant=dataclasses.replace(
+            plant, eval=self._counted("eval", plant.eval),
+            jacobian=self._counted("jacobian", plant.jacobian)))
+
+    def _counted(self, kind, fn):
+        def call(u):
+            self.calls[kind] += 1
+            n = sum(self.calls.values())
+            if self.fail_after is not None and n > self.fail_after:
+                self.failed.append(n)
+                raise RuntimeError(f"plant offline (call {n})")
+            return fn(u)
+        return call
+
+
+def test_feedback_step_measures_plant_once():
+    plant = CountedCubic2d("counted.feedback_step")
+    feedback_step(get_problem(plant.name), np.array([1.0, 1.0]), 0.01)
+    assert plant.calls == {"eval": 1, "jacobian": 1}
+
+
+def test_certified_run_measures_plant_once_per_row():
+    constants = estimate_constants(builtin_example(), 0.01)
+    plant = CountedCubic2d("counted.certified")
+    log = run_trajectory(make_config(problem_name=plant.name,
+                                     alpha=0.9 * constants.step_size_bound,
+                                     u0=np.array([1.0, 1.0]),
+                                     stationarity_tol=1e-6), constants)
+    assert log.status is RunStatus.CONVERGED
+    assert plant.calls == {"eval": log.num_rows, "jacobian": log.num_rows}
+
+
+def test_saddle_run_measures_plant_once_per_row():
+    plant = CountedCubic2d("counted.saddle")
+    log = run_trajectory(make_config(problem_name=plant.name, scheme="saddle",
+                                     gamma=0.5, rho=1.0, max_iters=5000,
+                                     stationarity_tol=1e-6))
+    assert log.status is RunStatus.CONVERGED
+    assert plant.calls == {"eval": log.num_rows, "jacobian": log.num_rows}
+
+
+@pytest.mark.parametrize("scheme, extra", [("projected", {}),
+                                           ("saddle", dict(gamma=0.5, rho=1.0))])
+def test_plant_that_stays_down_ends_run_with_error(scheme, extra):
+    plant = CountedCubic2d(f"offline.{scheme}", fail_after=40)
+    log = run_trajectory(make_config(problem_name=plant.name, scheme=scheme,
+                                     max_iters=1000, **extra))
+    assert log.status is RunStatus.ERROR
+    assert len(plant.failed) == 2  # the step's measurement and the re-measurement
+    assert log.message == f"RuntimeError: plant offline (call {plant.failed[0]})"
+    assert log.num_rows > 1
+    assert np.all(np.isfinite(log.y[:-1])) and np.all(np.isfinite(log.V[:-1]))
+    for column in (log.y[-1], log.V[-1], log.max_violation[-1], log.residual[-1]):
+        assert np.all(np.isnan(column))
+
+
+def test_transient_bound_breach_is_flagged():
+    # zero output Lipschitz constants make any overshoot of the output set a
+    # breach of the transient bound, while the merit still decreases
+    c = estimate_constants(builtin_example(), 0.01)
+    constants = CertificateConstants(grad_lipschitz=c.grad_lipschitz,
+                                     output_lipschitz=[0.0, 0.0],
+                                     multiplier_bound=c.multiplier_bound,
+                                     metric_floor=c.metric_floor)
+    assert 0.04 < constants.step_size_bound
+    for max_iters, status in ((1, RunStatus.CERTIFICATE_VIOLATED),
+                              (100_000, RunStatus.CONVERGED)):
+        log = run_trajectory(make_config(alpha=0.04, u0=np.array([1.0, 1.0]),
+                                         max_iters=max_iters), constants)
+        assert log.status is status
+        assert log.certificate_violated
+        V = log.V
+        assert np.all(V[1:] <= V[:-1] + 1e-12 * (1.0 + np.abs(V[:-1])))
 
 
 # ------------------------------------------------------------------ sweeps

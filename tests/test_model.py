@@ -64,13 +64,15 @@ def test_jacobian_identity_plant():
 def test_reduced_gradient_builtin_origin():
     prob = builtin_example()
     y = eval_plant(prob.plant, [0.0, 0.0])
-    assert_allclose(reduced_gradient(prob, [0.0, 0.0], y), [1.0, -4.0])
+    assert_allclose(reduced_gradient(
+        prob, [0.0, 0.0], y, eval_plant_jacobian(prob.plant, [0.0, 0.0])), [1.0, -4.0])
 
 
 def test_reduced_gradient_builtin_ones():
     prob = builtin_example()
     y = eval_plant(prob.plant, [1.0, 1.0])
-    assert_allclose(reduced_gradient(prob, [1.0, 1.0], y), [5.0, -1.0])
+    assert_allclose(reduced_gradient(
+        prob, [1.0, 1.0], y, eval_plant_jacobian(prob.plant, [1.0, 1.0])), [5.0, -1.0])
 
 
 def test_reduced_gradient_output_only_cost():
@@ -83,7 +85,8 @@ def test_reduced_gradient_output_only_cost():
                        output_set=Polyhedron.box([-2, -2], [2, 2]),
                        metric=MetricField.identity(2))
     y = eval_plant(plant, [0.3, -0.2])
-    assert_allclose(reduced_gradient(prob, [0.3, -0.2], y), [1.0, 1.0])
+    assert_allclose(reduced_gradient(
+        prob, [0.3, -0.2], y, eval_plant_jacobian(plant, [0.3, -0.2])), [1.0, 1.0])
 
 
 def test_reduced_cost_matches_objective_composition():
@@ -96,7 +99,8 @@ def test_reduced_cost_matches_objective_composition():
 def test_linearized_constraints_at_optimum():
     prob = builtin_example()
     u = np.array([-0.5, 1.0])
-    rows, slack = linearized_constraints(prob, u, eval_plant(prob.plant, u))
+    rows, slack = linearized_constraints(prob, u, eval_plant(prob.plant, u),
+                                         eval_plant_jacobian(prob.plant, u))
     assert_allclose(rows, [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 2], [-1, -2]])
     assert_allclose(slack, [1.5, 0, 0.5, 2, 1, 0])
 

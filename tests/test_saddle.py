@@ -8,6 +8,7 @@ from fbopt import (
     augmented_lagrangian,
     augmented_lagrangian_gradients,
     builtin_example,
+    eval_plant,
     project_polyhedron,
     reduced_cost,
     saddle_point_step,
@@ -43,14 +44,15 @@ def test_penalty_term_inactive_on_feasible_outputs():
 def test_dual_gradient_is_constraint_residual():
     prob = builtin_example()
     for rho in (0.0, 7.0):
-        _, grad_mu = augmented_lagrangian_gradients(prob, [0.0, 0.0],
-                                                    [0.0, 0.0], rho)
+        _, grad_mu = augmented_lagrangian_gradients(
+            prob, [0.0, 0.0], [0.0, 0.0], rho, eval_plant(prob.plant, [0.0, 0.0]))
         assert_allclose(grad_mu, [-0.5, -0.5])
 
 
 def test_primal_gradient_reduces_to_cost_gradient():
     prob = builtin_example()
-    grad_u, _ = augmented_lagrangian_gradients(prob, [0.0, 0.0], [0.0, 0.0], 0.0)
+    grad_u, _ = augmented_lagrangian_gradients(
+        prob, [0.0, 0.0], [0.0, 0.0], 0.0, eval_plant(prob.plant, [0.0, 0.0]))
     assert_allclose(grad_u, [1.0, -4.0])
 
 
@@ -58,7 +60,7 @@ def test_step_from_origin():
     prob = builtin_example()
     state = SaddlePointState(u=np.zeros(2), mu=np.zeros(2),
                              alpha=0.01, gamma=0.5, rho=1.0)
-    nxt = saddle_point_step(prob, state)
+    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
     assert_allclose(nxt.u, [-0.01, 0.04], atol=1e-14)
     assert_allclose(nxt.mu, [0.0, 0.0])  # both output rows slack at the start
 
@@ -66,7 +68,7 @@ def test_step_from_origin():
 def test_optimal_pair_is_fixed_point():
     prob = builtin_example()
     state = SaddlePointState(u=OPTIMUM, mu=OPT_MU, alpha=0.01, gamma=0.5, rho=0.0)
-    nxt = saddle_point_step(prob, state)
+    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
     assert_allclose(nxt.u, OPTIMUM, atol=1e-12)
     assert_allclose(nxt.mu, OPT_MU, atol=1e-12)
 
@@ -75,7 +77,7 @@ def test_residual_positive_away_from_saddle():
     prob = builtin_example()
     state = SaddlePointState(u=np.zeros(2), mu=np.zeros(2),
                              alpha=0.01, gamma=0.5, rho=1.0)
-    nxt = saddle_point_step(prob, state)
+    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
     displacement = (np.linalg.norm(nxt.u - state.u) / state.alpha
                     + np.linalg.norm(nxt.mu - state.mu) / state.gamma)
     assert displacement > 1.0
@@ -90,7 +92,7 @@ def test_dual_iterates_stay_nonnegative():
                                  alpha=0.01, gamma=float(rng.uniform(0.1, 5.0)),
                                  rho=float(rng.uniform(0.0, 10.0)))
         for _ in range(5):
-            state = saddle_point_step(prob, state)
+            state = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
             assert np.all(state.mu >= 0.0)
             assert prob.input_set.membership(state.u, tol=1e-12)
 
