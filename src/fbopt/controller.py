@@ -80,7 +80,8 @@ class LicqReport:
     singular_values: Array
 
 
-def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float) -> QpProblem:
+def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
+                           G=None) -> QpProblem:
     """Build the per-step projection QP at ``(u, y)``.
 
     The quadratic term is ``alpha * G(u)``, the linear term ``alpha`` times
@@ -91,7 +92,8 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float) -> QpProble
         alpha * C J(u) w   <= d - C y
 
     The first ``input_set.num_rows`` rows always belong to the input set,
-    which is how multipliers are split back into ``(nu, mu)``.
+    which is how multipliers are split back into ``(nu, mu)``.  ``G`` is the
+    metric at ``u`` when the caller has already evaluated it.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -99,7 +101,8 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float) -> QpProble
     y = np.asarray(y, dtype=float).reshape(-1)
     J = eval_plant_jacobian(problem.plant, u)
     g = reduced_gradient(problem, u, y, J)
-    G = problem.metric.eval(u)
+    if G is None:
+        G = problem.metric.eval(u)
     rows, slack = linearized_constraints(problem, u, y, J)
     return QpProblem(Q=alpha * np.asarray(G, dtype=float), c=alpha * g,
                      M=alpha * rows, r=slack)
@@ -113,7 +116,8 @@ def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    qp = assemble_projection_qp(problem, u, y, alpha)
+    G = np.asarray(problem.metric.eval(u), dtype=float)
+    qp = assemble_projection_qp(problem, u, y, alpha, G)
     try:
         sol = solve_qp(qp)
     except Infeasible as exc:
@@ -121,7 +125,6 @@ def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
             f"linearized constraint set is empty at u={u.tolist()}") from exc
     q = problem.input_set.num_rows
     w = sol.w
-    G = np.asarray(problem.metric.eval(u), dtype=float)
     sigma_norm = float(np.sqrt(max(w @ G @ w, 0.0)))
     return ControllerStep(u=u, y=y, alpha=float(alpha), w=w,
                           nu=sol.multipliers[:q], mu=sol.multipliers[q:],

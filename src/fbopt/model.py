@@ -221,11 +221,16 @@ class ProblemSpec:
 
 
 def eval_plant(plant: PlantModel, u) -> Array:
-    """Evaluate the steady-state output for input ``u``."""
+    """Evaluate the steady-state output for input ``u``.
+
+    Raises ``ValueError`` if the plant returns a non-finite output."""
     u = _vector(u, plant.input_dim, "u")
     y = np.asarray(plant.eval(u), dtype=float).reshape(-1)
     if y.size != plant.output_dim:
         raise ValueError(f"plant returned {y.size} outputs, expected {plant.output_dim}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"plant output must be finite, got {y.tolist()} "
+                         f"at u={u.tolist()}")
     return y
 
 

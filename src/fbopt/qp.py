@@ -5,10 +5,14 @@ Solves
     minimize    0.5 * w' Q w + c' w
     subject to  M w <= r
 
-for symmetric positive definite ``Q`` by a primal active-set method with a
-working set.  Problems of this shape appear once per controller step, so the
-solver is tuned for very small dense instances, determinism, and faithful
-Lagrange multipliers rather than for scale.
+for symmetric positive definite ``Q`` by the dual active-set method of
+Goldfarb and Idnani (1983).  The method starts from the unconstrained
+minimizer and adds violated rows one at a time while keeping the
+multipliers nonnegative, so it needs no feasible starting point (no
+phase-1 problem) and it proves infeasibility on its own.  Problems of this
+shape appear once per controller step, so the solver is tuned for very
+small dense instances, determinism, and faithful Lagrange multipliers
+rather than for scale.
 
 Two independent routes are provided: :func:`solve_qp` (the production
 active-set method) and :func:`enumerate_oracle` (brute-force enumeration of
@@ -16,7 +20,9 @@ candidate active sets, usable as a ground-truth check for problems with a
 handful of rows).  Tie-breaking is always by lowest constraint index, so both
 routes are deterministic for identical input.
 
-All tolerances are relative to ``scale = 1 + ||c|| + ||r||``.
+Feasibility tolerances are relative to ``scale = 1 + ||c|| + ||r||``; the
+tests for linear dependence compare like quantities, so scaling ``Q`` and
+``M`` together leaves the path of :func:`solve_qp` unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401 -- unused; perfbench/tracer.py looks it up
 
 from .model import _read_only
 
@@ -44,8 +50,8 @@ __all__ = [
 
 Array = np.ndarray
 
-# Absolute lower bound accepted for multipliers before a working-set row is
-# considered wrongly active.
+# Absolute lower bound accepted for multipliers before a candidate active set
+# of the enumeration oracle is rejected.
 DUAL_TOL = 1e-10
 
 
@@ -180,35 +186,27 @@ def _finish(qp: QpProblem, w: Array, mult: Array, work, iterations: int,
                       rank_deficient=rank_flag)
 
 
-def _feasible_point(M: Array, r: Array, scale: float) -> Array:
-    """A point with ``M w <= r``, via a single-slack phase-1 LP."""
-    m, p = M.shape
-    if np.all(r >= -1e-12 * scale):
-        return np.zeros(p)
-    res = linprog(np.concatenate([np.zeros(p), [1.0]]),
-                  A_ub=np.hstack([M, -np.ones((m, 1))]), b_ub=r,
-                  bounds=[(None, None)] * p + [(0.0, None)], method="highs")
-    if res.status != 0 or res.x is None:
-        raise Infeasible(f"phase-1 feasibility LP failed: {res.message}")
-    if res.x[-1] > 1e-8 * scale:
-        raise Infeasible(
-            f"no point satisfies the constraints (best slack {res.x[-1]:.3e})")
-    return res.x[:p]
-
-
-def _independent_active(M: Array, r: Array, w: Array, scale: float) -> list[int]:
-    """Lowest-index maximal independent subset of rows active at ``w``."""
-    act = np.flatnonzero(np.abs(M @ w - r) <= 1e-9 * scale)
-    work: list[int] = []
-    for i in act:
-        cand = work + [int(i)]
-        if np.linalg.matrix_rank(M[cand]) == len(cand):
-            work = cand
-    return work
+def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bool]:
+    """Solve ``[[Q, N'], [N, 0]] x = [top; bottom]``; the flag marks a
+    singular system resolved by least squares."""
+    p, k = Q.shape[0], N.shape[0]
+    kkt = np.zeros((p + k, p + k))
+    kkt[:p, :p] = Q
+    if k:
+        kkt[:p, p:] = N.T
+        kkt[p:, :p] = N
+    rhs = np.concatenate([top, bottom])
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+        if np.isfinite(sol).all():
+            return sol, False
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
 
 
 def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
-    """Solve the QP by a primal active-set method.
+    """Solve the QP by the dual active-set method of Goldfarb and Idnani.
 
     Parameters
     ----------
@@ -221,7 +219,9 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     -------
     QpSolution
         Optimal point, full multiplier vector (zeros off the working set),
-        working set, aggregate KKT residual, and iteration count.
+        working set, aggregate KKT residual, and iteration count.  A problem
+        whose unconstrained minimizer is feasible takes one iteration and
+        ends with an empty working set.
 
     Raises
     ------
@@ -234,10 +234,26 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
 
     Notes
     -----
-    Constraint entry and exit use lowest-index tie-breaking, so the method
-    is deterministic and does not cycle on the small degenerate problems it
-    is meant for.  Rank-deficient working sets are resolved by least
-    squares and reported through :class:`RankDeficientActiveSet`.
+    The method starts at the unconstrained minimizer ``Q^{-1}(-c)`` with an
+    empty working set, so it needs no feasible starting point.  Each
+    iteration takes the most violated row ``a`` and solves one KKT system
+    ``[[Q, N'], [N, 0]] [z; s] = [a; 0]`` over the working rows ``N``: ``z``
+    is the primal direction and ``s`` the dual direction.  Moving the
+    multiplier of ``a`` up by ``t`` moves ``w`` by ``-t z`` and the working
+    multipliers by ``-t s``.  The step either makes ``a`` active (full step)
+    or first drives a working multiplier to zero and drops that row (partial
+    step), after which the same row is tried again.  Both choices break ties
+    by lowest constraint index, so the method is deterministic.
+
+    When ``a' z <= 1e-13 a' Q^{-1} a``, or the working set already holds
+    ``dim`` rows, ``a`` is a combination of the working rows and no full
+    step exists.  If no working row then has ``s > 0``, the multiplier of
+    ``a`` can grow without bound: the constraints are inconsistent and
+    :class:`Infeasible` is raised.  Working rows stay linearly independent.
+    The final point and multipliers are recomputed from one KKT solve on
+    the sorted working set.  A singular system is resolved by least squares
+    and reported through :class:`RankDeficientActiveSet`, as are dependent
+    rows active at the solution.
     """
     p, m = qp.dim, qp.num_constraints
     Q, c, M, r = qp.Q, qp.c, qp.M, qp.r
@@ -246,63 +262,55 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     if max_iter is None:
         max_iter = 50 * (m + 2)
 
-    w_free = np.linalg.solve(Q, -c)
-    if m == 0:
-        return _finish(qp, w_free, np.zeros(0), (), 1, False)
-    if np.all(M @ w_free <= r + 1e-11 * scale):
-        return _finish(qp, w_free, np.zeros(m), (), 1, False)
+    w = np.linalg.solve(Q, -c)
+    tol = 1e-11 * scale
+    if m == 0 or np.all(M @ w <= r + tol):
+        return _finish(qp, w, np.zeros(m), (), 1, False)
 
-    w = _feasible_point(M, r, scale)
-    work = _independent_active(M, r, w, scale)
-    used_lstsq = False
+    curvature = np.einsum("ij,ji->i", M, np.linalg.solve(Q, M.T))  # a' Q^-1 a
+    lam = np.zeros(m)
+    work: list[int] = []  # sorted
+    add = None  # row being made active
+    rank_flag = False
 
     for it in range(1, max_iter + 1):
-        k = len(work)
-        kkt = np.zeros((p + k, p + k))
-        kkt[:p, :p] = Q
-        if k:
-            Mw = M[work]
-            kkt[:p, p:] = Mw.T
-            kkt[p:, :p] = Mw
-        rhs = np.concatenate([-c, r[work]])
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-            if not np.all(np.isfinite(sol)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            used_lstsq = True
-        w_eq, lam = sol[:p], sol[p:]
-
-        if np.linalg.norm(w_eq - w) <= 1e-11 * (1.0 + np.linalg.norm(w_eq)):
-            wrong = [i for i, v in zip(work, lam) if v < -DUAL_TOL]
-            if not wrong:
+        if add is None:
+            viol = M @ w - r
+            viol[work] = -np.inf
+            add = int(np.argmax(viol))  # lowest index on ties
+            if viol[add] <= tol:
+                sol, singular = _kkt_solve(Q, M[work], -c, r[work])
                 mult = np.zeros(m)
-                mult[work] = lam
-                return _finish(qp, w_eq, mult, work, it, used_lstsq)
-            work.remove(min(wrong))  # lowest index leaves
-            continue
+                mult[work] = sol[p:]
+                return _finish(qp, sol[:p], mult, work, it, rank_flag or singular)
 
-        d = w_eq - w
-        md = M @ d
-        slack = r - M @ w
-        dir_tol = 1e-13 * max(1.0, float(np.max(np.abs(md))))
-        step = 1.0
-        blocking = None
-        for i in range(m):
-            if i in work or md[i] <= dir_tol:
-                continue
-            ratio = max(slack[i], 0.0) / md[i]
-            if ratio < step - 1e-12:
-                step = ratio
-                blocking = i
-            # ties keep the earlier (lower) index
-        if blocking is None:
-            w = w_eq
+        a = M[add]
+        sol, singular = _kkt_solve(Q, M[work], a, np.zeros(len(work)))
+        rank_flag = rank_flag or singular
+        z, s = sol[:p], sol[p:]
+        az = float(a @ z)
+        # p working rows span every row, so z is zero up to roundoff
+        independent = len(work) < p and az > 1e-13 * curvature[add]
+        full = max(float(a @ w) - r[add], 0.0) / az if independent else np.inf
+        partial, drop = np.inf, None
+        for j, i in enumerate(work):
+            if s[j] > 0.0 and lam[i] / s[j] < partial:
+                partial, drop = lam[i] / s[j], j
+        if drop is None and not independent:
+            raise Infeasible(f"no point satisfies the constraints (row {add} "
+                             f"contradicts the working set {work})")
+
+        t = min(full, partial)
+        if independent:
+            w = w - t * z
+        lam[work] -= t * s
+        lam[add] += t
+        if partial < full:
+            lam[work.pop(drop)] = 0.0
         else:
-            w = w + step * d
-            work.append(blocking)
+            work.append(add)
             work.sort()
+            add = None
     raise MaxIterations(f"active-set method did not finish in {max_iter} iterations")
 
 

@@ -244,3 +244,33 @@ def test_linearized_set_empty():
                        metric=MetricField.identity(1))
     with pytest.raises(LinearizedSetEmpty):
         feedback_step(prob, np.zeros(1), 0.01)
+
+
+def test_tiny_step_size_keeps_nonempty_linearization():
+    # rows of order alpha ~ 1e-10 must not make a nonempty set look empty
+    prob = builtin_example()
+    u = np.array([1.0, 1.0])
+    st = controller_step(prob, u, eval_plant(prob.plant, u), alpha=1e-10)
+    assert np.all(np.isfinite(st.w))
+    assert np.all(np.isfinite(st.u_next))
+    assert prob.input_set.membership(st.u_next, tol=1e-12)
+
+
+def scaled_cost(prob, s):
+    obj = prob.objective
+    return dataclasses.replace(prob, objective=ObjectiveSpec(
+        eval=lambda u, y: s * obj.eval(u, y),
+        gradient=lambda u, y: s * np.asarray(obj.gradient(u, y))))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+def test_trajectory_invariant_under_cost_and_step_scaling(s):
+    # scaling the cost by s and alpha by 1/s leaves every increment
+    # alpha * w unchanged, so the inputs must follow the same path
+    prob = builtin_example()
+    scaled = scaled_cost(prob, s)
+    u = v = np.array([1.0, 1.0])
+    for _ in range(200):
+        u = feedback_step(prob, u, 0.01).u_next
+        v = feedback_step(scaled, v, 0.01 / s).u_next
+        assert np.max(np.abs(u - v)) <= 1e-10

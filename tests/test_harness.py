@@ -282,6 +282,19 @@ def test_feedback_step_measures_plant_once():
     assert plant.calls == {"eval": 1, "jacobian": 1}
 
 
+def test_feedback_step_evaluates_metric_once():
+    prob = builtin_example()
+    calls = []
+
+    def metric(u):
+        calls.append(u)
+        return np.eye(2)
+
+    feedback_step(dataclasses.replace(prob, metric=MetricField(eval=metric)),
+                  np.array([1.0, 1.0]), 0.01)
+    assert len(calls) == 1
+
+
 def test_certified_run_measures_plant_once_per_row():
     constants = estimate_constants(builtin_example(), 0.01)
     plant = CountedCubic2d("counted.certified")
@@ -312,6 +325,32 @@ def test_plant_that_stays_down_ends_run_with_error(scheme, extra):
     assert len(plant.failed) == 2  # the step's measurement and the re-measurement
     assert log.message == f"RuntimeError: plant offline (call {plant.failed[0]})"
     assert log.num_rows > 1
+    assert np.all(np.isfinite(log.y[:-1])) and np.all(np.isfinite(log.V[:-1]))
+    for column in (log.y[-1], log.V[-1], log.max_violation[-1], log.residual[-1]):
+        assert np.all(np.isnan(column))
+
+
+def _nan_below(u1):
+    """cubic2d whose plant returns NaN for u1 <= ``u1``."""
+    prob = get_problem("cubic2d")
+    h = prob.plant.eval
+    plant = dataclasses.replace(
+        prob.plant, eval=lambda u: np.array([np.nan]) if u[0] <= u1 else h(u))
+    return dataclasses.replace(prob, plant=plant)
+
+
+@pytest.mark.parametrize("scheme, extra", [("projected", {}),
+                                           ("saddle", dict(gamma=0.5, rho=1.0))])
+def test_non_finite_plant_output_ends_run_with_error(scheme, extra):
+    name = f"nan_plant.{scheme}"
+    register_problem(name, lambda: _nan_below(-0.05))
+    log = run_trajectory(make_config(problem_name=name, scheme=scheme,
+                                     alpha=0.01, u0=np.array([0.0, 0.0]),
+                                     max_iters=5000, **extra))
+    assert log.status is RunStatus.ERROR
+    assert log.message.startswith("ValueError: plant output")
+    assert log.num_rows > 1
+    assert log.u[-1, 0] <= -0.05
     assert np.all(np.isfinite(log.y[:-1])) and np.all(np.isfinite(log.V[:-1]))
     for column in (log.y[-1], log.V[-1], log.max_violation[-1], log.residual[-1]):
         assert np.all(np.isnan(column))

@@ -172,3 +172,73 @@ def test_oracle_constraint_cap():
                    M=np.ones((13, 2)), r=np.ones(13))
     with pytest.raises(ValueError):
         enumerate_oracle(qp)
+
+
+def test_infeasible_origin_agrees_with_oracle():
+    # every instance has rows that the origin violates
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 60:
+        p = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 8))
+        B = rng.normal(size=(p, p))
+        Q = B @ B.T + (0.5 + rng.uniform()) * np.eye(p)
+        c = rng.normal(size=p)
+        M = rng.normal(size=(m, p))
+        w0 = rng.normal(size=p) * rng.uniform(1.0, 3.0)
+        r = M @ w0 + rng.uniform(0.1, 1.0, size=m)
+        if np.all(r >= 0.0):
+            continue
+        checked += 1
+        qp = QpProblem(Q=Q, c=c, M=M, r=r)
+        a = solve_qp(qp)
+        b = enumerate_oracle(qp)
+        assert np.linalg.norm(a.w - b.w) <= 1e-8
+        assert np.max(np.abs(a.multipliers - b.multipliers)) <= 1e-6
+
+
+def test_random_empty_sets_raise_infeasible():
+    from scipy.optimize import linprog  # independent emptiness oracle
+
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 40:
+        p = int(rng.integers(1, 5))
+        m = int(rng.integers(2, 9))
+        M = rng.normal(size=(m, p))
+        r = rng.normal(size=m) - 0.5
+        lp = linprog(np.zeros(p), A_ub=M, b_ub=r,
+                     bounds=[(None, None)] * p, method="highs")
+        if lp.status != 2:  # keep the sets HiGHS proves empty
+            continue
+        B = rng.normal(size=(p, p))
+        Q = B @ B.T + (0.5 + rng.uniform()) * np.eye(p)
+        with pytest.raises(Infeasible):
+            solve_qp(QpProblem(Q=Q, c=rng.normal(size=p), M=M, r=r))
+        checked += 1
+
+
+def test_large_instances_satisfy_kkt():
+    # 12 variables and 36 rows, beyond what enumerate_oracle accepts
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        p, m = 12, 36
+        B = rng.normal(size=(p, p))
+        Q = B @ B.T + (0.5 + rng.uniform()) * np.eye(p)
+        c = 5.0 * rng.normal(size=p)
+        M = rng.normal(size=(m, p))
+        w0 = rng.normal(size=p)
+        r = M @ w0 + rng.uniform(0.0, 1.0, size=m)
+        qp = QpProblem(Q=Q, c=c, M=M, r=r)
+        sol = solve_qp(qp)
+        assert sol.active
+        assert sol.kkt_residual <= 1e-8 * qp.scale
+
+
+def test_full_working_set_leaves_no_primal_step():
+    # two working rows fix w in the plane; the third row is inconsistent
+    # with them, and roundoff must not let it in as a third active row
+    qp = QpProblem(Q=np.eye(2), c=[-1.6, -1.4],
+                   M=[[-1.9, 0.0], [-0.3, 2.0], [0.2, -1.3]], r=[0.9, -1.7, -0.5])
+    with pytest.raises(Infeasible):
+        solve_qp(qp)
