@@ -81,8 +81,8 @@ class LicqReport:
 
 
 def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
-                           G=None) -> QpProblem:
-    """Build the per-step projection QP at ``(u, y)``.
+                           G) -> QpProblem:
+    """Build the per-step projection QP at ``(u, y)`` with metric ``G = G(u)``.
 
     The quadratic term is ``alpha * G(u)``, the linear term ``alpha`` times
     the reduced cost gradient, and the rows stack the input constraints
@@ -92,8 +92,7 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
         alpha * C J(u) w   <= d - C y
 
     The first ``input_set.num_rows`` rows always belong to the input set,
-    which is how multipliers are split back into ``(nu, mu)``.  ``G`` is the
-    metric at ``u`` when the caller has already evaluated it.
+    which is how multipliers are split back into ``(nu, mu)``.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -101,8 +100,6 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
     y = np.asarray(y, dtype=float).reshape(-1)
     J = eval_plant_jacobian(problem.plant, u)
     g = reduced_gradient(problem, u, y, J)
-    if G is None:
-        G = problem.metric.eval(u)
     rows, slack = linearized_constraints(problem, u, y, J)
     return QpProblem(Q=alpha * np.asarray(G, dtype=float), c=alpha * g,
                      M=alpha * rows, r=slack)

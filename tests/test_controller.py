@@ -37,7 +37,7 @@ def test_assemble_origin():
     prob = builtin_example()
     u = np.zeros(2)
     y = eval_plant(prob.plant, u)
-    qp = assemble_projection_qp(prob, u, y, 0.01)
+    qp = assemble_projection_qp(prob, u, y, 0.01, prob.metric.eval(u))
     assert_allclose(qp.Q, 0.01 * np.eye(2))
     assert_allclose(qp.c, 0.01 * np.array([1.0, -4.0]))
     assert qp.num_constraints == 6
@@ -54,7 +54,7 @@ def test_assemble_face_rhs_zero():
     prob = builtin_example()
     u = np.array([1.0, 0.0])
     y = eval_plant(prob.plant, u)
-    qp = assemble_projection_qp(prob, u, y, 0.01)
+    qp = assemble_projection_qp(prob, u, y, 0.01, prob.metric.eval(u))
     assert qp.r[0] == 0.0  # u1 upper bound tight
 
 
@@ -64,7 +64,7 @@ def test_assemble_rejects_bad_alpha():
     y = eval_plant(prob.plant, u)
     for alpha in (0.0, -0.1):
         with pytest.raises(ValueError):
-            assemble_projection_qp(prob, u, y, alpha)
+            assemble_projection_qp(prob, u, y, alpha, prob.metric.eval(u))
 
 
 def test_step_at_origin_is_negative_gradient():
@@ -83,7 +83,7 @@ def test_step_matches_enumeration_oracle():
         u = random_feasible_input(prob, rng)
         y = eval_plant(prob.plant, u)
         st = controller_step(prob, u, y, 0.01)
-        qp = assemble_projection_qp(prob, u, y, 0.01)
+        qp = assemble_projection_qp(prob, u, y, 0.01, prob.metric.eval(u))
         ref = enumerate_oracle(qp)
         assert np.linalg.norm(st.w - ref.w) <= 1e-8
         mult = np.concatenate([st.nu, st.mu])
