@@ -20,6 +20,7 @@ import numpy as np
 from .model import (
     DEFAULT_ACTIVE_TOL,
     ProblemSpec,
+    _vector,
     eval_plant,
     eval_plant_jacobian,
     linearized_constraints,
@@ -92,12 +93,13 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
         alpha * C J(u) w   <= d - C y
 
     The first ``input_set.num_rows`` rows always belong to the input set,
-    which is how multipliers are split back into ``(nu, mu)``.
+    which is how multipliers are split back into ``(nu, mu)``.  This is
+    where a controller step checks ``u`` and ``y``.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    u = _vector(u, problem.input_dim, "u")
+    y = _vector(y, problem.output_dim, "y")
     J = eval_plant_jacobian(problem.plant, u)
     g = reduced_gradient(problem, u, y, J)
     rows, slack = linearized_constraints(problem, u, y, J)
@@ -109,7 +111,8 @@ def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
     """Compute the projected direction and the next input from a measurement.
 
     Raises :class:`LinearizedSetEmpty` if the linearized constraints admit
-    no direction at all.
+    no direction at all.  ``u`` and ``y`` are checked by
+    :func:`assemble_projection_qp`.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -133,7 +136,6 @@ def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
 
     ``u`` must lie in the input set (outputs may be violated during
     transients; inputs may not)."""
-    u = np.asarray(u, dtype=float).reshape(-1)
     if not problem.input_set.membership(u, tol=DEFAULT_ACTIVE_TOL):
         raise ValueError("current input lies outside the input set")
     y = eval_plant(problem.plant, u)
@@ -149,7 +151,7 @@ def check_licq(problem: ProblemSpec, u, y, alpha: float, w,
     rows ``[A; C J(u)]`` is then computed with singular-value threshold
     ``tol`` times the largest singular value.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
+    u = _vector(u, problem.input_dim, "u")
     y = np.asarray(y, dtype=float).reshape(-1)
     w = np.asarray(w, dtype=float).reshape(-1)
     rows, slack = linearized_constraints(problem, u, y,

@@ -342,7 +342,7 @@ def run_trajectory(config: ScenarioConfig,
         if certify and prev_w is not None:  # the step into this row
             bound = transient_violation_bound(constants.output_lipschitz,
                                               config.alpha, prev_w)
-            if np.any(viol > bound + VIOLATION_SLACK):
+            if (viol > bound + VIOLATION_SLACK).any():
                 violated = True
         if status is RunStatus.ERROR:
             break

@@ -30,7 +30,6 @@ __all__ = [
     "reduced_gradient",
     "reduced_cost",
     "linearized_constraints",
-    "active_set",
     "violation",
 ]
 
@@ -41,10 +40,12 @@ Array = np.ndarray
 
 
 def _vector(x, dim: int, name: str) -> Array:
+    """``x`` as a float vector of length ``dim`` with finite entries: the
+    check a public function runs once on each array its caller passes."""
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.size != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -136,7 +137,7 @@ class Polyhedron:
 
     def membership(self, x, tol: float = 0.0) -> bool:
         x = _vector(x, self.dim, "x")
-        return bool(np.all(self.A @ x <= self.b + tol))
+        return bool((self.A @ x <= self.b + tol).all())
 
     def bounding_box(self) -> tuple[Array, Array]:
         """Componentwise bounds of the set.  Exact for boxes, solved by
@@ -235,13 +236,18 @@ def eval_plant(plant: PlantModel, u) -> Array:
 
 
 def eval_plant_jacobian(plant: PlantModel, u) -> Array:
-    """Evaluate the steady-state sensitivity matrix at ``u``."""
-    u = _vector(u, plant.input_dim, "u")
+    """Evaluate the steady-state sensitivity matrix at an input ``u`` that
+    the caller has checked (as :func:`eval_plant` does).
+
+    Raises ``ValueError`` if the plant returns a non-finite matrix."""
     J = np.atleast_2d(np.asarray(plant.jacobian(u), dtype=float))
     if J.shape != (plant.output_dim, plant.input_dim):
         raise ValueError(
             f"jacobian shape {J.shape} does not match ({plant.output_dim}, {plant.input_dim})"
         )
+    if not np.isfinite(J).all():
+        raise ValueError(f"plant jacobian must be finite, got {J.tolist()} "
+                         f"at u={np.asarray(u).tolist()}")
     return J
 
 
@@ -249,17 +255,19 @@ def reduced_gradient(problem: ProblemSpec, u, y, J) -> Array:
     """Gradient of the cost along the plant manifold, as a function of the
     input alone.
 
-    The caller supplies the measured output ``y`` and the sensitivity
-    ``J = eval_plant_jacobian(problem.plant, u)``; the chain rule folds the
-    output sensitivity into the input coordinates:
-    ``grad_u cost + grad_y cost @ J``.
+    The caller supplies the checked input ``u``, the output ``y`` measured
+    there and the sensitivity ``J = eval_plant_jacobian(problem.plant, u)``;
+    the chain rule folds the output sensitivity into the input coordinates:
+    ``grad_u cost + grad_y cost @ J``.  Raises ``ValueError`` if the
+    objective returns a non-finite gradient.
     """
-    u = _vector(u, problem.input_dim, "u")
-    y = _vector(y, problem.output_dim, "y")
     p = problem.input_dim
     g = np.asarray(problem.objective.gradient(u, y), dtype=float).reshape(-1)
     if g.size != p + problem.output_dim:
         raise ValueError(f"objective gradient must have length {p + problem.output_dim}")
+    if not np.isfinite(g).all():
+        raise ValueError(f"objective gradient must be finite, got {g.tolist()} "
+                         f"at u={np.asarray(u).tolist()}")
     return g[:p] + g[p:] @ J
 
 
@@ -281,18 +289,6 @@ def linearized_constraints(problem: ProblemSpec, u, y, J) -> tuple[Array, Array]
     A, b = problem.input_set.A, problem.input_set.b
     C, d = problem.output_set.A, problem.output_set.b
     return np.vstack([A, C @ J]), np.concatenate([b - A @ u, d - C @ y])
-
-
-def active_set(set_: Polyhedron, x, tol: float = DEFAULT_ACTIVE_TOL) -> Array:
-    """Indices of rows at (or beyond) their bound at ``x``.
-
-    For feasible ``x`` this is the usual active set ``|A_i x - b_i| <= tol``;
-    for infeasible points violated rows are included as well, and the caller
-    decides what to do with them.
-    """
-    x = _vector(x, set_.dim, "x")
-    resid = set_.A @ x - set_.b
-    return np.flatnonzero(resid >= -tol)
 
 
 def violation(set_: Polyhedron, x) -> Array:

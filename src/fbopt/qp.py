@@ -75,9 +75,9 @@ class RankDeficientActiveSet(UserWarning):
 class QpProblem:
     """Data of one strictly convex inequality-constrained QP.
 
-    ``M`` may have zero rows (unconstrained problem).  ``Q`` must be
-    symmetric to within 1e-12; positive definiteness is checked lazily by
-    the solvers through factorization.
+    ``M`` may have zero rows (unconstrained problem).  All entries must be
+    finite and ``Q`` symmetric to within 1e-12; positive definiteness is
+    checked lazily by the solvers through factorization.
     """
 
     Q: Array
@@ -91,8 +91,8 @@ class QpProblem:
         p = c.size
         if Q.shape != (p, p):
             raise ValueError(f"Q must be ({p}, {p}), got {Q.shape}")
-        asym = np.max(np.abs(Q - Q.T)) if p else 0.0
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(Q)))):
+        asym = np.abs(Q - Q.T).max() if p else 0.0
+        if asym > 1e-12 * max(1.0, float(np.abs(Q).max())):
             raise ValueError(f"Q must be symmetric (asymmetry {asym:.3e})")
         M = np.asarray(self.M, dtype=float)
         if M.size == 0:
@@ -104,6 +104,11 @@ class QpProblem:
         r = np.asarray(raw, dtype=float).reshape(-1)
         if r.size != M.shape[0]:
             raise ValueError(f"r must have length {M.shape[0]}, got {r.size}")
+        # a sum is finite only if every term is; the loop names the array
+        if not np.isfinite(Q.sum() + c.sum() + M.sum() + r.sum()):
+            for name, a in (("Q", Q), ("c", c), ("M", M), ("r", r)):
+                if not np.isfinite(a).all():
+                    raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "Q", _read_only(Q))
         object.__setattr__(self, "c", _read_only(c))
         object.__setattr__(self, "M", _read_only(M))
@@ -128,13 +133,13 @@ class QpSolution:
 
     ``active`` is the working set at termination; ``rank_deficient`` marks
     solutions whose geometrically active rows were linearly dependent, in
-    which case the multipliers are valid but not unique.
+    which case the multipliers are valid but not unique.  No KKT residual
+    is stored: :func:`kkt_residual` computes it on demand.
     """
 
     w: Array
     multipliers: Array
     active: tuple[int, ...]
-    kkt_residual: float
     iterations: int
     rank_deficient: bool = False
 
@@ -170,20 +175,20 @@ def _check_spd(Q: Array) -> None:
 
 
 def _finish(qp: QpProblem, w: Array, mult: Array, work, iterations: int,
-            rank_flag: bool) -> QpSolution:
-    scale = qp.scale
+            rank_flag: bool, scale: float) -> QpSolution:
+    # ``work`` holds independent rows, so only active rows outside it can
+    # make the active set rank-deficient
     if qp.num_constraints:
         act = np.flatnonzero(np.abs(qp.M @ w - qp.r) <= 1e-9 * scale)
-        if act.size and np.linalg.matrix_rank(qp.M[act]) < act.size:
+        if not set(act.tolist()).issubset(work) \
+                and np.linalg.matrix_rank(qp.M[act]) < act.size:
             rank_flag = True
     if rank_flag:
         warnings.warn("active constraint rows are linearly dependent; "
                       "multipliers are not unique", RankDeficientActiveSet,
                       stacklevel=3)
-    res = kkt_residual(qp, w, mult)
     return QpSolution(w=w, multipliers=mult, active=tuple(int(i) for i in work),
-                      kkt_residual=res, iterations=iterations,
-                      rank_deficient=rank_flag)
+                      iterations=iterations, rank_deficient=rank_flag)
 
 
 def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bool]:
@@ -219,7 +224,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     -------
     QpSolution
         Optimal point, full multiplier vector (zeros off the working set),
-        working set, aggregate KKT residual, and iteration count.  A problem
+        working set, and iteration count.  A problem
         whose unconstrained minimizer is feasible takes one iteration and
         ends with an empty working set.
 
@@ -253,7 +258,10 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     The final point and multipliers are recomputed from one KKT solve on
     the sorted working set.  A singular system is resolved by least squares
     and reported through :class:`RankDeficientActiveSet`, as are dependent
-    rows active at the solution.
+    rows active at the solution; since the working rows are independent,
+    the rank of the active rows is computed only when a row outside the
+    working set is active.  The KKT residual is not computed here; call
+    :func:`kkt_residual` for it.
     """
     p, m = qp.dim, qp.num_constraints
     Q, c, M, r = qp.Q, qp.c, qp.M, qp.r
@@ -264,8 +272,8 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
 
     w = np.linalg.solve(Q, -c)
     tol = 1e-11 * scale
-    if m == 0 or np.all(M @ w <= r + tol):
-        return _finish(qp, w, np.zeros(m), (), 1, False)
+    if m == 0 or (M @ w <= r + tol).all():
+        return _finish(qp, w, np.zeros(m), (), 1, False, scale)
 
     curvature = np.einsum("ij,ji->i", M, np.linalg.solve(Q, M.T))  # a' Q^-1 a
     lam = np.zeros(m)
@@ -282,7 +290,8 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
                 sol, singular = _kkt_solve(Q, M[work], -c, r[work])
                 mult = np.zeros(m)
                 mult[work] = sol[p:]
-                return _finish(qp, sol[:p], mult, work, it, rank_flag or singular)
+                return _finish(qp, sol[:p], mult, work, it, rank_flag or singular,
+                               scale)
 
         a = M[add]
         sol, singular = _kkt_solve(Q, M[work], a, np.zeros(len(work)))
@@ -355,5 +364,5 @@ def enumerate_oracle(qp: QpProblem, max_constraints: int = 12) -> QpSolution:
                 continue
             mult = np.zeros(m)
             mult[idx] = lam
-            return _finish(qp, w, mult, subset, tried, False)
+            return _finish(qp, w, mult, subset, tried, False, scale)
     raise Infeasible("no candidate active set is primal and dual feasible")

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Polyhedron, ProblemSpec, _read_only, eval_plant, \
+from .model import Polyhedron, ProblemSpec, _read_only, _vector, \
     eval_plant_jacobian, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
     "SaddlePointState",
-    "augmented_lagrangian",
     "augmented_lagrangian_gradients",
     "saddle_point_step",
     "project_polyhedron",
@@ -63,9 +62,9 @@ class SaddlePointState:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).reshape(-1)
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(mu))):
+        if not (np.isfinite(u).all() and np.isfinite(mu).all()):
             raise ValueError("state contains non-finite entries")
-        if np.any(mu < 0.0):
+        if (mu < 0.0).any():
             raise ValueError("multipliers must be nonnegative")
         if self.alpha <= 0.0 or self.gamma <= 0.0:
             raise ValueError("step sizes must be positive")
@@ -80,22 +79,6 @@ def _residual(problem: ProblemSpec, y: Array) -> Array:
     return problem.output_set.A @ y - problem.output_set.b
 
 
-def augmented_lagrangian(problem: ProblemSpec, u, mu, rho: float) -> float:
-    """Augmented Lagrangian value at ``(u, mu)`` with measured output.
-
-    Reduced cost plus ``mu`` times the signed output residuals plus a
-    ``rho/2``-weighted squared violation penalty.  Equals the reduced cost on
-    feasible points with zero duals.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    y = eval_plant(problem.plant, u)
-    resid = _residual(problem, y)
-    viol = np.maximum(resid, 0.0)
-    return (float(problem.objective.eval(u, y)) + float(mu @ resid)
-            + 0.5 * float(rho) * float(viol @ viol))
-
-
 def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
                                    y) -> tuple[Array, Array]:
     """Gradients of the augmented Lagrangian in ``u`` and ``mu``, from the
@@ -108,11 +91,9 @@ def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
 
     The sensitivity ``J(u)`` is evaluated once, here.  The penalty gradient
     uses the value 0 exactly on the constraint boundary (the squared
-    positive part makes this the continuous choice).
+    positive part makes this the continuous choice).  The arrays are used
+    as given: :func:`saddle_point_step` checks them.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
     J = eval_plant_jacobian(problem.plant, u)
     resid = _residual(problem, y)
     weights = mu + rho * np.maximum(resid, 0.0)
@@ -127,8 +108,14 @@ def saddle_point_step(problem: ProblemSpec, state: SaddlePointState,
     The caller takes the measurement, so one step costs one plant
     measurement and one sensitivity evaluation.  Projected gradient descent
     on ``u`` (Euclidean projection onto the input set), projected gradient
-    ascent on ``mu`` (clipped at zero).
+    ascent on ``mu`` (clipped at zero).  The state checked its entries when
+    it was built; this checks ``y`` and the state's lengths.
     """
+    if (state.u.size, state.mu.size) != (problem.input_dim, problem.output_set.num_rows):
+        raise ValueError(f"state has {state.u.size} inputs and {state.mu.size} "
+                         f"multipliers, problem needs {problem.input_dim} and "
+                         f"{problem.output_set.num_rows}")
+    y = _vector(y, problem.output_dim, "y")
     grad_u, grad_mu = augmented_lagrangian_gradients(problem, state.u, state.mu,
                                                      state.rho, y)
     u_next = project_polyhedron(problem.input_set, state.u - state.alpha * grad_u)

@@ -156,6 +156,35 @@ def test_feedback_step_rejects_outside_input():
         feedback_step(prob, np.array([1.5, 0.0]), 0.01)
 
 
+# wrong length (long and short) and non-finite inputs and outputs of cubic2d
+BAD_INPUTS = [np.zeros(3), np.zeros(1), np.array([np.nan, 0.0]), np.array([0.0, np.inf])]
+BAD_OUTPUTS = [np.zeros(2), np.zeros(0), np.array([np.nan]), np.array([-np.inf])]
+
+
+def test_feedback_step_rejects_malformed_input():
+    prob = builtin_example()
+    for u in BAD_INPUTS:
+        with pytest.raises(ValueError):
+            feedback_step(prob, u, 0.01)
+
+
+def test_step_and_assembly_reject_malformed_input_or_output():
+    prob = builtin_example()
+    u = np.zeros(2)
+    y = eval_plant(prob.plant, u)
+    G = prob.metric.eval(u)
+    for bad_u in BAD_INPUTS:
+        with pytest.raises(ValueError):
+            controller_step(prob, bad_u, y, 0.01)
+        with pytest.raises(ValueError):
+            assemble_projection_qp(prob, bad_u, y, 0.01, G)
+    for bad_y in BAD_OUTPUTS:
+        with pytest.raises(ValueError):
+            controller_step(prob, u, bad_y, 0.01)
+        with pytest.raises(ValueError):
+            assemble_projection_qp(prob, u, bad_y, 0.01, G)
+
+
 def test_fixed_point_invariant_under_metric_change():
     prob = builtin_example()
     rng = np.random.default_rng(21)

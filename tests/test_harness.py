@@ -356,6 +356,40 @@ def test_non_finite_plant_output_ends_run_with_error(scheme, extra):
         assert np.all(np.isnan(column))
 
 
+def _nan_model_below(part, u1):
+    """cubic2d whose plant Jacobian or objective gradient is NaN for u1 <=
+    ``u1``."""
+    prob = get_problem("cubic2d")
+    if part == "jacobian":
+        J = prob.plant.jacobian
+        return dataclasses.replace(prob, plant=dataclasses.replace(
+            prob.plant, jacobian=lambda u: np.full((1, 2), np.nan) if u[0] <= u1 else J(u)))
+    g = prob.objective.gradient
+    return dataclasses.replace(prob, objective=dataclasses.replace(
+        prob.objective,
+        gradient=lambda u, y: np.full(3, np.nan) if u[0] <= u1 else g(u, y)))
+
+
+@pytest.mark.parametrize("part, message", [
+    ("jacobian", "ValueError: plant jacobian must be finite"),
+    ("gradient", "ValueError: objective gradient must be finite")])
+@pytest.mark.parametrize("scheme, extra", [("projected", {}),
+                                           ("saddle", dict(gamma=0.5, rho=1.0))])
+def test_non_finite_model_data_ends_run_with_error(part, message, scheme, extra):
+    # reported as what it is, not as an empty linearized set or a bad state
+    name = f"nan_{part}.{scheme}"
+    register_problem(name, lambda: _nan_model_below(part, -0.05))
+    log = run_trajectory(make_config(problem_name=name, scheme=scheme,
+                                     alpha=0.01, u0=np.array([0.0, 0.0]),
+                                     max_iters=5000, **extra))
+    assert log.status is RunStatus.ERROR
+    assert log.message.startswith(message)
+    assert f"at u={log.u[-1].tolist()}" in log.message
+    assert log.num_rows > 1
+    assert log.u[-1, 0] <= -0.05
+    assert np.all(np.isfinite(log.y)) and np.isnan(log.residual[-1])
+
+
 def test_transient_bound_breach_is_flagged():
     # zero output Lipschitz constants make any overshoot of the output set a
     # breach of the transient bound, while the merit still decreases

@@ -8,7 +8,6 @@ from fbopt import (
     PlantModel,
     Polyhedron,
     ProblemSpec,
-    active_set,
     builtin_example,
     eval_plant,
     eval_plant_jacobian,
@@ -103,22 +102,6 @@ def test_linearized_constraints_at_optimum():
                                          eval_plant_jacobian(prob.plant, u))
     assert_allclose(rows, [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 2], [-1, -2]])
     assert_allclose(slack, [1.5, 0, 0.5, 2, 1, 0])
-
-
-def test_active_set_face():
-    box = Polyhedron.box([-1, -1], [1, 1])
-    assert list(active_set(box, [1.0, 0.0], tol=1e-9)) == [0]
-
-
-def test_active_set_interior_empty():
-    box = Polyhedron.box([-1, -1], [1, 1])
-    assert active_set(box, [0.0, 0.0]).size == 0
-
-
-def test_active_set_corner_two_rows():
-    box = Polyhedron.box([-1, -1], [1, 1])
-    idx = active_set(box, [1.0, -1.0])
-    assert len(idx) == 2
 
 
 def test_violation_feasible():

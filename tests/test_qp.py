@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -89,7 +91,7 @@ def test_solution_invariants_random_instances():
         if qp.num_constraints:
             stat = stat + qp.M.T @ sol.multipliers
         assert np.linalg.norm(stat) <= tol
-        assert sol.kkt_residual <= tol
+        assert kkt_residual(qp, sol.w, sol.multipliers) <= tol
 
 
 def test_solver_agrees_with_oracle():
@@ -167,6 +169,14 @@ def test_problem_validation():
         QpProblem(Q=[[1.0]], c=[0.0], M=[[1.0]], r=[1.0, 2.0])  # row count
 
 
+def test_problem_rejects_non_finite_data():
+    good = dict(Q=np.eye(2), c=[0.0, 0.0], M=[[1.0, 0.0]], r=[1.0])
+    for key, bad in (("Q", [[1.0, 0.0], [0.0, np.nan]]), ("c", [np.inf, 0.0]),
+                     ("M", [[np.nan, 0.0]]), ("r", [-np.inf])):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            solve_qp(QpProblem(**{**good, key: bad}))
+
+
 def test_oracle_constraint_cap():
     qp = QpProblem(Q=np.eye(2), c=np.zeros(2),
                    M=np.ones((13, 2)), r=np.ones(13))
@@ -232,7 +242,7 @@ def test_large_instances_satisfy_kkt():
         qp = QpProblem(Q=Q, c=c, M=M, r=r)
         sol = solve_qp(qp)
         assert sol.active
-        assert sol.kkt_residual <= 1e-8 * qp.scale
+        assert kkt_residual(qp, sol.w, sol.multipliers) <= 1e-8 * qp.scale
 
 
 def test_full_working_set_leaves_no_primal_step():
@@ -242,3 +252,62 @@ def test_full_working_set_leaves_no_primal_step():
                    M=[[-1.9, 0.0], [-0.3, 2.0], [0.2, -1.3]], r=[0.9, -1.7, -0.5])
     with pytest.raises(Infeasible):
         solve_qp(qp)
+
+
+def degenerate_qp(rng, family):
+    """QPs with exactly active rows: duplicate rows, a weakly active row with
+    zero multiplier, or an extra row through an active box vertex."""
+    p = int(rng.integers(2, 5))
+    B = rng.integers(-2, 3, size=(p, p)).astype(float)
+    Q = B @ B.T + np.eye(p)
+    if family == "vertex":
+        eye = np.eye(p)
+        extra = rng.integers(1, 3, size=(int(rng.integers(1, 3)), p)).astype(float)
+        M = np.vstack([eye, -eye, extra])
+        r = np.concatenate([np.ones(2 * p), extra.sum(axis=1)])  # through w = 1
+        return QpProblem(Q=Q, c=-20.0 * Q @ np.ones(p), M=M, r=r)
+    w0 = rng.integers(-2, 3, size=p).astype(float)
+    A = rng.integers(-2, 3, size=(int(rng.integers(1, p)), p)).astype(float)
+    A[:, 0] = np.where(A[:, 0] == 0.0, 1.0, A[:, 0])
+    lam = rng.integers(1, 4, size=A.shape[0]).astype(float)
+    slack = rng.integers(-3, 3, size=(2, p)).astype(float)
+    rows = [A, slack]
+    rhs = [A @ w0, slack @ w0 + rng.integers(1, 4, size=2)]
+    if family == "duplicate":
+        rows.append(2.0 * A[:1])
+        rhs.append(2.0 * A[:1] @ w0)
+    else:  # weakly active: passes through w0, multiplier zero
+        rows.append(rng.integers(-2, 3, size=(1, p)).astype(float) + np.eye(p)[:1])
+        rhs.append(rows[-1] @ w0)
+    order = rng.permutation(sum(len(x) for x in rhs))
+    M, r = np.vstack(rows)[order], np.concatenate(rhs)[order]
+    return QpProblem(Q=Q, c=-(Q @ w0 + A.T @ lam), M=M, r=r)
+
+
+def test_rank_check_agrees_with_full_check_on_degenerate_qps():
+    rng = np.random.default_rng(37)
+    outside = deficient = 0
+    for k in range(300):
+        qp = degenerate_qp(rng, ("duplicate", "weak", "vertex")[k % 3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sol = solve_qp(qp)
+        # full check on the geometric active set, on every solve
+        act = np.flatnonzero(np.abs(qp.M @ sol.w - qp.r) <= 1e-9 * qp.scale)
+        full = bool(act.size) and np.linalg.matrix_rank(qp.M[act]) < act.size
+        assert sol.rank_deficient == full
+        assert sum(issubclass(w.category, RankDeficientActiveSet) for w in caught) == full
+        outside += not set(act.tolist()) <= set(sol.active)
+        deficient += full
+        # w and multipliers come from one KKT solve on the sorted working set
+        work, p = list(sol.active), qp.dim
+        kkt = np.zeros((p + len(work), p + len(work)))
+        kkt[:p, :p] = qp.Q
+        kkt[:p, p:] = qp.M[work].T
+        kkt[p:, :p] = qp.M[work]
+        ref = np.linalg.solve(kkt, np.concatenate([-qp.c, qp.r[work]]))
+        mult = np.zeros(qp.num_constraints)
+        mult[work] = ref[p:]
+        assert np.array_equal(sol.w, ref[:p])
+        assert np.array_equal(sol.multipliers, mult)
+    assert 100 <= outside < 300 and 50 <= deficient < outside

@@ -5,40 +5,15 @@ from numpy.testing import assert_allclose
 from fbopt import (
     Polyhedron,
     SaddlePointState,
-    augmented_lagrangian,
     augmented_lagrangian_gradients,
     builtin_example,
     eval_plant,
     project_polyhedron,
-    reduced_cost,
     saddle_point_step,
 )
 
 OPTIMUM = np.array([-0.5, 1.0])
 OPT_MU = np.array([0.0, 0.5])
-
-
-def test_lagrangian_equals_cost_when_dual_is_zero():
-    prob = builtin_example()
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        u = rng.uniform(-1.0, 1.0, size=2)
-        val = augmented_lagrangian(prob, u, np.zeros(2), 0.0)
-        assert_allclose(val, reduced_cost(prob, u), rtol=1e-12)
-
-
-def test_lagrangian_origin_example():
-    prob = builtin_example()
-    # cost 2 plus dual terms (0.5 - 1) + (-0.5 - 0)
-    assert_allclose(augmented_lagrangian(prob, [0.0, 0.0], [1.0, 1.0], 0.0), 1.0)
-
-
-def test_penalty_term_inactive_on_feasible_outputs():
-    prob = builtin_example()
-    u = np.array([0.0, 0.0])  # output 0.5 strictly inside [0, 1]
-    for rho in (0.0, 1.0, 1000.0):
-        assert_allclose(augmented_lagrangian(prob, u, [0.2, 0.3], rho),
-                        augmented_lagrangian(prob, u, [0.2, 0.3], 0.0))
 
 
 def test_dual_gradient_is_constraint_residual():
@@ -152,3 +127,27 @@ def test_state_validation():
         kwargs[key] = bad
         with pytest.raises(ValueError):
             SaddlePointState(**kwargs)
+
+
+def test_step_rejects_malformed_input_or_output():
+    prob = builtin_example()
+    good = dict(u=np.zeros(2), mu=np.zeros(2), alpha=0.01, gamma=0.5, rho=1.0)
+    y = eval_plant(prob.plant, good["u"])
+    for bad_u in (np.zeros(3), np.zeros(1), np.array([np.nan, 0.0]),
+                  np.array([0.0, np.inf])):
+        with pytest.raises(ValueError):
+            saddle_point_step(prob, SaddlePointState(**{**good, "u": bad_u}), y)
+    state = SaddlePointState(**good)
+    for bad_y in (np.zeros(2), np.zeros(0), np.array([np.nan]), np.array([np.inf])):
+        with pytest.raises(ValueError):
+            saddle_point_step(prob, state, bad_y)
+
+
+def test_step_rejects_multipliers_of_wrong_length():
+    # a single multiplier used to broadcast over both output rows
+    prob = builtin_example()
+    y = eval_plant(prob.plant, np.zeros(2))
+    for mu in (np.zeros(1), np.zeros(3)):
+        state = SaddlePointState(u=np.zeros(2), mu=mu, alpha=0.01, gamma=0.5, rho=1.0)
+        with pytest.raises(ValueError, match="multipliers"):
+            saddle_point_step(prob, state, y)
