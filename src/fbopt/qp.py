@@ -28,8 +28,9 @@ tests for linear dependence compare like quantities, so scaling ``Q`` and
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401 -- unused; perfbench/tracer.py looks it up
@@ -84,6 +85,7 @@ class QpProblem:
     c: Array
     M: Array
     r: Array
+    scale: float = field(init=False)  # 1 + ||c|| + ||r||, for tolerances
 
     def __post_init__(self):
         Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
@@ -92,7 +94,8 @@ class QpProblem:
         if Q.shape != (p, p):
             raise ValueError(f"Q must be ({p}, {p}), got {Q.shape}")
         asym = np.abs(Q - Q.T).max() if p else 0.0
-        if asym > 1e-12 * max(1.0, float(np.abs(Q).max())):
+        qmax = float(np.abs(Q).max())
+        if asym > 1e-12 * max(1.0, qmax):
             raise ValueError(f"Q must be symmetric (asymmetry {asym:.3e})")
         M = np.asarray(self.M, dtype=float)
         if M.size == 0:
@@ -104,8 +107,9 @@ class QpProblem:
         r = np.asarray(raw, dtype=float).reshape(-1)
         if r.size != M.shape[0]:
             raise ValueError(f"r must have length {M.shape[0]}, got {r.size}")
+        scale = 1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(r))
         # a sum is finite only if every term is; the loop names the array
-        if not np.isfinite(Q.sum() + c.sum() + M.sum() + r.sum()):
+        if not math.isfinite(qmax + scale + M.sum()):
             for name, a in (("Q", Q), ("c", c), ("M", M), ("r", r)):
                 if not np.isfinite(a).all():
                     raise ValueError(f"{name} must be finite")
@@ -113,6 +117,7 @@ class QpProblem:
         object.__setattr__(self, "c", _read_only(c))
         object.__setattr__(self, "M", _read_only(M))
         object.__setattr__(self, "r", _read_only(r))
+        object.__setattr__(self, "scale", scale)
 
     @property
     def dim(self) -> int:
@@ -121,10 +126,6 @@ class QpProblem:
     @property
     def num_constraints(self) -> int:
         return self.M.shape[0]
-
-    @property
-    def scale(self) -> float:
-        return 1.0 + float(np.linalg.norm(self.c)) + float(np.linalg.norm(self.r))
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,11 @@ def _check_spd(Q: Array) -> None:
 
 
 def _finish(qp: QpProblem, w: Array, mult: Array, work, iterations: int,
-            rank_flag: bool, scale: float) -> QpSolution:
+            rank_flag: bool) -> QpSolution:
     # ``work`` holds independent rows, so only active rows outside it can
     # make the active set rank-deficient
     if qp.num_constraints:
-        act = np.flatnonzero(np.abs(qp.M @ w - qp.r) <= 1e-9 * scale)
+        act = np.flatnonzero(np.abs(qp.M @ w - qp.r) <= 1e-9 * qp.scale)
         if not set(act.tolist()).issubset(work) \
                 and np.linalg.matrix_rank(qp.M[act]) < act.size:
             rank_flag = True
@@ -273,7 +274,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     w = np.linalg.solve(Q, -c)
     tol = 1e-11 * scale
     if m == 0 or (M @ w <= r + tol).all():
-        return _finish(qp, w, np.zeros(m), (), 1, False, scale)
+        return _finish(qp, w, np.zeros(m), (), 1, False)
 
     curvature = np.einsum("ij,ji->i", M, np.linalg.solve(Q, M.T))  # a' Q^-1 a
     lam = np.zeros(m)
@@ -290,8 +291,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
                 sol, singular = _kkt_solve(Q, M[work], -c, r[work])
                 mult = np.zeros(m)
                 mult[work] = sol[p:]
-                return _finish(qp, sol[:p], mult, work, it, rank_flag or singular,
-                               scale)
+                return _finish(qp, sol[:p], mult, work, it, rank_flag or singular)
 
         a = M[add]
         sol, singular = _kkt_solve(Q, M[work], a, np.zeros(len(work)))
@@ -364,5 +364,5 @@ def enumerate_oracle(qp: QpProblem, max_constraints: int = 12) -> QpSolution:
                 continue
             mult = np.zeros(m)
             mult[idx] = lam
-            return _finish(qp, w, mult, subset, tried, False, scale)
+            return _finish(qp, w, mult, subset, tried, False)
     raise Infeasible("no candidate active set is primal and dual feasible")
