@@ -288,7 +288,7 @@ def linearized_constraints(problem: ProblemSpec, u, y, J) -> tuple[Array, Array]
     """
     A, b = problem.input_set.A, problem.input_set.b
     C, d = problem.output_set.A, problem.output_set.b
-    return np.vstack([A, C @ J]), np.concatenate([b - A @ u, d - C @ y])
+    return np.concatenate([A, C @ J]), np.concatenate([b - A @ u, d - C @ y])
 
 
 def violation(set_: Polyhedron, x) -> Array:
