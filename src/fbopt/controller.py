@@ -111,10 +111,10 @@ def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
     """Compute the projected direction and the next input from a measurement.
 
     Raises :class:`LinearizedSetEmpty` if the linearized constraints admit
-    no direction at all.  ``u`` and ``y`` are checked by
-    :func:`assemble_projection_qp`.
+    no direction at all.  ``u`` is checked before the metric sees it; ``y``
+    is checked by :func:`assemble_projection_qp`.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
+    u = _vector(u, problem.input_dim, "u")
     y = np.asarray(y, dtype=float).reshape(-1)
     G = np.asarray(problem.metric.eval(u), dtype=float)
     qp = assemble_projection_qp(problem, u, y, alpha, G)

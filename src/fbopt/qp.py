@@ -9,10 +9,13 @@ for symmetric positive definite ``Q`` by the dual active-set method of
 Goldfarb and Idnani (1983).  The method starts from the unconstrained
 minimizer and adds violated rows one at a time while keeping the
 multipliers nonnegative, so it needs no feasible starting point (no
-phase-1 problem) and it proves infeasibility on its own.  Problems of this
-shape appear once per controller step, so the solver is tuned for very
-small dense instances, determinism, and faithful Lagrange multipliers
-rather than for scale.
+phase-1 problem) and it proves infeasibility on its own.  It first tries
+one guess: the rows the unconstrained minimizer violates, held as
+equalities.  When those rows are independent and the guess is optimal, one
+KKT solve replaces the loop; when only its multipliers are nonnegative, the
+loop goes on from it.  Problems of this shape appear once per controller
+step, so the solver is tuned for very small dense instances, determinism,
+and faithful Lagrange multipliers rather than for scale.
 
 Two independent routes are provided: :func:`solve_qp` (the production
 active-set method) and :func:`enumerate_oracle` (brute-force enumeration of
@@ -211,6 +214,27 @@ def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bo
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
 
 
+def _equality_solve(qp: QpProblem, work: list[int]) -> tuple[Array, Array, bool]:
+    """Point and full multiplier vector of the QP with the rows ``work``
+    (sorted) held as equalities; the flag marks a singular KKT system."""
+    sol, singular = _kkt_solve(qp.Q, qp.M[work], -qp.c, qp.r[work])
+    mult = np.zeros(qp.num_constraints)
+    mult[work] = sol[qp.dim:]
+    return sol[:qp.dim], mult, singular
+
+
+def _independent(S: Array) -> bool:
+    """The loop's independence test ``a' z > 1e-13 a' Q^-1 a`` of
+    :func:`solve_qp`, applied to a set of rows ``N`` at once: with
+    ``S = N Q^-1 N' = L L'``, ``L_kk^2`` is ``a' z`` of row ``k`` against
+    the rows before it."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return bool((np.diag(L) ** 2 > 1e-13 * np.diag(S)).all())
+
+
 def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     """Solve the QP by the dual active-set method of Goldfarb and Idnani.
 
@@ -227,7 +251,8 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
         Optimal point, full multiplier vector (zeros off the working set),
         working set, and iteration count.  A problem
         whose unconstrained minimizer is feasible takes one iteration and
-        ends with an empty working set.
+        ends with an empty working set; an accepted start counts as the
+        iterations that add its rows plus the one that finds no violation.
 
     Raises
     ------
@@ -240,16 +265,36 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
 
     Notes
     -----
-    The method starts at the unconstrained minimizer ``Q^{-1}(-c)`` with an
-    empty working set, so it needs no feasible starting point.  Each
-    iteration takes the most violated row ``a`` and solves one KKT system
-    ``[[Q, N'], [N, 0]] [z; s] = [a; 0]`` over the working rows ``N``: ``z``
-    is the primal direction and ``s`` the dual direction.  Moving the
-    multiplier of ``a`` up by ``t`` moves ``w`` by ``-t z`` and the working
-    multipliers by ``-t s``.  The step either makes ``a`` active (full step)
-    or first drives a working multiplier to zero and drops that row (partial
-    step), after which the same row is tried again.  Both choices break ties
-    by lowest constraint index, so the method is deterministic.
+    The start: let ``V`` be the rows that the unconstrained minimizer
+    ``w0 = Q^{-1}(-c)`` violates by more than ``1e-11 * scale``.  When
+    ``|V| <= dim``, ``|V| + 1 <= max_iter`` and the rows of ``V`` pass the
+    independence test below applied to all of them at once (with
+    ``S = M_V Q^{-1} M_V' = L L'``, every ``L_kk^2 > 1e-13 S_kk``; a single
+    row passes unless it is zero, which the KKT solve then reports as
+    singular), the equality QP on ``V`` is solved by one KKT solve.  If the system is not
+    singular and its multipliers are ``>= 0``, the start is dual feasible:
+    when it also satisfies every row to within ``1e-11 * scale`` it is
+    returned, with the working set ``V`` and ``|V| + 1`` iterations (the
+    count of a run that adds the rows of ``V`` with no drop); otherwise the
+    method below goes on from it as from iteration ``|V| + 1``.  Any other
+    start is dropped and the method begins at ``w0`` with an empty working
+    set, so it needs no feasible starting point.  A started solve that ends
+    on the working set the method would reach from ``w0`` gives the same
+    bits, since both end with the same KKT solve.  A row that is active with
+    a zero multiplier (weakly active) can make a started solve end on
+    another optimal working set: the point agrees to roundoff, and the
+    multipliers agree too unless the active rows are dependent, which is
+    then reported as below.
+
+    Each iteration of the method takes the most violated row ``a`` and
+    solves one KKT system ``[[Q, N'], [N, 0]] [z; s] = [a; 0]`` over the
+    working rows ``N``: ``z`` is the primal direction and ``s`` the dual
+    direction.  Moving the multiplier of ``a`` up by ``t`` moves ``w`` by
+    ``-t z`` and the working multipliers by ``-t s``.  The step either makes
+    ``a`` active (full step) or first drives a working multiplier to zero
+    and drops that row (partial step), after which the same row is tried
+    again.  Both choices break ties by lowest constraint index, so the
+    method is deterministic.
 
     When ``a' z <= 1e-13 a' Q^{-1} a``, or the working set already holds
     ``dim`` rows, ``a`` is a combination of the working rows and no full
@@ -273,25 +318,36 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
 
     w = np.linalg.solve(Q, -c)
     tol = 1e-11 * scale
-    if m == 0 or (M @ w <= r + tol).all():
+    start = np.flatnonzero(M @ w > r + tol).tolist()  # the violated rows
+    if not start:
         return _finish(qp, w, np.zeros(m), (), 1, False)
-
-    curvature = np.einsum("ij,ji->i", M, np.linalg.solve(Q, M.T))  # a' Q^-1 a
+    Qinv_Mt = np.linalg.solve(Q, M.T)  # column i is Q^-1 a_i
     lam = np.zeros(m)
     work: list[int] = []  # sorted
+    # first try the violated rows as the working set: adding them without a
+    # drop would take the method below len(start) + 1 iterations.  One row
+    # passes the independence test unless it is zero, and then the KKT
+    # solve below is singular, so the test runs only on two or more rows.
+    if len(start) <= p and len(start) < max_iter and (
+            len(start) == 1 or _independent(M[start] @ Qinv_Mt[:, start])):
+        ws, mult, singular = _equality_solve(qp, start)
+        if not singular and (mult >= 0.0).all():
+            if (M @ ws <= r + tol).all():
+                return _finish(qp, ws, mult, start, len(start) + 1, False)
+            w, lam, work = ws, mult, start  # dual feasible: go on from it
+
+    curvature = np.einsum("ij,ji->i", M, Qinv_Mt)  # a' Q^-1 a
     add = None  # row being made active
     rank_flag = False
 
-    for it in range(1, max_iter + 1):
+    for it in range(len(work) + 1, max_iter + 1):
         if add is None:
             viol = M @ w - r
             viol[work] = -np.inf
             add = int(np.argmax(viol))  # lowest index on ties
             if viol[add] <= tol:
-                sol, singular = _kkt_solve(Q, M[work], -c, r[work])
-                mult = np.zeros(m)
-                mult[work] = sol[p:]
-                return _finish(qp, sol[:p], mult, work, it, rank_flag or singular)
+                w, mult, singular = _equality_solve(qp, work)
+                return _finish(qp, w, mult, work, it, rank_flag or singular)
 
         a = M[add]
         sol, singular = _kkt_solve(Q, M[work], a, np.zeros(len(work)))

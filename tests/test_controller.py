@@ -185,6 +185,16 @@ def test_step_and_assembly_reject_malformed_input_or_output():
             assemble_projection_qp(prob, u, bad_y, 0.01, G)
 
 
+def test_step_checks_input_before_metric_reads_it():
+    # a metric that indexes u must not see a too-short input
+    prob = dataclasses.replace(
+        builtin_example(),
+        metric=MetricField(eval=lambda u: np.diag([1.0, 1.0 + u[1] ** 2])))
+    y = eval_plant(prob.plant, np.zeros(2))
+    with pytest.raises(ValueError, match="u must have length 2"):
+        controller_step(prob, np.zeros(1), y, 0.01)
+
+
 def test_fixed_point_invariant_under_metric_change():
     prob = builtin_example()
     rng = np.random.default_rng(21)

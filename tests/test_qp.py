@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fbopt.qp as qp_module
 from fbopt import (
     Infeasible,
     MaxIterations,
@@ -311,3 +312,179 @@ def test_rank_check_agrees_with_full_check_on_degenerate_qps():
         assert np.array_equal(sol.w, ref[:p])
         assert np.array_equal(sol.multipliers, mult)
     assert 100 <= outside < 300 and 50 <= deficient < outside
+
+
+def constrained_qp(rng, p=12, m=36):
+    """A QP with a known solution ``w``: up to ``p`` of the ``m`` rows are
+    active with small positive multipliers, the others have slack large
+    enough that the unconstrained minimizer often violates only the active
+    rows, as in a projection QP near convergence."""
+    B = rng.normal(size=(p, p))
+    Q = B @ B.T + (0.5 + rng.uniform()) * np.eye(p)
+    M = rng.normal(size=(m, p))
+    w = rng.normal(size=p)
+    active = rng.permutation(m)[:int(rng.integers(0, p + 1))]
+    r = M @ w + rng.uniform(0.5, 2.0, size=m)
+    r[active] = M[active] @ w
+    lam = np.zeros(m)
+    lam[active] = rng.uniform(0.01, 0.2, size=active.size)
+    return QpProblem(Q=Q, c=-(Q @ w + M.T @ lam), M=M, r=r)
+
+
+def violated_rows(qp):
+    """The rows the unconstrained minimizer violates: the solver's start."""
+    w0 = np.linalg.solve(qp.Q, -qp.c)
+    return np.flatnonzero(qp.M @ w0 > qp.r + 1e-11 * qp.scale).tolist()
+
+
+def solve_counting_warnings(qp):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_qp(qp)
+    return sol, sum(issubclass(w.category, RankDeficientActiveSet) for w in caught)
+
+
+def cold_solve(qp, monkeypatch):
+    """The dual method from an empty working set: every start rejected."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qp_module, "_independent", lambda S: False)
+        return solve_counting_warnings(qp)[0]
+
+
+STARTED_FAMILIES = {
+    "duplicate": lambda rng: degenerate_qp(rng, "duplicate"),
+    "weak": lambda rng: degenerate_qp(rng, "weak"),
+    "vertex": lambda rng: degenerate_qp(rng, "vertex"),
+    "random": random_qp,
+    "p12": constrained_qp,
+}
+
+
+@pytest.mark.parametrize("family", list(STARTED_FAMILIES))
+def test_started_solve_agrees_with_cold_method(family, monkeypatch):
+    rng = np.random.default_rng(41)
+    make = STARTED_FAMILIES[family]
+    started = moved = 0
+    for _ in range(40 if family == "p12" else 300):
+        qp = make(rng)
+        start = violated_rows(qp)
+        sol, warned = solve_counting_warnings(qp)
+        cold = cold_solve(qp, monkeypatch)
+        work = list(sol.active)
+        if work:
+            assert np.linalg.matrix_rank(qp.M[work]) == len(work)
+        act = np.flatnonzero(np.abs(qp.M @ sol.w - qp.r) <= 1e-9 * qp.scale)
+        full = bool(act.size) and np.linalg.matrix_rank(qp.M[act]) < act.size
+        assert sol.rank_deficient == full
+        assert warned == full
+        if qp.num_constraints <= 12:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficientActiveSet)
+                ref = enumerate_oracle(qp)
+            assert np.linalg.norm(sol.w - ref.w) <= 1e-8 * qp.scale
+        else:
+            assert kkt_residual(qp, sol.w, sol.multipliers) <= 1e-8 * qp.scale
+        # a weakly active row can leave a started solve on another optimal
+        # working set than the cold method's: the point must still agree
+        assert np.linalg.norm(sol.w - cold.w) <= 1e-14 * qp.scale
+        assert kkt_residual(qp, sol.w, sol.multipliers) <= 1e-12 * qp.scale
+        if not sol.rank_deficient:  # unique multipliers
+            assert_allclose(sol.multipliers, cold.multipliers,
+                            rtol=0.0, atol=1e-12 * qp.scale)
+        if sol.active == cold.active:
+            # both end with one KKT solve on the same sorted working set
+            assert np.array_equal(sol.w, cold.w)
+            assert np.array_equal(sol.multipliers, cold.multipliers)
+        if start and work == start and sol.iterations == len(start) + 1:
+            started += 1
+            moved += sol.active != cold.active
+    if family in ("weak", "random", "p12"):
+        assert started >= 5
+    if family == "weak":
+        assert moved >= 5
+
+
+def test_duplicate_violated_rows_go_to_cold_method(monkeypatch):
+    # w0 = (3, 3, 0) violates both copies of w1 <= 1 and w2 <= 1
+    qp = QpProblem(Q=np.eye(3), c=[-3.0, -3.0, 0.0],
+                   M=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                   r=[1.0, 1.0, 1.0])
+    assert violated_rows(qp) == [0, 1, 2]
+    tested = []
+    independent = qp_module._independent
+
+    def spy(S):
+        tested.append((S.shape[0], independent(S)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(qp_module, "_independent", spy)
+    with pytest.warns(RankDeficientActiveSet):
+        sol = solve_qp(qp)
+    assert tested == [(3, False)]
+    assert sol.active == (0, 2)
+    assert sol.rank_deficient
+    assert_allclose(sol.w, [1.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_zero_violated_row_is_dropped_as_a_start():
+    # a single violated row skips the batch test; a zero row must still
+    # fail the start (singular KKT system) and then prove infeasibility
+    qp = QpProblem(Q=np.eye(2), c=[0.0, 0.0], M=[[0.0, 0.0], [1.0, 0.0]],
+                   r=[-1.0, 1.0])
+    assert violated_rows(qp) == [0]
+    with pytest.raises(Infeasible):
+        solve_qp(qp)
+
+
+def test_dual_feasible_start_is_continued_not_restarted(monkeypatch):
+    # w0 = (3, 0) violates only w1 <= 1; the start's point (1, 0) then
+    # violates -w1 + w2 <= -1.5, which the method adds from there
+    qp = QpProblem(Q=np.eye(2), c=[-3.0, 0.0], M=[[1.0, 0.0], [-1.0, 1.0]],
+                   r=[1.0, -1.5])
+    assert violated_rows(qp) == [0]
+    cold = cold_solve(qp, monkeypatch)
+    kkt_rows = []
+    kkt_solve = qp_module._kkt_solve
+
+    def spy(Q, N, top, bottom):
+        kkt_rows.append(N.shape[0])
+        return kkt_solve(Q, N, top, bottom)
+
+    monkeypatch.setattr(qp_module, "_kkt_solve", spy)
+    sol = solve_qp(qp)
+    # the start, adding the second row to it, the final solve; a restart
+    # would add the first row again before the second
+    assert kkt_rows == [1, 1, 2]
+    assert sol.active == cold.active == (0, 1)
+    assert sol.iterations == cold.iterations == 3
+    assert np.array_equal(sol.w, cold.w)
+    assert np.array_equal(sol.multipliers, cold.multipliers)
+    assert_allclose(sol.w, [1.0, -0.5], atol=1e-12)
+    assert_allclose(sol.multipliers, [2.5, 0.5], atol=1e-12)
+
+
+def test_started_solve_counts_its_iterations_against_the_budget(monkeypatch):
+    # w0 = (3, 3) violates both bounds, and the start is the answer
+    qp = QpProblem(Q=np.eye(2), c=[-3.0, -3.0], M=np.eye(2), r=[1.0, 1.0])
+    sol = solve_qp(qp)
+    assert sol.active == (0, 1)
+    assert sol.iterations == 3
+    assert_allclose(sol.w, [1.0, 1.0], atol=1e-12)
+    assert_allclose(sol.multipliers, [2.0, 2.0], atol=1e-12)
+    assert solve_qp(qp, max_iter=3).iterations == 3
+    with pytest.raises(MaxIterations):
+        solve_qp(qp, max_iter=2)
+    rng = np.random.default_rng(47)
+    started = 0
+    for _ in range(40):
+        qp = constrained_qp(rng)
+        start = violated_rows(qp)
+        sol = solve_qp(qp)
+        if not start or list(sol.active) != start:
+            continue
+        started += 1
+        assert sol.iterations == len(sol.active) + 1
+        if cold_solve(qp, monkeypatch).active == sol.active:
+            with pytest.raises(MaxIterations):
+                solve_qp(qp, max_iter=len(start))
+    assert started >= 5
