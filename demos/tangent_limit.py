@@ -1,10 +1,12 @@
 """What the controller computes in the small-step limit.
 
-At step size alpha the update direction is a metric projection of the scaled
-negative gradient onto a linearized feasible set that widens as 1/alpha.  As
-alpha shrinks, that set closes onto the tangent cone of the active
-constraints, and the finite-step direction converges to the cone projection
-— the classical projected-gradient vector field.
+At step size alpha the controller's direction w (the one controller_step
+applies) is a metric projection of the scaled negative gradient onto a
+linearized feasible set that widens as 1/alpha.  As alpha shrinks, that set
+closes onto the tangent cone of the active constraints, and w converges to
+the cone projection — the classical projected-gradient vector field.
+Where a row is active the two are computed by different QPs, so they agree
+to roundoff (about 1e-15) rather than bit for bit.
 """
 
 import numpy as np

@@ -49,6 +49,9 @@ LIPSCHITZ_FLOOR = 1e-12
 MULTIPLIER_SAFETY = 2.0
 MULTIPLIER_FLOOR = 1.0
 
+# Rows of the pair table that _max_pair_slope holds at once.
+PAIR_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -142,15 +145,20 @@ def lyapunov_value(problem: ProblemSpec, penalty: float, u, y) -> float:
 
 
 def _max_pair_slope(points: Array, values: Array) -> float:
-    """Worst difference quotient ||v_i - v_j|| / ||x_i - x_j|| over all pairs."""
-    dx = points[:, None, :] - points[None, :, :]
-    dist = np.linalg.norm(dx, axis=2)
-    dv = values[:, None, :] - values[None, :, :]
-    num = np.linalg.norm(dv, axis=2)
-    mask = dist > 1e-12
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(num[mask] / dist[mask]))
+    """Worst difference quotient ||v_i - v_j|| / ||x_i - x_j|| over all pairs.
+
+    The pairs are taken ``PAIR_BLOCK_ROWS`` values of ``i`` at a time, so
+    memory grows with the number of points, not with its square.
+    """
+    worst = 0.0
+    for i in range(0, len(points), PAIR_BLOCK_ROWS):
+        block = slice(i, i + PAIR_BLOCK_ROWS)
+        dist = np.linalg.norm(points[block, None, :] - points[None, :, :], axis=2)
+        num = np.linalg.norm(values[block, None, :] - values[None, :, :], axis=2)
+        mask = dist > 1e-12
+        if np.any(mask):
+            worst = max(worst, float(np.max(num[mask] / dist[mask])))
+    return worst
 
 
 def estimate_lipschitz_constants(problem: ProblemSpec,

@@ -29,7 +29,7 @@ __all__ = ["main"]
 
 
 _GRID_KINDS = {"alpha": float, "gamma": float, "rho": float,
-               "max_iters": int, "stationarity_tol": float, "seed": int}
+               "max_iters": int, "stationarity_tol": float}
 _GRID_KEYS = {key: lambda text, kind=kind: [kind(part) for part in text.split(",")]
               for key, kind in _GRID_KINDS.items()}
 

@@ -41,6 +41,10 @@ __all__ = [
 
 Array = np.ndarray
 
+# Relative singular-value threshold below which check_licq counts a
+# direction of the active rows as lost.
+LICQ_RANK_TOL = 1e-9
+
 
 class LinearizedSetEmpty(RuntimeError):
     """The linearized constraint set at the current point has no solution.
@@ -142,18 +146,18 @@ def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
     return controller_step(problem, u, y, alpha)
 
 
-def check_licq(problem: ProblemSpec, u, y, alpha: float, w,
-               tol: float = 1e-9) -> LicqReport:
+def check_licq(problem: ProblemSpec, u, y, alpha: float, w) -> LicqReport:
     """Check linear independence of the active constraint rows at ``w``.
 
     Activity is measured on the assembled projection rows at the absolute
     tolerance ``DEFAULT_ACTIVE_TOL``; the rank of the corresponding unscaled
     rows ``[A; C J(u)]`` is then computed with singular-value threshold
-    ``tol`` times the largest singular value.
+    ``LICQ_RANK_TOL`` times the largest singular value.  ``u``, ``y`` and
+    ``w`` must be finite vectors of the problem's dimensions.
     """
     u = _vector(u, problem.input_dim, "u")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
+    y = _vector(y, problem.output_dim, "y")
+    w = _vector(w, problem.input_dim, "w")
     rows, slack = linearized_constraints(problem, u, y,
                                          eval_plant_jacobian(problem.plant, u))
     resid = alpha * (rows @ w) - slack
@@ -161,7 +165,7 @@ def check_licq(problem: ProblemSpec, u, y, alpha: float, w,
     if active.size == 0:
         return LicqReport(True, 0, 0, (), np.zeros(0))
     svals = np.linalg.svd(rows[active], compute_uv=False)
-    rank = int(np.sum(svals > tol * svals[0])) if svals.size else 0
+    rank = int(np.sum(svals > LICQ_RANK_TOL * svals[0]))
     return LicqReport(satisfied=rank == active.size, num_active=int(active.size),
                       rank=rank, active_rows=tuple(int(i) for i in active),
                       singular_values=svals)

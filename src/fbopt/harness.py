@@ -79,7 +79,7 @@ class ScenarioConfig:
     based controller, ``"saddle"`` for the primal-dual baseline (which is the
     only scheme using ``gamma`` and ``rho``).  ``u0`` is either a concrete
     start or a :class:`GridSpec` that a sweep expands into one run per grid
-    point.  ``seed`` is recorded for determinism bookkeeping.
+    point.
     """
 
     problem_name: str
@@ -90,7 +90,6 @@ class ScenarioConfig:
     stationarity_tol: float = 1e-8
     gamma: float | None = None
     rho: float | None = None
-    seed: int = 0
     output_dir: str = "."
 
     def __post_init__(self):
@@ -169,7 +168,6 @@ _SCENARIO_KEYS = {
     "stationarity_tol": float,
     "gamma": float,
     "rho": float,
-    "seed": int,
     "output_dir": str,
 }
 _REQUIRED_KEYS = ("problem_name", "scheme", "alpha", "u0")
@@ -234,17 +232,17 @@ class _Recorder:
         self.rows["max_violation"].append(float(np.max(viol)) if np.size(viol) else 0.0)
         self.rows["mu"].append(np.array(mu, dtype=float))
 
-    def finish(self, status, violated, message, p, n, l):
+    def finish(self, status, violated, message):
+        # run_trajectory logs row 0 before it can stop, so no column is empty
         r = self.rows
-        empty = len(r["iters"]) == 0
         return TrajectoryLog(
             iters=np.array(r["iters"], dtype=int),
-            u=np.array(r["u"]) if not empty else np.zeros((0, p)),
-            y=np.array(r["y"]) if not empty else np.zeros((0, n)),
+            u=np.array(r["u"]),
+            y=np.array(r["y"]),
             V=np.array(r["V"]),
             residual=np.array(r["residual"]),
             max_violation=np.array(r["max_violation"]),
-            mu=np.array(r["mu"]) if not empty else np.zeros((0, l)),
+            mu=np.array(r["mu"]),
             status=status, certificate_violated=violated, message=message)
 
 
@@ -359,8 +357,7 @@ def run_trajectory(config: ScenarioConfig,
 
     if violated and status is not RunStatus.CONVERGED and status is not RunStatus.ERROR:
         status = RunStatus.CERTIFICATE_VIOLATED
-    return rec.finish(status, violated, message,
-                      problem.input_dim, problem.output_dim, l)
+    return rec.finish(status, violated, message)
 
 
 def sweep(base: ScenarioConfig, grid: dict,

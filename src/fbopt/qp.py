@@ -58,6 +58,10 @@ Array = np.ndarray
 # of the enumeration oracle is rejected.
 DUAL_TOL = 1e-10
 
+# Most constraint rows the enumeration oracle accepts: it tries every subset
+# of at most ``dim`` rows.
+ORACLE_MAX_CONSTRAINTS = 12
+
 
 class Infeasible(RuntimeError):
     """No point satisfies ``M w <= r`` within tolerance."""
@@ -379,18 +383,20 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     raise MaxIterations(f"active-set method did not finish in {max_iter} iterations")
 
 
-def enumerate_oracle(qp: QpProblem, max_constraints: int = 12) -> QpSolution:
+def enumerate_oracle(qp: QpProblem) -> QpSolution:
     """Solve the QP by enumerating candidate active sets.
 
     Every subset of at most ``dim`` constraint rows with independent rows is
     treated as an equality-constrained problem; the first candidate (in
     size, then lexicographic order) that is primal feasible with
     nonnegative multipliers is returned.  Intended as an independent
-    ground-truth oracle for small instances, not for production use.
+    ground-truth oracle for small instances, not for production use: raises
+    ``ValueError`` above ``ORACLE_MAX_CONSTRAINTS`` rows.
     """
     p, m = qp.dim, qp.num_constraints
-    if m > max_constraints:
-        raise ValueError(f"oracle is limited to {max_constraints} constraints, got {m}")
+    if m > ORACLE_MAX_CONSTRAINTS:
+        raise ValueError(f"oracle is limited to {ORACLE_MAX_CONSTRAINTS} constraints, "
+                         f"got {m}")
     Q, c, M, r = qp.Q, qp.c, qp.M, qp.r
     scale = qp.scale
     _check_spd(Q)

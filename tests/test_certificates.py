@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from fbopt import (
     sample_input_set,
     transient_violation_bound,
 )
+
+from fbopt.certificates import PAIR_BLOCK_ROWS, _max_pair_slope
 
 GRAD_CURVATURE = (5.0 + np.sqrt(5.0)) / 2.0  # top eigenvalue of the cost Hessian
 
@@ -88,6 +91,35 @@ def test_affine_rows_hit_curvature_floor():
     _, ell = estimate_lipschitz_constants(prob)
     assert np.all(ell > 0.0)
     assert np.all(ell <= 1e-10)
+
+
+def all_pairs_slope(points, values):
+    dist = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    num = np.linalg.norm(values[:, None, :] - values[None, :, :], axis=2)
+    mask = dist > 1e-12
+    return float(np.max(num[mask] / dist[mask]))
+
+
+def test_pair_slope_blocks_match_all_pairs_bitwise():
+    rng = np.random.default_rng(8)
+    for n in (225, PAIR_BLOCK_ROWS + 44, 700):
+        points = rng.uniform(-1.0, 1.0, size=(n, 2))
+        points[n // 2] = points[3]  # a repeated point has no quotient
+        values = np.sin(3.0 * points) @ rng.normal(size=(2, 3))
+        assert _max_pair_slope(points, values) == all_pairs_slope(points, values)
+
+
+def test_pair_slope_memory_grows_linearly():
+    rng = np.random.default_rng(9)
+    points = rng.uniform(size=(1500, 3))
+    values = rng.uniform(size=(1500, 3))
+    tracemalloc.start()
+    try:
+        _max_pair_slope(points, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6  # the all-pairs table of 1,500 points peaks at 216 MB
 
 
 def test_multiplier_bound_floor_when_outputs_inactive():

@@ -256,6 +256,22 @@ def test_check_licq_duplicate_rows():
     assert rep.rank == 1
 
 
+def test_check_licq_rejects_bad_measurement():
+    # an unchecked NaN output would drop the output row from the active set
+    prob = builtin_example()
+    y = eval_plant(prob.plant, OPTIMUM)
+    w = controller_step(prob, OPTIMUM, y, 0.01).w
+    assert check_licq(prob, OPTIMUM, y, 0.01, w).num_active == 2
+    with pytest.raises(ValueError, match="y must be finite"):
+        check_licq(prob, OPTIMUM, [np.nan], 0.01, w)
+    with pytest.raises(ValueError, match="y must have length 1"):
+        check_licq(prob, OPTIMUM, [0.0, 0.0], 0.01, w)
+    with pytest.raises(ValueError, match="w must be finite"):
+        check_licq(prob, OPTIMUM, y, 0.01, [np.nan, 0.0])
+    with pytest.raises(ValueError, match="w must have length 2"):
+        check_licq(prob, OPTIMUM, y, 0.01, [0.0])
+
+
 def test_kkt_point_residual_at_optimum():
     prob = builtin_example()
     nu = np.array([0.0, 3.5, 0.0, 0.0])  # upper bound on u2

@@ -117,13 +117,12 @@ def test_grid_spec_validation():
 # -------------------------------------------------------------- scenarios
 
 def test_load_scenario_round_trip(tmp_path):
-    path = write_scenario(tmp_path / "s.txt", max_iters="500", seed="3")
+    path = write_scenario(tmp_path / "s.txt", max_iters="500")
     config = load_scenario(path)
     assert config.problem_name == "cubic2d"
     assert config.scheme == "projected"
     assert config.alpha == 0.01
     assert config.max_iters == 500
-    assert config.seed == 3
     assert_allclose(config.u0, [0.0, 0.0])
 
 
@@ -140,6 +139,13 @@ def test_load_scenario_saddle_fields(tmp_path):
     config = load_scenario(path)
     assert config.gamma == 0.5
     assert config.rho == 1.0
+
+
+def test_load_scenario_rejects_seed(tmp_path):
+    # a run draws no random numbers, so a seed would be read and ignored
+    path = write_scenario(tmp_path / "s.txt", seed="3")
+    with pytest.raises(ValueError, match="unknown key 'seed'"):
+        load_scenario(path)
 
 
 def test_load_scenario_errors(tmp_path):
@@ -564,7 +570,7 @@ def test_cli_sweep(tmp_path):
     assert (out / "run_001.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["beta = 0.1, 0.2", "alpha 0.1"])
+@pytest.mark.parametrize("line", ["beta = 0.1, 0.2", "alpha 0.1", "seed = 1, 2"])
 def test_cli_sweep_rejects_bad_grid_line(tmp_path, capsys, line):
     scenario = write_scenario(tmp_path / "s.txt")
     grid = tmp_path / "grid.txt"

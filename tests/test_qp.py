@@ -179,10 +179,12 @@ def test_problem_rejects_non_finite_data():
 
 
 def test_oracle_constraint_cap():
-    qp = QpProblem(Q=np.eye(2), c=np.zeros(2),
-                   M=np.ones((13, 2)), r=np.ones(13))
-    with pytest.raises(ValueError):
-        enumerate_oracle(qp)
+    def rows(m):
+        return QpProblem(Q=np.eye(2), c=np.zeros(2), M=np.ones((m, 2)), r=np.ones(m))
+
+    assert enumerate_oracle(rows(12)).active == ()
+    with pytest.raises(ValueError, match="limited to 12 constraints, got 13"):
+        enumerate_oracle(rows(13))
 
 
 def test_infeasible_origin_agrees_with_oracle():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,11 +12,14 @@ from fbopt import (
     Polyhedron,
     ProblemSpec,
     TangentCone,
+    assemble_projection_qp,
     builtin_example,
-    finite_step_projection_qp,
+    controller_step,
+    eval_plant,
+    eval_plant_jacobian,
     limit_consistency,
     project_tangent_cone,
-    solve_qp,
+    reduced_gradient,
     tangent_cone,
 )
 
@@ -71,7 +76,7 @@ def test_infeasible_points_rejected():
     with pytest.raises(NotFeasible):
         tangent_cone(prob, [1.5, 0.0])  # outside the input box
     with pytest.raises(NotFeasible):
-        finite_step_projection_qp(prob, [1.0, 1.0], 0.01)
+        limit_consistency(prob, [1.0, 1.0], [0.01])
 
 
 def test_project_halfspace_cone():
@@ -116,40 +121,15 @@ def test_projection_lands_in_cone():
 
 
 def test_zeroed_active_rows_match_cone_data():
+    # the step QP's rows active at u carry zero slack: they are alpha times
+    # the cone rows, bit for bit
     prob = builtin_example()
-    qp = finite_step_projection_qp(prob, OPTIMUM, 0.01, zero_active=True)
+    y = eval_plant(prob.plant, OPTIMUM)
+    qp = assemble_projection_qp(prob, OPTIMUM, y, 0.01, prob.metric.eval(OPTIMUM))
     cone = tangent_cone(prob, OPTIMUM)
     active = np.flatnonzero(qp.r == 0.0)
     assert list(active) == [1, 5]  # u2 upper bound, lower output row
-    assert np.array_equal(qp.M[active], cone.rows)
-
-
-def test_zeroed_finite_step_reproduces_cone_projection_bitwise():
-    prob = builtin_example()
-    for u in (OPTIMUM, np.array([0.329, -0.9])):
-        qp = finite_step_projection_qp(prob, u, 0.01, zero_active=True)
-        w_fin = solve_qp(qp).w
-        cone = tangent_cone(prob, u)
-        G = prob.metric.eval(u)
-        y = prob.plant.eval(u)
-        grad = prob.objective.gradient(u, y)[:2] + \
-            prob.objective.gradient(u, y)[2:] @ prob.plant.jacobian(u)
-        w_cone = project_tangent_cone(cone, G, -np.linalg.solve(G, grad))
-        assert np.array_equal(w_fin, w_cone)
-
-
-def test_finite_step_rhs_scales_inversely_with_alpha():
-    prob = builtin_example()
-    qp1 = finite_step_projection_qp(prob, [0.0, 0.0], 0.01)
-    qp2 = finite_step_projection_qp(prob, [0.0, 0.0], 0.005)
-    assert_allclose(qp2.r, 2.0 * qp1.r, rtol=1e-12)
-    assert np.array_equal(qp1.M, qp2.M)
-
-
-def test_finite_step_rejects_bad_alpha():
-    prob = builtin_example()
-    with pytest.raises(ValueError):
-        finite_step_projection_qp(prob, [0.0, 0.0], 0.0)
+    assert np.array_equal(qp.M[active], 0.01 * cone.rows)
 
 
 def test_limit_deviation_zero_at_interior_point():
@@ -166,6 +146,33 @@ def test_limit_deviation_nonincreasing_and_vanishing():
         devs = [dev for _, dev in limit_consistency(prob, u, ladder)]
         assert all(a >= b - 1e-10 for a, b in zip(devs, devs[1:]))
         assert devs[-1] <= 1e-8
+
+
+def test_limit_deviation_is_controller_direction_to_cone_projection():
+    prob = builtin_example()
+    ladder = [10.0 ** (-k) for k in range(1, 7)]
+    for u in (OPTIMUM, np.array([0.329, -0.9]), np.array([-0.45, 0.0])):
+        y = eval_plant(prob.plant, u)
+        G = prob.metric.eval(u)
+        grad = reduced_gradient(prob, u, y, eval_plant_jacobian(prob.plant, u))
+        w_limit = project_tangent_cone(tangent_cone(prob, u), G,
+                                       -np.linalg.solve(G, grad))
+        for alpha, dev in limit_consistency(prob, u, ladder):
+            w = controller_step(prob, u, y, alpha).w
+            assert dev == float(np.linalg.norm(w - w_limit))
+
+
+def test_limit_consistency_measures_plant_once():
+    prob = builtin_example()
+    calls = []
+
+    def measured(u):
+        calls.append(u)
+        return prob.plant.eval(u)
+
+    counted = dataclasses.replace(prob, plant=dataclasses.replace(prob.plant, eval=measured))
+    limit_consistency(counted, OPTIMUM, [10.0 ** (-k) for k in range(1, 7)])
+    assert len(calls) == 1
 
 
 def test_limit_consistency_validates_ladder():
