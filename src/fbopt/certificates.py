@@ -1,14 +1,17 @@
 """Descent certificates for the closed loop.
 
 Provides the merit function (reduced cost plus weighted output violations),
-sampling-based estimators for the constants that enter the certified step
+:func:`estimate_constants` for the constants that enter the certified step
 size, and the quadratic bound on transient output violations.
 
-The estimators are deliberately simple: deterministic sampling of the input
-set, worst pairwise difference quotients for Lipschitz constants, and the
-largest observed constraint multiplier for the penalty weight, each inflated
-by a safety factor.  The certificate is only as good as these estimates; the
-harness flags trajectories that contradict them instead of aborting.
+The estimate is deliberately simple: one deterministic sample of the input
+set, with the plant measured once per sampled point (on a real plant each
+measurement is an experiment).  From that sample come the worst pairwise
+difference quotients for the Lipschitz constants, the largest observed
+constraint multiplier for the penalty weight, each inflated by a safety
+factor, and the smallest metric eigenvalue.  The certificate is only as good
+as these estimates; the harness flags trajectories that contradict them
+instead of aborting.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ __all__ = [
     "CertificateConstants",
     "sample_input_set",
     "lyapunov_value",
-    "estimate_lipschitz_constants",
-    "estimate_multiplier_bound",
     "estimate_constants",
     "transient_violation_bound",
 ]
@@ -49,7 +50,7 @@ LIPSCHITZ_FLOOR = 1e-12
 MULTIPLIER_SAFETY = 2.0
 MULTIPLIER_FLOOR = 1.0
 
-# Rows of the pair table that _max_pair_slope holds at once.
+# Rows of the pair table that _max_pair_slopes holds at once.
 PAIR_BLOCK_ROWS = 256
 
 
@@ -144,68 +145,63 @@ def lyapunov_value(problem: ProblemSpec, penalty: float, u, y) -> float:
             + penalty * float(np.sum(violation(problem.output_set, y))))
 
 
-def _max_pair_slope(points: Array, values: Array) -> float:
-    """Worst difference quotient ||v_i - v_j|| / ||x_i - x_j|| over all pairs.
+def _max_pair_slopes(points: Array, value_sets) -> list[float]:
+    """Worst difference quotient ||v_i - v_j|| / ||x_i - x_j|| over all pairs,
+    one for each ``values`` array in ``value_sets``.
 
-    The pairs are taken ``PAIR_BLOCK_ROWS`` values of ``i`` at a time, so
-    memory grows with the number of points, not with its square.
+    The pairs are taken ``PAIR_BLOCK_ROWS`` values of ``i`` at a time, and
+    each block's distance table serves every value array, so memory grows
+    with the number of points, not with its square.
     """
-    worst = 0.0
+    worst = [0.0] * len(value_sets)
     for i in range(0, len(points), PAIR_BLOCK_ROWS):
         block = slice(i, i + PAIR_BLOCK_ROWS)
         dist = np.linalg.norm(points[block, None, :] - points[None, :, :], axis=2)
-        num = np.linalg.norm(values[block, None, :] - values[None, :, :], axis=2)
         mask = dist > 1e-12
-        if np.any(mask):
-            worst = max(worst, float(np.max(num[mask] / dist[mask])))
+        if not np.any(mask):
+            continue
+        dist = dist[mask]
+        for k, values in enumerate(value_sets):
+            num = np.linalg.norm(values[block, None, :] - values[None, :, :], axis=2)
+            worst[k] = max(worst[k], float(np.max(num[mask] / dist)))
     return worst
 
 
-def estimate_lipschitz_constants(problem: ProblemSpec,
-                       sampler: SamplerSpec | None = None) -> tuple[float, Array]:
-    """Estimate the gradient and output-row Lipschitz constants by sampling.
+def estimate_lipschitz_constants(problem: ProblemSpec, pts: Array,
+                                 ys) -> tuple[float, Array]:
+    """Estimate the gradient and output-row Lipschitz constants from a sample.
 
-    Returns ``(grad_lipschitz, output_lipschitz)`` where the first bounds the
-    reduced cost gradient and the second holds one constant per output row
-    (the map ``u -> C_i J(u)``).  Worst pairwise difference quotients over
-    the sampled points, inflated by ``LIPSCHITZ_SAFETY``; deterministic for a
-    given sampler.
+    ``pts`` holds the sampled inputs (N x p) and ``ys`` the outputs measured
+    there.  Returns ``(grad_lipschitz, output_lipschitz)`` where the first
+    bounds the reduced cost gradient and the second holds one constant per
+    output row (the map ``u -> C_i J(u)``).  Worst pairwise difference
+    quotients over the sample, inflated by ``LIPSCHITZ_SAFETY``.
     """
-    sampler = sampler or SamplerSpec()
-    pts = sample_input_set(problem.input_set, sampler)
-    if pts.shape[0] < 2:
-        raise ValueError("sampler produced fewer than two feasible points")
     C = problem.output_set.A
     grads, rows = [], []
-    for u in pts:
+    for u, y in zip(pts, ys):
         J = eval_plant_jacobian(problem.plant, u)
-        grads.append(reduced_gradient(problem, u, eval_plant(problem.plant, u), J))
+        grads.append(reduced_gradient(problem, u, y, J))
         rows.append(C @ J)
-    grad_lipschitz = LIPSCHITZ_SAFETY * _max_pair_slope(pts, np.array(grads))
     rows = np.array(rows)
-    ell = np.empty(problem.output_set.num_rows)
-    for i in range(ell.size):
-        ell[i] = max(LIPSCHITZ_SAFETY * _max_pair_slope(pts, rows[:, i, :]),
-                     LIPSCHITZ_FLOOR)
-    return float(max(grad_lipschitz, LIPSCHITZ_FLOOR)), ell
+    slopes = _max_pair_slopes(pts, [np.array(grads)]
+                              + [rows[:, i, :] for i in range(C.shape[0])])
+    ell = np.array([max(LIPSCHITZ_SAFETY * s, LIPSCHITZ_FLOOR) for s in slopes[1:]])
+    return max(LIPSCHITZ_SAFETY * slopes[0], LIPSCHITZ_FLOOR), ell
 
 
-def estimate_multiplier_bound(problem: ProblemSpec, alpha: float,
-                              sampler: SamplerSpec | None = None) -> float:
-    """Bound the output multipliers of the projection subproblem over the
-    input set.
+def estimate_multiplier_bound(problem: ProblemSpec, alpha: float, pts: Array,
+                              ys) -> float:
+    """Bound the output multipliers of the projection subproblem from a sample.
 
-    Runs the controller at every sampled input (with measured outputs) and
-    doubles the largest observed output multiplier; points where the
-    linearized set is empty are skipped with a warning.  Floored at
-    ``MULTIPLIER_FLOOR`` so the certificate stays finite when no output
-    constraint is ever active.
+    Runs the controller at every sampled input ``pts[k]`` with its measured
+    output ``ys[k]`` and doubles the largest observed output multiplier;
+    points where the linearized set is empty are skipped with a warning.
+    Floored at ``MULTIPLIER_FLOOR`` so the certificate stays finite when no
+    output constraint is ever active.
     """
-    sampler = sampler or SamplerSpec()
-    pts = sample_input_set(problem.input_set, sampler)
     mu_max = 0.0
-    for u in pts:
-        y = eval_plant(problem.plant, u)
+    for u, y in zip(pts, ys):
         try:
             step = controller_step(problem, u, y, alpha)
         except LinearizedSetEmpty:
@@ -219,15 +215,20 @@ def estimate_multiplier_bound(problem: ProblemSpec, alpha: float,
 
 def estimate_constants(problem: ProblemSpec, alpha: float,
                        sampler: SamplerSpec | None = None) -> CertificateConstants:
-    """Estimate all certificate constants with one sampling plan.
+    """Estimate all certificate constants from one sample of the input set.
 
-    The multiplier bound depends on the step size used to linearize the
-    output constraints, hence the ``alpha`` argument.
+    The input set is sampled once and the plant is measured once per sampled
+    point; the Lipschitz constants, the multiplier bound and the metric floor
+    all come from those points.  The multiplier bound depends on the step
+    size used to linearize the output constraints, hence the ``alpha``
+    argument.  Deterministic for a given sampler.
     """
-    sampler = sampler or SamplerSpec()
-    grad_lipschitz, ell = estimate_lipschitz_constants(problem, sampler)
-    mult = estimate_multiplier_bound(problem, alpha, sampler)
-    pts = sample_input_set(problem.input_set, sampler)
+    pts = sample_input_set(problem.input_set, sampler or SamplerSpec())
+    if pts.shape[0] < 2:
+        raise ValueError("sampler produced fewer than two feasible points")
+    ys = [eval_plant(problem.plant, u) for u in pts]
+    grad_lipschitz, ell = estimate_lipschitz_constants(problem, pts, ys)
+    mult = estimate_multiplier_bound(problem, alpha, pts, ys)
     floor = np.inf
     for u in pts:
         G = np.asarray(problem.metric.eval(u), dtype=float)

@@ -7,8 +7,10 @@ scenario and prints a side-by-side summary; ``check`` validates a problem's
 derivatives and prints its certificate constants.
 
 Exit codes: 0 when every run converged (or the report completed cleanly),
-2 when some run ended at the iteration budget or a certificate breach, and
-1 on errors (bad inputs, solver failures, derivative mismatches).
+2 when some run of ``run`` or ``sweep`` ended at the iteration budget or a
+certificate breach, and 1 on errors (bad inputs, solver failures, derivative
+mismatches).  ``compare`` exits 1 if either run ends in an error and 0
+otherwise, whether or not the runs converged.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ def _cmd_run(args) -> int:
         print("error: run needs a concrete u0; use sweep for grid starts",
               file=sys.stderr)
         return 1
-    out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     log = run_trajectory(config)
-    path = os.path.join(out_dir, "trajectory.csv")
+    path = os.path.join(args.out, "trajectory.csv")
     write_csv(log, path)
     print(_summary_line("run", log))
     if log.message:
@@ -77,12 +78,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
     grid = _parse_grid_file(args.grid) if args.grid else {}
-    out_dir = args.out or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     results = sweep(config, grid)
     statuses = []
     for i, (overrides, log) in enumerate(results):
-        path = os.path.join(out_dir, f"run_{i:03d}.csv")
+        path = os.path.join(args.out, f"run_{i:03d}.csv")
         write_csv(log, path)
         pieces = []
         for key in sorted(overrides):
@@ -92,7 +92,7 @@ def _cmd_sweep(args) -> int:
             pieces.append(f"{key}={value}")
         print(_summary_line(f"run_{i:03d}", log) + "  [" + " ".join(pieces) + "]")
         statuses.append(log.status)
-    print(f"wrote {len(results)} logs to {out_dir}")
+    print(f"wrote {len(results)} logs to {args.out}")
     return _status_code(statuses)
 
 
@@ -112,8 +112,7 @@ def _cmd_compare(args) -> int:
           f"gamma={config.gamma:g}  rho={config.rho:g}")
     print(_summary_line("projected", log_p))
     print(_summary_line("saddle", log_s))
-    return _status_code([log_p.status, log_s.status]) if args.strict else \
-        (1 if RunStatus.ERROR in (log_p.status, log_s.status) else 0)
+    return 1 if RunStatus.ERROR in (log_p.status, log_s.status) else 0
 
 
 def _cmd_check(args) -> int:
@@ -153,20 +152,17 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run one scenario, write trajectory.csv")
     p_run.add_argument("--scenario", required=True, help="scenario file")
-    p_run.add_argument("--out", default=None, help="output directory "
-                       "(default: scenario's output_dir)")
+    p_run.add_argument("--out", default=".", help="output directory")
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid over a scenario")
     p_sweep.add_argument("--scenario", required=True, help="base scenario file")
     p_sweep.add_argument("--grid", default=None,
                          help="grid file: key = v1, v2, ... per line")
-    p_sweep.add_argument("--out", default=None, help="output directory")
+    p_sweep.add_argument("--out", default=".", help="output directory")
 
     p_cmp = sub.add_parser("compare",
                            help="projected vs saddle from one saddle scenario")
     p_cmp.add_argument("--scenario", required=True, help="saddle scenario file")
-    p_cmp.add_argument("--strict", action="store_true",
-                       help="nonzero exit unless both schemes converge")
 
     p_chk = sub.add_parser("check",
                            help="derivative check + certificate constants")

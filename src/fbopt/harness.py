@@ -90,7 +90,6 @@ class ScenarioConfig:
     stationarity_tol: float = 1e-8
     gamma: float | None = None
     rho: float | None = None
-    output_dir: str = "."
 
     def __post_init__(self):
         if self.scheme not in ("projected", "saddle"):
@@ -168,7 +167,6 @@ _SCENARIO_KEYS = {
     "stationarity_tol": float,
     "gamma": float,
     "rho": float,
-    "output_dir": str,
 }
 _REQUIRED_KEYS = ("problem_name", "scheme", "alpha", "u0")
 

@@ -69,11 +69,10 @@ class TangentCone:
         return bool(np.all(self.rows @ w <= tol))
 
 
-def _cone_at(problem: ProblemSpec, u: Array, y: Array) -> TangentCone:
-    """Tangent cone at ``u`` from the output ``y`` measured there, or raise
-    :class:`NotFeasible` if a constraint is violated by more than
-    ``DEFAULT_ACTIVE_TOL``."""
-    J = eval_plant_jacobian(problem.plant, u)
+def _cone_at(problem: ProblemSpec, u: Array, y: Array, J: Array) -> TangentCone:
+    """Tangent cone at ``u`` from the output ``y`` measured there and the
+    Jacobian ``J`` evaluated there, or raise :class:`NotFeasible` if a
+    constraint is violated by more than ``DEFAULT_ACTIVE_TOL``."""
     rows, slack = linearized_constraints(problem, u, y, J)
     if np.any(slack < -DEFAULT_ACTIVE_TOL):
         raise NotFeasible(f"point violates constraints by {float(-slack.min()):.3e}")
@@ -89,7 +88,8 @@ def tangent_cone(problem: ProblemSpec, u) -> TangentCone:
     with ``row @ w <= 0`` for every constraint row active at ``u``.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    return _cone_at(problem, u, eval_plant(problem.plant, u))
+    return _cone_at(problem, u, eval_plant(problem.plant, u),
+                    eval_plant_jacobian(problem.plant, u))
 
 
 def project_tangent_cone(cone: TangentCone, G, f) -> Array:
@@ -108,10 +108,12 @@ def limit_consistency(problem: ProblemSpec, u,
                       alphas) -> list[tuple[float, float]]:
     """Distance from the controller's direction to its small-step limit.
 
-    The plant is measured once at ``u``.  For each step size the direction
-    is ``controller_step(problem, u, y, alpha).w``, the projection of
-    ``-G(u)^{-1} grad`` onto the feasible set of the step QP divided by
-    ``alpha``; the limit is the projection onto the tangent cone at ``u``.
+    The plant is measured once at ``u``, and its Jacobian is evaluated once
+    there plus once per step size inside the controller.  For each step size
+    the direction is ``controller_step(problem, u, y, alpha).w``, the
+    projection of ``-G(u)^{-1} grad`` onto the feasible set of the step QP
+    divided by ``alpha``; the limit is the projection onto the tangent cone
+    at ``u``.
     Returns ``(alpha, deviation)`` pairs with the Euclidean distance between
     the two.  The step-scaled sets shrink onto the cone as ``alpha``
     decreases, so over a decreasing ladder the deviations are nonincreasing
@@ -129,9 +131,10 @@ def limit_consistency(problem: ProblemSpec, u,
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("step sizes must be strictly decreasing")
     y = eval_plant(problem.plant, u)
-    cone = _cone_at(problem, u, y)
+    J = eval_plant_jacobian(problem.plant, u)
+    cone = _cone_at(problem, u, y, J)
     G = np.asarray(problem.metric.eval(u), dtype=float)
-    g = reduced_gradient(problem, u, y, eval_plant_jacobian(problem.plant, u))
+    g = reduced_gradient(problem, u, y, J)
     w_limit = project_tangent_cone(cone, G, -np.linalg.solve(G, g))
     return [(a, float(np.linalg.norm(controller_step(problem, u, y, a).w - w_limit)))
             for a in alphas]

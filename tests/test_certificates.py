@@ -15,8 +15,6 @@ from fbopt import (
     SamplerSpec,
     builtin_example,
     estimate_constants,
-    estimate_lipschitz_constants,
-    estimate_multiplier_bound,
     eval_plant,
     get_problem,
     lyapunov_value,
@@ -25,7 +23,8 @@ from fbopt import (
     transient_violation_bound,
 )
 
-from fbopt.certificates import PAIR_BLOCK_ROWS, _max_pair_slope
+from fbopt import certificates
+from fbopt.certificates import PAIR_BLOCK_ROWS, _max_pair_slopes
 
 GRAD_CURVATURE = (5.0 + np.sqrt(5.0)) / 2.0  # top eigenvalue of the cost Hessian
 
@@ -69,7 +68,7 @@ def test_lyapunov_penalty_independent_on_feasible_samples():
 
 def test_gradient_curvature_estimate():
     prob = builtin_example()
-    L, ell = estimate_lipschitz_constants(prob)
+    L = estimate_constants(prob, 0.01).grad_lipschitz
     raw = L / 1.1  # undo the safety inflation
     assert abs(raw - GRAD_CURVATURE) <= 0.05 * GRAD_CURVATURE
     assert L > raw  # stored value keeps the safety margin
@@ -77,7 +76,7 @@ def test_gradient_curvature_estimate():
 
 def test_output_row_curvature_estimate():
     prob = builtin_example()
-    _, ell = estimate_lipschitz_constants(prob)
+    ell = estimate_constants(prob, 0.01).output_lipschitz
     assert ell.shape == (2,)
     # the two output rows are mirrored, so their constants coincide
     assert_allclose(ell[0], ell[1], rtol=1e-12)
@@ -88,7 +87,7 @@ def test_output_row_curvature_estimate():
 
 def test_affine_rows_hit_curvature_floor():
     prob = get_problem("quad1d")  # identity plant: output rows are constant
-    _, ell = estimate_lipschitz_constants(prob)
+    ell = estimate_constants(prob, 0.01).output_lipschitz
     assert np.all(ell > 0.0)
     assert np.all(ell <= 1e-10)
 
@@ -105,26 +104,58 @@ def test_pair_slope_blocks_match_all_pairs_bitwise():
     for n in (225, PAIR_BLOCK_ROWS + 44, 700):
         points = rng.uniform(-1.0, 1.0, size=(n, 2))
         points[n // 2] = points[3]  # a repeated point has no quotient
-        values = np.sin(3.0 * points) @ rng.normal(size=(2, 3))
-        assert _max_pair_slope(points, values) == all_pairs_slope(points, values)
+        value_sets = [np.sin(3.0 * points) @ rng.normal(size=(2, 3)),
+                      np.cos(points) @ rng.normal(size=(2, 2)),
+                      points[:, :1] ** 3]
+        assert _max_pair_slopes(points, value_sets) == [
+            all_pairs_slope(points, values) for values in value_sets]
 
 
 def test_pair_slope_memory_grows_linearly():
     rng = np.random.default_rng(9)
     points = rng.uniform(size=(1500, 3))
-    values = rng.uniform(size=(1500, 3))
+    value_sets = [rng.uniform(size=(1500, 3)) for _ in range(3)]
     tracemalloc.start()
     try:
-        _max_pair_slope(points, values)
+        _max_pair_slopes(points, value_sets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64e6  # the all-pairs table of 1,500 points peaks at 216 MB
 
 
+def test_estimate_constants_measures_each_sample_once(monkeypatch):
+    prob = builtin_example()
+    evals, samples = [], []
+
+    def measured(u):
+        evals.append(u)
+        return prob.plant.eval(u)
+
+    def sampled(*args):
+        samples.append(args)
+        return sample_input_set(*args)
+
+    monkeypatch.setattr(certificates, "sample_input_set", sampled)
+    counted = dataclasses.replace(prob, plant=dataclasses.replace(prob.plant, eval=measured))
+    estimate_constants(counted, 0.01)
+    assert len(samples) == 1
+    assert len(evals) == len(sample_input_set(prob.input_set, SamplerSpec())) == 225
+
+
+def test_estimate_constants_needs_two_points():
+    # |u1| + |u2| <= 1: a 2 x 2 grid over its bounding box has only the
+    # four corners, and every one lies outside
+    diamond = Polyhedron(A=[[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+                         b=[1.0, 1.0, 1.0, 1.0])
+    prob = dataclasses.replace(builtin_example(), input_set=diamond)
+    with pytest.raises(ValueError, match="fewer than two"):
+        estimate_constants(prob, 0.01, SamplerSpec(kind="grid", count=2))
+
+
 def test_multiplier_bound_floor_when_outputs_inactive():
     prob = get_problem("quad1d")
-    assert estimate_multiplier_bound(prob, 0.01) == 1.0
+    assert estimate_constants(prob, 0.01).multiplier_bound == 1.0
 
 
 def test_multiplier_bound_known_single_active_sample():
@@ -137,7 +168,7 @@ def test_multiplier_bound_known_single_active_sample():
                        input_set=Polyhedron.box([-1.0], [1.0]),
                        output_set=Polyhedron(A=[[1.0]], b=[0.25]),
                        metric=MetricField.identity(1))
-    xi = estimate_multiplier_bound(prob, 0.01, SamplerSpec(kind="grid", count=2))
+    xi = estimate_constants(prob, 0.01, SamplerSpec(kind="grid", count=2)).multiplier_bound
     assert_allclose(xi, 2.0 * 77.0, rtol=1e-9)
 
 
@@ -149,8 +180,8 @@ def test_multiplier_bound_scales_with_objective_and_metric():
             eval=lambda u, y: 2.0 * prob.objective.eval(u, y),
             gradient=lambda u, y: 2.0 * prob.objective.gradient(u, y)),
         metric=MetricField.constant(2.0 * np.eye(2)))
-    xi = estimate_multiplier_bound(prob, 0.01)
-    xi2 = estimate_multiplier_bound(doubled, 0.01)
+    xi = estimate_constants(prob, 0.01).multiplier_bound
+    xi2 = estimate_constants(doubled, 0.01).multiplier_bound
     assert xi > 1.0  # well above the floor, so doubling is observable
     assert_allclose(xi2, 2.0 * xi, rtol=1e-9)
 

@@ -141,10 +141,12 @@ def test_load_scenario_saddle_fields(tmp_path):
     assert config.rho == 1.0
 
 
-def test_load_scenario_rejects_seed(tmp_path):
-    # a run draws no random numbers, so a seed would be read and ignored
-    path = write_scenario(tmp_path / "s.txt", seed="3")
-    with pytest.raises(ValueError, match="unknown key 'seed'"):
+# a run draws no random numbers, so a seed would be read and ignored; the
+# output directory is the CLI's --out
+@pytest.mark.parametrize("key, value", [("seed", "3"), ("output_dir", "x")])
+def test_load_scenario_rejects_seed(tmp_path, key, value):
+    path = write_scenario(tmp_path / "s.txt", **{key: value})
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
         load_scenario(path)
 
 
@@ -580,13 +582,16 @@ def test_cli_sweep_rejects_bad_grid_line(tmp_path, capsys, line):
     assert f"{grid}:2:" in capsys.readouterr().err
 
 
-def test_cli_compare(tmp_path, capsys):
+# compare exits 0 unless a run errors, also when the saddle run stalls
+@pytest.mark.parametrize("gamma, saddle_status", [("0.5", "Converged"),
+                                                  ("5", "IterBudget")])
+def test_cli_compare(tmp_path, capsys, gamma, saddle_status):
     scenario = write_scenario(tmp_path / "s.txt", scheme="saddle",
-                              gamma="0.5", rho="1.0", max_iters="5000")
+                              gamma=gamma, rho="1.0", max_iters="5000")
     assert cli_main(["compare", "--scenario", str(scenario)]) == 0
     text = capsys.readouterr().out
     assert "projected" in text
-    assert "saddle" in text
+    assert f"saddle  {saddle_status} " in text
 
 
 def test_cli_compare_needs_saddle_scenario(tmp_path):

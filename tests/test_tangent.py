@@ -164,15 +164,22 @@ def test_limit_deviation_is_controller_direction_to_cone_projection():
 
 def test_limit_consistency_measures_plant_once():
     prob = builtin_example()
-    calls = []
+    calls, jacobians = [], []
 
     def measured(u):
         calls.append(u)
         return prob.plant.eval(u)
 
-    counted = dataclasses.replace(prob, plant=dataclasses.replace(prob.plant, eval=measured))
-    limit_consistency(counted, OPTIMUM, [10.0 ** (-k) for k in range(1, 7)])
+    def sensitivity(u):
+        jacobians.append(u)
+        return prob.plant.jacobian(u)
+
+    counted = dataclasses.replace(prob, plant=dataclasses.replace(
+        prob.plant, eval=measured, jacobian=sensitivity))
+    alphas = [10.0 ** (-k) for k in range(1, 7)]
+    limit_consistency(counted, OPTIMUM, alphas)
     assert len(calls) == 1
+    assert len(jacobians) == 1 + len(alphas)  # once here, once per controller step
 
 
 def test_limit_consistency_validates_ladder():
