@@ -119,12 +119,15 @@ class CertificateConstants:
 
     def __post_init__(self):
         ell = np.asarray(self.output_lipschitz, dtype=float).reshape(-1)
-        if self.grad_lipschitz <= 0.0 or self.multiplier_bound <= 0.0:
-            raise ValueError("certificate constants must be positive")
-        if self.metric_floor <= 0.0:
-            raise ValueError("metric floor must be positive")
-        if np.any(ell < 0.0):
-            raise ValueError("output Lipschitz constants must be nonnegative")
+        # a NaN constant would make step_size_bound NaN, and `alpha < nan`
+        # would then turn certification off without a word
+        if not (0.0 < self.grad_lipschitz < np.inf
+                and 0.0 < self.multiplier_bound < np.inf):
+            raise ValueError("certificate constants must be positive and finite")
+        if not 0.0 < self.metric_floor < np.inf:
+            raise ValueError("metric floor must be positive and finite")
+        if not ((ell >= 0.0) & (ell < np.inf)).all():
+            raise ValueError("output Lipschitz constants must be nonnegative and finite")
         object.__setattr__(self, "output_lipschitz", _read_only(ell))
         object.__setattr__(self, "step_size_bound", 2.0 * self.metric_floor / (
             self.grad_lipschitz + self.multiplier_bound * float(np.sum(ell))))

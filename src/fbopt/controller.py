@@ -100,7 +100,7 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
     which is how multipliers are split back into ``(nu, mu)``.  This is
     where a controller step checks ``u`` and ``y``.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # NaN fails too
         raise ValueError("alpha must be positive")
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")

@@ -94,17 +94,18 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scheme not in ("projected", "saddle"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.alpha <= 0.0:
+        # written "not x > 0" so that a NaN fails the check too
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.stationarity_tol <= 0.0:
+        if not self.stationarity_tol > 0.0:
             raise ValueError("stationarity_tol must be positive")
         has_saddle = self.gamma is not None or self.rho is not None
         if self.scheme == "saddle":
             if self.gamma is None or self.rho is None:
                 raise ValueError("saddle scheme requires gamma and rho")
-            if self.gamma <= 0.0 or self.rho < 0.0:
+            if not (self.gamma > 0.0 and self.rho >= 0.0):
                 raise ValueError("gamma must be positive and rho nonnegative")
         elif has_saddle:
             raise ValueError("gamma/rho are only valid for the saddle scheme")

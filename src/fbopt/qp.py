@@ -15,13 +15,19 @@ equalities.  When those rows are independent and the guess is optimal, one
 KKT solve replaces the loop; when only its multipliers are nonnegative, the
 loop goes on from it.  Problems of this shape appear once per controller
 step, so the solver is tuned for very small dense instances, determinism,
-and faithful Lagrange multipliers rather than for scale.
+and faithful Lagrange multipliers rather than for scale.  At that size a
+solve costs call overhead, not flops, so :func:`solve_qp` calls LAPACK
+directly through :mod:`scipy.linalg.lapack`, whose wrappers cost a fraction
+of :mod:`numpy.linalg`'s, and factors ``Q`` once by LU: the factor gives
+the unconstrained minimizer and every ``Q^-1 a_i``.  The Cholesky
+factorization of ``Q`` serves only as the definiteness test.
 
 Two independent routes are provided: :func:`solve_qp` (the production
 active-set method) and :func:`enumerate_oracle` (brute-force enumeration of
 candidate active sets, usable as a ground-truth check for problems with a
-handful of rows).  Tie-breaking is always by lowest constraint index, so both
-routes are deterministic for identical input.
+handful of rows; it solves through :mod:`numpy.linalg`).  Tie-breaking is
+always by lowest constraint index, so both routes are deterministic for
+identical input.
 
 Feasibility tolerances are relative to ``scale = 1 + ||c|| + ||r||``; the
 tests for linear dependence compare like quantities, so scaling ``Q`` and
@@ -37,6 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401 -- unused; perfbench/tracer.py looks it up
+# after scipy.optimize, which loads scipy.linalg: imported first, it made
+# `import fbopt` slower
+from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
 
 from .model import _read_only
 
@@ -68,7 +77,8 @@ class Infeasible(RuntimeError):
 
 
 class NotPositiveDefinite(RuntimeError):
-    """The quadratic term failed its Cholesky factorization."""
+    """The quadratic term failed its Cholesky factorization, or its LU
+    factorization met an exact zero pivot."""
 
 
 class MaxIterations(RuntimeError):
@@ -176,10 +186,8 @@ def kkt_residual(qp: QpProblem, w, multipliers) -> float:
 
 
 def _check_spd(Q: Array) -> None:
-    try:
-        np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("quadratic term is not positive definite") from None
+    if dpotrf(Q, lower=1)[1] != 0:
+        raise NotPositiveDefinite("quadratic term is not positive definite")
 
 
 def _finish(qp: QpProblem, w: Array, mult: Array, work, iterations: int,
@@ -209,12 +217,9 @@ def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bo
         kkt[:p, p:] = N.T
         kkt[p:, :p] = N
     rhs = np.concatenate([top, bottom])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        if np.isfinite(sol).all():
-            return sol, False
-    except np.linalg.LinAlgError:
-        pass
+    sol, info = dgesv(kkt, rhs)[2:]
+    if info == 0 and np.isfinite(sol).all():
+        return sol, False
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
 
 
@@ -232,11 +237,8 @@ def _independent(S: Array) -> bool:
     :func:`solve_qp`, applied to a set of rows ``N`` at once: with
     ``S = N Q^-1 N' = L L'``, ``L_kk^2`` is ``a' z`` of row ``k`` against
     the rows before it."""
-    try:
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return bool((np.diag(L) ** 2 > 1e-13 * np.diag(S)).all())
+    L, info = dpotrf(S, lower=1)
+    return info == 0 and bool((np.diag(L) ** 2 > 1e-13 * np.diag(S)).all())
 
 
 def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
@@ -263,12 +265,22 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     Infeasible
         If no point satisfies the constraints within tolerance.
     NotPositiveDefinite
-        If the quadratic term fails its Cholesky factorization.
+        If the quadratic term fails its Cholesky factorization, or its LU
+        factorization meets an exact zero pivot (``Q`` singular).
     MaxIterations
         If the working-set loop exceeds its budget.
 
     Notes
     -----
+    ``Q`` is factored twice, each time by one direct LAPACK call: a
+    Cholesky factorization (``dpotrf``) that only tests definiteness, and
+    one LU factorization (``dgesv``) that gives ``w0`` and is kept.  Every
+    ``Q^{-1} a_i`` below is a solve with that LU (``dgetrs``), made only
+    when it is read: for the rows of ``V`` when it has two or more, and for
+    all rows when the loop runs.  A free solve or an accepted one-row start
+    makes none.  The KKT systems are solved by ``dgesv`` too, so a solve
+    that meets no singular system calls nothing from :mod:`numpy.linalg`.
+
     The start: let ``V`` be the rows that the unconstrained minimizer
     ``w0 = Q^{-1}(-c)`` violates by more than ``1e-11 * scale``.  When
     ``|V| <= dim``, ``|V| + 1 <= max_iter`` and the rows of ``V`` pass the
@@ -320,12 +332,13 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     if max_iter is None:
         max_iter = 50 * (m + 2)
 
-    w = np.linalg.solve(Q, -c)
+    lu, piv, w, info = dgesv(Q, -c)  # lu, piv also give every Q^-1 a_i
+    if info:
+        raise NotPositiveDefinite("quadratic term is singular to working precision")
     tol = 1e-11 * scale
     start = np.flatnonzero(M @ w > r + tol).tolist()  # the violated rows
     if not start:
         return _finish(qp, w, np.zeros(m), (), 1, False)
-    Qinv_Mt = np.linalg.solve(Q, M.T)  # column i is Q^-1 a_i
     lam = np.zeros(m)
     work: list[int] = []  # sorted
     # first try the violated rows as the working set: adding them without a
@@ -333,13 +346,15 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     # passes the independence test unless it is zero, and then the KKT
     # solve below is singular, so the test runs only on two or more rows.
     if len(start) <= p and len(start) < max_iter and (
-            len(start) == 1 or _independent(M[start] @ Qinv_Mt[:, start])):
+            len(start) == 1
+            or _independent(M[start] @ dgetrs(lu, piv, M[start].T)[0])):
         ws, mult, singular = _equality_solve(qp, start)
         if not singular and (mult >= 0.0).all():
             if (M @ ws <= r + tol).all():
                 return _finish(qp, ws, mult, start, len(start) + 1, False)
             w, lam, work = ws, mult, start  # dual feasible: go on from it
 
+    Qinv_Mt = dgetrs(lu, piv, M.T)[0]  # column i is Q^-1 a_i
     curvature = np.einsum("ij,ji->i", M, Qinv_Mt)  # a' Q^-1 a
     add = None  # row being made active
     rank_flag = False

@@ -66,9 +66,9 @@ class SaddlePointState:
             raise ValueError("state contains non-finite entries")
         if (mu < 0.0).any():
             raise ValueError("multipliers must be nonnegative")
-        if self.alpha <= 0.0 or self.gamma <= 0.0:
+        if not (self.alpha > 0.0 and self.gamma > 0.0):  # NaN fails too
             raise ValueError("step sizes must be positive")
-        if self.rho < 0.0:
+        if not self.rho >= 0.0:
             raise ValueError("penalty weight must be nonnegative")
         object.__setattr__(self, "u", _read_only(u))
         object.__setattr__(self, "mu", _read_only(mu))

@@ -126,7 +126,7 @@ def limit_consistency(problem: ProblemSpec, u,
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one step size")
-    if any(a <= 0.0 for a in alphas):
+    if not all(a > 0.0 for a in alphas):  # NaN fails too
         raise ValueError("step sizes must be positive")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("step sizes must be strictly decreasing")

@@ -222,7 +222,11 @@ def test_constants_validation():
     good = dict(grad_lipschitz=1.0, output_lipschitz=[1.0],
                 multiplier_bound=1.0, metric_floor=1.0)
     for key, bad in (("grad_lipschitz", 0.0), ("multiplier_bound", -1.0),
-                     ("metric_floor", 0.0), ("output_lipschitz", [-1.0])):
+                     ("metric_floor", 0.0), ("output_lipschitz", [-1.0]),
+                     ("grad_lipschitz", np.nan), ("grad_lipschitz", np.inf),
+                     ("multiplier_bound", np.nan), ("multiplier_bound", np.inf),
+                     ("metric_floor", np.nan), ("metric_floor", np.inf),
+                     ("output_lipschitz", [np.nan]), ("output_lipschitz", [np.inf])):
         kwargs = dict(good)
         kwargs[key] = bad
         with pytest.raises(ValueError):

@@ -86,6 +86,12 @@ def test_config_validation():
         make_config(scheme="saddle", gamma=0.5)  # rho missing
     with pytest.raises(ValueError):
         make_config(u0=np.array([np.nan, 0.0]))
+    # a NaN fails every comparison, so it must not pass as positive
+    for overrides in (dict(alpha=np.nan), dict(stationarity_tol=np.nan),
+                      dict(scheme="saddle", gamma=np.nan, rho=1.0),
+                      dict(scheme="saddle", gamma=0.5, rho=np.nan)):
+        with pytest.raises(ValueError):
+            make_config(**overrides)
 
 
 def test_config_u0_stored_read_only():

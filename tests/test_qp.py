@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dgesv
 
 import fbopt.qp as qp_module
 from fbopt import (
@@ -153,6 +154,12 @@ def test_indefinite_raises():
         solve_qp(qp)
     with pytest.raises(NotPositiveDefinite):
         enumerate_oracle(qp)
+    # singular: the Cholesky test may pass on roundoff (L_22 ~ 1e-8), but
+    # the LU of Q meets an exact zero pivot
+    singular = QpProblem(Q=[[2.0, 1.0], [1.0, 0.5]], c=[1.0, 0.0],
+                         M=np.zeros((0, 2)), r=np.zeros(0))
+    with pytest.raises(NotPositiveDefinite):
+        solve_qp(singular)
 
 
 def test_iteration_budget_enforced():
@@ -302,13 +309,14 @@ def test_rank_check_agrees_with_full_check_on_degenerate_qps():
         assert sum(issubclass(w.category, RankDeficientActiveSet) for w in caught) == full
         outside += not set(act.tolist()) <= set(sol.active)
         deficient += full
-        # w and multipliers come from one KKT solve on the sorted working set
+        # w and multipliers come from one KKT solve on the sorted working
+        # set, by the LAPACK routine the solver calls
         work, p = list(sol.active), qp.dim
         kkt = np.zeros((p + len(work), p + len(work)))
         kkt[:p, :p] = qp.Q
         kkt[:p, p:] = qp.M[work].T
         kkt[p:, :p] = qp.M[work]
-        ref = np.linalg.solve(kkt, np.concatenate([-qp.c, qp.r[work]]))
+        ref = dgesv(kkt, np.concatenate([-qp.c, qp.r[work]]))[2]
         mult = np.zeros(qp.num_constraints)
         mult[work] = ref[p:]
         assert np.array_equal(sol.w, ref[:p])
@@ -490,3 +498,46 @@ def test_started_solve_counts_its_iterations_against_the_budget(monkeypatch):
             with pytest.raises(MaxIterations):
                 solve_qp(qp, max_iter=len(start))
     assert started >= 5
+
+
+def test_solve_calls_lapack_directly_and_factors_q_once(monkeypatch):
+    counts = dict.fromkeys(("dpotrf", "dgesv", "dgetrs"), 0)
+
+    def spy(name):
+        routine = getattr(qp_module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return routine(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(qp_module, name, spy(name))
+
+    def calls(qp):
+        counts.update(dict.fromkeys(counts, 0))
+        solve_qp(qp)
+        return tuple(counts.values())  # dpotrf, dgesv, dgetrs
+
+    # free: the definiteness test and the unconstrained step
+    assert calls(QpProblem(Q=np.eye(2), c=[-0.5, 0.0], M=np.eye(2),
+                           r=[1.0, 1.0])) == (1, 1, 0)
+    # an accepted one-row start: one more dgesv, its KKT solve
+    assert calls(bound_problem()) == (1, 2, 0)
+    # an accepted two-row start: Q^-1 M_V' and its Cholesky for the test
+    assert calls(QpProblem(Q=np.eye(2), c=[-3.0, -3.0], M=np.eye(2),
+                           r=[1.0, 1.0])) == (2, 2, 1)
+    # a continued one-row start: Q^-1 M' once, for the loop
+    assert calls(QpProblem(Q=np.eye(2), c=[-3.0, 0.0],
+                           M=[[1.0, 0.0], [-1.0, 1.0]], r=[1.0, -1.5])) == (1, 4, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called by a non-degenerate solve")
+
+    for name in ("solve", "cholesky", "lstsq", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(53)
+    for make in (random_qp,) * 100 + (constrained_qp,) * 20:
+        qp = make(rng)
+        sol = solve_qp(qp)
+        assert kkt_residual(qp, sol.w, sol.multipliers) <= 1e-8 * qp.scale

@@ -122,7 +122,8 @@ def test_projection_nonexpansive():
 def test_state_validation():
     good = dict(u=np.zeros(2), mu=np.zeros(2), alpha=0.01, gamma=0.5, rho=1.0)
     for key, bad in (("mu", np.array([-0.1, 0.0])), ("alpha", 0.0),
-                     ("gamma", -1.0), ("rho", -0.5)):
+                     ("gamma", -1.0), ("rho", -0.5), ("alpha", np.nan),
+                     ("gamma", np.nan), ("rho", np.nan)):
         kwargs = dict(good)
         kwargs[key] = bad
         with pytest.raises(ValueError):

@@ -188,6 +188,8 @@ def test_limit_consistency_validates_ladder():
         limit_consistency(prob, [0.0, 0.0], [])
     with pytest.raises(ValueError):
         limit_consistency(prob, [0.0, 0.0], [0.1, -0.01])
+    with pytest.raises(ValueError, match="positive"):
+        limit_consistency(prob, [0.0, 0.0], [np.nan])
     with pytest.raises(ValueError):
         limit_consistency(prob, [0.0, 0.0], [0.01, 0.1])
 
