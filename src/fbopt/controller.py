@@ -13,6 +13,7 @@ fixed point of the update, ``(u, nu, mu)`` is a KKT triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,24 @@ class LicqReport:
     singular_values: Array
 
 
+def _check_alpha(alpha: float) -> None:
+    if not alpha > 0.0:  # NaN fails too
+        raise ValueError("alpha must be positive")
+
+
+def _projection_qp(problem: ProblemSpec, u: Array, y: Array, alpha: float,
+                   G: Array) -> QpProblem:
+    """The step QP from a checked ``alpha``, ``u`` and ``y`` and the float
+    array ``G``.  The sensitivity and the gradient are checked as they are
+    evaluated; the QP, of which only ``G`` is new data, is checked once by
+    ``QpProblem._adopt`` and not copied."""
+    J = eval_plant_jacobian(problem.plant, u)
+    g = reduced_gradient(problem, u, y, J)
+    rows, slack = linearized_constraints(problem, u, y, J)
+    return QpProblem._adopt(alpha * G, alpha * g, alpha * rows, slack,
+                            "alpha * metric G(u)")
+
+
 def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
                            G) -> QpProblem:
     """Build the per-step projection QP at ``(u, y)`` with metric ``G = G(u)``.
@@ -97,31 +116,22 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
         alpha * C J(u) w   <= d - C y
 
     The first ``input_set.num_rows`` rows always belong to the input set,
-    which is how multipliers are split back into ``(nu, mu)``.  This is
-    where a controller step checks ``u`` and ``y``.
+    which is how multipliers are split back into ``(nu, mu)``.  ``alpha``,
+    ``u`` and ``y`` are checked here, in that order; ``G`` must be a
+    symmetric ``(p, p)`` matrix, and ``G``, the sensitivity and the
+    gradient must be finite, as must the QP after scaling by ``alpha``
+    (each raises ``ValueError``).  The QP is checked once, as it is built.
     """
-    if not alpha > 0.0:  # NaN fails too
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
-    J = eval_plant_jacobian(problem.plant, u)
-    g = reduced_gradient(problem, u, y, J)
-    rows, slack = linearized_constraints(problem, u, y, J)
-    return QpProblem(Q=alpha * np.asarray(G, dtype=float), c=alpha * g,
-                     M=alpha * rows, r=slack)
+    return _projection_qp(problem, u, y, alpha, np.asarray(G, dtype=float))
 
 
-def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
-    """Compute the projected direction and the next input from a measurement.
-
-    Raises :class:`LinearizedSetEmpty` if the linearized constraints admit
-    no direction at all.  ``u`` is checked before the metric sees it; ``y``
-    is checked by :func:`assemble_projection_qp`.
-    """
-    u = _vector(u, problem.input_dim, "u")
-    y = np.asarray(y, dtype=float).reshape(-1)
+def _step(problem: ProblemSpec, u: Array, y: Array, alpha: float) -> ControllerStep:
+    """The step from a checked ``alpha``, ``u`` and ``y``."""
     G = np.asarray(problem.metric.eval(u), dtype=float)
-    qp = assemble_projection_qp(problem, u, y, alpha, G)
+    qp = _projection_qp(problem, u, y, alpha, G)
     try:
         sol = solve_qp(qp)
     except Infeasible as exc:
@@ -129,21 +139,39 @@ def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
             f"linearized constraint set is empty at u={u.tolist()}") from exc
     q = problem.input_set.num_rows
     w = sol.w
-    sigma_norm = float(np.sqrt(max(w @ G @ w, 0.0)))
+    sigma_norm = math.sqrt(max(w @ G @ w, 0.0))
     return ControllerStep(u=u, y=y, alpha=float(alpha), w=w,
                           nu=sol.multipliers[:q], mu=sol.multipliers[q:],
                           u_next=u + alpha * w, sigma_norm_G=sigma_norm)
+
+
+def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
+    """Compute the projected direction and the next input from a measurement.
+
+    Raises :class:`LinearizedSetEmpty` if the linearized constraints admit
+    no direction at all.  ``alpha``, ``u`` and ``y`` are checked once each,
+    in that order, so the metric never sees an unchecked ``u``; the step QP
+    is checked as :func:`assemble_projection_qp` builds it.
+    """
+    _check_alpha(alpha)
+    u = _vector(u, problem.input_dim, "u")
+    y = _vector(y, problem.output_dim, "y")
+    return _step(problem, u, y, alpha)
 
 
 def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
     """Measure the plant at ``u`` and advance one controller step.
 
     ``u`` must lie in the input set (outputs may be violated during
-    transients; inputs may not)."""
+    transients; inputs may not).  ``alpha`` is checked first, so a bad step
+    size costs no measurement; ``u`` is checked by the input set's
+    membership test and by :func:`~fbopt.model.eval_plant`, which also
+    checks ``y``.  The rest is :func:`controller_step`'s."""
+    _check_alpha(alpha)
     if not problem.input_set.membership(u, tol=DEFAULT_ACTIVE_TOL):
         raise ValueError("current input lies outside the input set")
     y = eval_plant(problem.plant, u)
-    return controller_step(problem, u, y, alpha)
+    return _step(problem, np.asarray(u, dtype=float).reshape(-1), y, alpha)
 
 
 def check_licq(problem: ProblemSpec, u, y, alpha: float, w) -> LicqReport:

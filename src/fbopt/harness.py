@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,8 +98,10 @@ class ScenarioConfig:
         # written "not x > 0" so that a NaN fails the check too
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        # range() takes integers only; bool is one, but never a budget
+        if isinstance(self.max_iters, bool) \
+                or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
+            raise ValueError("max_iters must be an integer >= 0")
         if not self.stationarity_tol > 0.0:
             raise ValueError("stationarity_tol must be positive")
         has_saddle = self.gamma is not None or self.rho is not None

@@ -47,8 +47,6 @@ from scipy.optimize import linprog  # noqa: F401 -- unused; perfbench/tracer.py 
 # `import fbopt` slower
 from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
 
-from .model import _read_only
-
 __all__ = [
     "Infeasible",
     "NotPositiveDefinite",
@@ -77,8 +75,8 @@ class Infeasible(RuntimeError):
 
 
 class NotPositiveDefinite(RuntimeError):
-    """The quadratic term failed its Cholesky factorization, or its LU
-    factorization met an exact zero pivot."""
+    """The quadratic term failed its Cholesky factorization, or an LU
+    factorization of it met an exact zero pivot."""
 
 
 class MaxIterations(RuntimeError):
@@ -94,8 +92,12 @@ class QpProblem:
     """Data of one strictly convex inequality-constrained QP.
 
     ``M`` may have zero rows (unconstrained problem).  All entries must be
-    finite and ``Q`` symmetric to within 1e-12; positive definiteness is
-    checked lazily by the solvers through factorization.
+    finite and ``Q`` symmetric to within ``1e-12 * max(1, max|Q|)``;
+    positive definiteness is checked lazily by the solvers through
+    factorization.  The constructor converts, checks and copies every
+    array, so the caller may go on changing its own.  The controller's step
+    builds its QP through ``QpProblem._adopt`` instead, which keeps the
+    arrays it has just made and checks only what is not checked yet.
     """
 
     Q: Array
@@ -105,35 +107,51 @@ class QpProblem:
     scale: float = field(init=False)  # 1 + ||c|| + ||r||, for tolerances
 
     def __post_init__(self):
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        c = np.asarray(self.c, dtype=float).reshape(-1)
+        Q = np.atleast_2d(np.array(self.Q, dtype=float))
+        c = np.array(self.c, dtype=float).reshape(-1)
         p = c.size
-        if Q.shape != (p, p):
-            raise ValueError(f"Q must be ({p}, {p}), got {Q.shape}")
-        asym = np.abs(Q - Q.T).max() if p else 0.0
-        qmax = float(np.abs(Q).max())
-        if asym > 1e-12 * max(1.0, qmax):
-            raise ValueError(f"Q must be symmetric (asymmetry {asym:.3e})")
-        M = np.asarray(self.M, dtype=float)
+        M = np.array(self.M, dtype=float)
         if M.size == 0:
             M = M.reshape(0, p)
         M = np.atleast_2d(M)
         if M.shape[1] != p:
             raise ValueError(f"M must have {p} columns, got {M.shape[1]}")
         raw = self.r if self.r is not None else np.zeros(0)
-        r = np.asarray(raw, dtype=float).reshape(-1)
+        r = np.array(raw, dtype=float).reshape(-1)
         if r.size != M.shape[0]:
             raise ValueError(f"r must have length {M.shape[0]}, got {r.size}")
-        scale = 1.0 + float(np.linalg.norm(c)) + float(np.linalg.norm(r))
+        self._store(Q, c, M, r, "Q")
+
+    @classmethod
+    def _adopt(cls, Q: Array, c: Array, M: Array, r: Array, q_name: str) -> "QpProblem":
+        """The QP of float arrays that the caller has just created and
+        keeps no other use of: they are marked read-only in place, not
+        copied.  ``c`` must be a vector and ``M`` and ``r`` must match it;
+        ``Q``'s shape and symmetry and every entry's finiteness are checked
+        as by the constructor, with ``q_name`` naming ``Q`` in the errors."""
+        qp = object.__new__(cls)
+        qp._store(Q, c, M, r, q_name)
+        return qp
+
+    def _store(self, Q: Array, c: Array, M: Array, r: Array, q_name: str) -> None:
+        """Check ``Q`` against ``c`` and every entry for finiteness, then
+        keep the four arrays, read-only, and their ``scale``."""
+        p = c.size
+        if Q.shape != (p, p):
+            raise ValueError(f"{q_name} must be ({p}, {p}), got {Q.shape}")
+        qmax = float(np.abs(Q).max())
+        asym = np.abs(Q - Q.T).max()
+        if asym > 1e-12 * max(1.0, qmax):
+            raise ValueError(f"{q_name} must be symmetric (asymmetry {asym:.3e})")
+        scale = 1.0 + math.sqrt(c.dot(c)) + math.sqrt(r.dot(r))  # np.linalg.norm's bits
         # a sum is finite only if every term is; the loop names the array
         if not math.isfinite(qmax + scale + M.sum()):
-            for name, a in (("Q", Q), ("c", c), ("M", M), ("r", r)):
+            for name, a in ((q_name, Q), ("c", c), ("M", M), ("r", r)):
                 if not np.isfinite(a).all():
                     raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "Q", _read_only(Q))
-        object.__setattr__(self, "c", _read_only(c))
-        object.__setattr__(self, "M", _read_only(M))
-        object.__setattr__(self, "r", _read_only(r))
+        for name, a in (("Q", Q), ("c", c), ("M", M), ("r", r)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "scale", scale)
 
     @property
@@ -190,12 +208,14 @@ def _check_spd(Q: Array) -> None:
         raise NotPositiveDefinite("quadratic term is not positive definite")
 
 
-def _finish(qp: QpProblem, w: Array, mult: Array, work, iterations: int,
+def _finish(qp: QpProblem, w: Array, Mw: Array, mult: Array, work, iterations: int,
             rank_flag: bool) -> QpSolution:
+    """The solution ``w`` with ``Mw = M @ w``, which the caller has already
+    formed to test feasibility."""
     # ``work`` holds independent rows, so only active rows outside it can
     # make the active set rank-deficient
     if qp.num_constraints:
-        act = np.flatnonzero(np.abs(qp.M @ w - qp.r) <= 1e-9 * qp.scale)
+        act = np.flatnonzero(np.abs(Mw - qp.r) <= 1e-9 * qp.scale)
         if not set(act.tolist()).issubset(work) \
                 and np.linalg.matrix_rank(qp.M[act]) < act.size:
             rank_flag = True
@@ -336,9 +356,10 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     if info:
         raise NotPositiveDefinite("quadratic term is singular to working precision")
     tol = 1e-11 * scale
-    start = np.flatnonzero(M @ w > r + tol).tolist()  # the violated rows
+    Mw = M @ w
+    start = np.flatnonzero(Mw > r + tol).tolist()  # the violated rows
     if not start:
-        return _finish(qp, w, np.zeros(m), (), 1, False)
+        return _finish(qp, w, Mw, np.zeros(m), (), 1, False)
     lam = np.zeros(m)
     work: list[int] = []  # sorted
     # first try the violated rows as the working set: adding them without a
@@ -350,8 +371,9 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
             or _independent(M[start] @ dgetrs(lu, piv, M[start].T)[0])):
         ws, mult, singular = _equality_solve(qp, start)
         if not singular and (mult >= 0.0).all():
-            if (M @ ws <= r + tol).all():
-                return _finish(qp, ws, mult, start, len(start) + 1, False)
+            Mws = M @ ws
+            if (Mws <= r + tol).all():
+                return _finish(qp, ws, Mws, mult, start, len(start) + 1, False)
             w, lam, work = ws, mult, start  # dual feasible: go on from it
 
     Qinv_Mt = dgetrs(lu, piv, M.T)[0]  # column i is Q^-1 a_i
@@ -366,7 +388,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
             add = int(np.argmax(viol))  # lowest index on ties
             if viol[add] <= tol:
                 w, mult, singular = _equality_solve(qp, work)
-                return _finish(qp, w, mult, work, it, rank_flag or singular)
+                return _finish(qp, w, M @ w, mult, work, it, rank_flag or singular)
 
         a = M[add]
         sol, singular = _kkt_solve(Q, M[work], a, np.zeros(len(work)))
@@ -406,7 +428,10 @@ def enumerate_oracle(qp: QpProblem) -> QpSolution:
     size, then lexicographic order) that is primal feasible with
     nonnegative multipliers is returned.  Intended as an independent
     ground-truth oracle for small instances, not for production use: raises
-    ``ValueError`` above ``ORACLE_MAX_CONSTRAINTS`` rows.
+    ``ValueError`` above ``ORACLE_MAX_CONSTRAINTS`` rows.  Like
+    :func:`solve_qp`, it raises :class:`NotPositiveDefinite` when ``Q``
+    fails its Cholesky test or is singular, which the candidate with no
+    rows (``Q w = -c``) finds.
     """
     p, m = qp.dim, qp.num_constraints
     if m > ORACLE_MAX_CONSTRAINTS:
@@ -433,13 +458,17 @@ def enumerate_oracle(qp: QpProblem) -> QpSolution:
             try:
                 sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
+                if not size:  # the candidate with no rows solves Q w = -c
+                    raise NotPositiveDefinite(
+                        "quadratic term is singular to working precision") from None
                 continue
             w, lam = sol[:p], sol[p:]
             if size and np.any(lam < -DUAL_TOL):
                 continue
-            if m and np.any(M @ w > r + 1e-9 * scale):
+            Mw = M @ w
+            if m and np.any(Mw > r + 1e-9 * scale):
                 continue
             mult = np.zeros(m)
             mult[idx] = lam
-            return _finish(qp, w, mult, subset, tried, False)
+            return _finish(qp, w, Mw, mult, subset, tried, False)
     raise Infeasible("no candidate active set is primal and dual feasible")

@@ -1,16 +1,21 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fbopt.controller as controller_module
+import fbopt.model as model_module
 from fbopt import (
     LinearizedSetEmpty,
     MetricField,
+    NotPositiveDefinite,
     ObjectiveSpec,
     PlantModel,
     Polyhedron,
     ProblemSpec,
+    QpProblem,
     assemble_projection_qp,
     builtin_example,
     check_licq,
@@ -19,7 +24,11 @@ from fbopt import (
     eval_plant,
     eval_plant_jacobian,
     feedback_step,
+    get_problem,
     kkt_point_residual,
+    linearized_constraints,
+    reduced_gradient,
+    solve_qp,
 )
 
 OPTIMUM = np.array([-0.5, 1.0])
@@ -193,6 +202,113 @@ def test_step_checks_input_before_metric_reads_it():
     y = eval_plant(prob.plant, np.zeros(2))
     with pytest.raises(ValueError, match="u must have length 2"):
         controller_step(prob, np.zeros(1), y, 0.01)
+
+
+def warped_cubic2d():
+    """cubic2d under a constant, non-identity metric."""
+    return dataclasses.replace(builtin_example(), metric=MetricField.constant(
+        [[2.0, 0.6], [0.6, 0.5]]))
+
+
+@pytest.mark.parametrize("make", [builtin_example, lambda: get_problem("quad1d"),
+                                  warped_cubic2d],
+                         ids=["cubic2d", "quad1d", "cubic2d_warped"])
+def test_step_equals_solve_of_publicly_built_qp(make):
+    # the step builds its QP without the public constructor; the bits of
+    # the direction and the multipliers must not depend on that
+    prob = make()
+    rng = np.random.default_rng(31)
+    for alpha in (0.01, 0.3):
+        for _ in range(15):
+            u = random_feasible_input(prob, rng)
+            y = eval_plant(prob.plant, u)
+            J = eval_plant_jacobian(prob.plant, u)
+            rows, slack = linearized_constraints(prob, u, y, J)
+            ref = solve_qp(QpProblem(Q=alpha * prob.metric.eval(u),
+                                     c=alpha * reduced_gradient(prob, u, y, J),
+                                     M=alpha * rows, r=slack))
+            st = controller_step(prob, u, y, alpha)
+            assert np.array_equal(st.w, ref.w)
+            assert np.array_equal(np.concatenate([st.nu, st.mu]), ref.multipliers)
+            assert np.array_equal(feedback_step(prob, u, alpha).w, ref.w)
+
+
+def test_step_checks_each_value_once(monkeypatch):
+    checked = []
+    post_inits = []
+    vector, post_init = model_module._vector, QpProblem.__post_init__
+
+    def counted_vector(x, dim, name):
+        checked.append(name)
+        return vector(x, dim, name)
+
+    def counted_post_init(self):
+        post_inits.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(model_module, "_vector", counted_vector)
+    monkeypatch.setattr(controller_module, "_vector", counted_vector)
+    monkeypatch.setattr(QpProblem, "__post_init__", counted_post_init)
+    prob = builtin_example()
+    u = np.array([0.3, -0.2])
+    feedback_step(prob, u, 0.01)
+    # u: by the input set's membership test and by eval_plant
+    assert checked == ["x", "u"]
+    assert post_inits == []
+    y = eval_plant(prob.plant, u)
+    checked.clear()
+    controller_step(prob, u, y, 0.01)
+    assert checked == ["u", "y"]
+    assert post_inits == []
+    QpProblem(Q=np.eye(1), c=[0.0], M=[[1.0]], r=[1.0])  # the spy works
+    assert len(post_inits) == 1
+
+
+# a user metric's bad G(u), and the start of the error that names it
+BAD_METRICS = [
+    (lambda u: np.array([[1.0, 0.5], [0.0, 1.0]]), "must be symmetric"),
+    (lambda u: np.array([[1.0, 0.0], [0.0, np.nan]]), "must be finite"),
+    (lambda u: np.eye(3), "must be (2, 2), got (3, 3)"),
+    (lambda u: np.ones(2), "must be (2, 2), got (2,)"),
+]
+
+
+@pytest.mark.parametrize("metric, message", BAD_METRICS,
+                         ids=["asymmetric", "non_finite", "too_large", "vector"])
+def test_bad_metric_is_named_by_every_entry(metric, message):
+    message = re.escape(f"alpha * metric G(u) {message}")
+    prob = dataclasses.replace(builtin_example(), metric=MetricField(eval=metric))
+    u = np.array([0.3, -0.2])
+    y = eval_plant(prob.plant, u)
+    with pytest.raises(ValueError, match=message):
+        feedback_step(prob, u, 0.01)
+    with pytest.raises(ValueError, match=message):
+        controller_step(prob, u, y, 0.01)
+    with pytest.raises(ValueError, match=message):
+        assemble_projection_qp(prob, u, y, 0.01, metric(u))
+
+
+def test_indefinite_metric_raises():
+    prob = dataclasses.replace(builtin_example(),
+                               metric=MetricField.constant(np.diag([1.0, -1.0])))
+    with pytest.raises(NotPositiveDefinite):
+        feedback_step(prob, np.array([0.3, -0.2]), 0.01)
+
+
+def test_overflowing_step_size_raises():
+    # alpha * G overflows to inf (and its symmetry test meets inf - inf);
+    # the built QP must not take it
+    prob = dataclasses.replace(builtin_example(),
+                               metric=MetricField.constant(4.0 * np.eye(2)))
+    u = np.array([0.3, -0.2])
+    y = eval_plant(prob.plant, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="must be finite"):
+            feedback_step(prob, u, 1e308)
+        with pytest.raises(ValueError, match="must be finite"):
+            controller_step(prob, u, y, 1e308)
+        with pytest.raises(ValueError, match="must be finite"):
+            assemble_projection_qp(prob, u, y, 1e308, prob.metric.eval(u))
 
 
 def test_fixed_point_invariant_under_metric_change():

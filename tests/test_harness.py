@@ -76,8 +76,11 @@ def test_config_validation():
         make_config(scheme="newton")
     with pytest.raises(ValueError):
         make_config(alpha=0.0)
-    with pytest.raises(ValueError):
-        make_config(max_iters=-1)
+    # max_iters feeds range(): anything but an integer >= 0 is rejected
+    for max_iters in (-1, 2.5, np.nan, True):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
+            make_config(max_iters=max_iters)
+    assert make_config(max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ValueError):
         make_config(stationarity_tol=0.0)
     with pytest.raises(ValueError):
@@ -294,6 +297,14 @@ def test_feedback_step_measures_plant_once():
     plant = CountedCubic2d("counted.feedback_step")
     feedback_step(get_problem(plant.name), np.array([1.0, 1.0]), 0.01)
     assert plant.calls == {"eval": 1, "jacobian": 1}
+
+
+@pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0])
+def test_feedback_step_rejects_bad_alpha_before_measuring(alpha):
+    plant = CountedCubic2d(f"counted.bad_alpha.{alpha}")
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        feedback_step(get_problem(plant.name), np.zeros(2), alpha)
+    assert plant.calls == {"eval": 0, "jacobian": 0}
 
 
 def test_feedback_step_evaluates_metric_once():

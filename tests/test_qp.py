@@ -155,11 +155,14 @@ def test_indefinite_raises():
     with pytest.raises(NotPositiveDefinite):
         enumerate_oracle(qp)
     # singular: the Cholesky test may pass on roundoff (L_22 ~ 1e-8), but
-    # the LU of Q meets an exact zero pivot
-    singular = QpProblem(Q=[[2.0, 1.0], [1.0, 0.5]], c=[1.0, 0.0],
-                         M=np.zeros((0, 2)), r=np.zeros(0))
-    with pytest.raises(NotPositiveDefinite):
-        solve_qp(singular)
+    # the LU of Q meets an exact zero pivot; with or without rows, both
+    # routes must say so rather than report an infeasible problem
+    for M, r in ((np.zeros((0, 2)), np.zeros(0)), ([[1.0, 0.0]], [1.0])):
+        singular = QpProblem(Q=[[2.0, 1.0], [1.0, 0.5]], c=[1.0, 0.0], M=M, r=r)
+        with pytest.raises(NotPositiveDefinite):
+            solve_qp(singular)
+        with pytest.raises(NotPositiveDefinite):
+            enumerate_oracle(singular)
 
 
 def test_iteration_budget_enforced():
