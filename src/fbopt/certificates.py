@@ -26,10 +26,11 @@ from .model import (
     Polyhedron,
     ProblemSpec,
     _read_only,
+    _vector,
+    _violation,
     eval_plant,
     eval_plant_jacobian,
     reduced_gradient,
-    violation,
 )
 
 __all__ = [
@@ -140,12 +141,13 @@ def lyapunov_value(problem: ProblemSpec, penalty: float, u, y) -> float:
     the reduced cost plus the penalty term at that measurement.  Coincides
     with the reduced cost on the feasible set; non-increasing along
     closed-loop trajectories whenever the step size is below the certified
-    bound computed with the same penalty.
+    bound computed with the same penalty.  ``y`` is checked here, once (its
+    length and finiteness); ``u`` reaches the objective as a float vector.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _vector(y, problem.output_dim, "y")
     return (float(problem.objective.eval(u, y))
-            + penalty * float(np.sum(violation(problem.output_set, y))))
+            + penalty * float(_violation(problem.output_set, y).sum()))
 
 
 def _max_pair_slopes(points: Array, value_sets) -> list[float]:

@@ -87,8 +87,8 @@ class LicqReport:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not alpha > 0.0:  # NaN fails too
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:  # NaN fails too
+        raise ValueError("alpha must be positive and finite")
 
 
 def _projection_qp(problem: ProblemSpec, u: Array, y: Array, alpha: float,

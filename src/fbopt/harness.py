@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -24,8 +25,8 @@ import numpy as np
 from .certificates import CertificateConstants, SamplerSpec, lyapunov_value, \
     sample_input_set, transient_violation_bound
 from .controller import feedback_step
-from .model import ProblemSpec, _read_only, eval_plant, eval_plant_jacobian, \
-    reduced_cost, reduced_gradient, violation
+from .model import ProblemSpec, _read_only, _violation, eval_plant, \
+    eval_plant_jacobian, reduced_cost, reduced_gradient
 from .problems import get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
@@ -95,9 +96,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scheme not in ("projected", "saddle"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # written "not x > 0" so that a NaN fails the check too
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        # written "not 0 < x < inf" so that a NaN fails the check too
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         # range() takes integers only; bool is one, but never a budget
         if isinstance(self.max_iters, bool) \
                 or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
@@ -108,8 +109,9 @@ class ScenarioConfig:
         if self.scheme == "saddle":
             if self.gamma is None or self.rho is None:
                 raise ValueError("saddle scheme requires gamma and rho")
-            if not (self.gamma > 0.0 and self.rho >= 0.0):
-                raise ValueError("gamma must be positive and rho nonnegative")
+            if not (0.0 < self.gamma < math.inf and 0.0 <= self.rho < math.inf):
+                raise ValueError("gamma must be positive and rho nonnegative, "
+                                 "both finite")
         elif has_saddle:
             raise ValueError("gamma/rho are only valid for the saddle scheme")
         if not isinstance(self.u0, GridSpec):
@@ -231,7 +233,7 @@ class _Recorder:
         self.rows["y"].append(np.array(y, dtype=float))
         self.rows["V"].append(float(V))
         self.rows["residual"].append(float(residual))
-        self.rows["max_violation"].append(float(np.max(viol)) if np.size(viol) else 0.0)
+        self.rows["max_violation"].append(float(viol.max()) if viol.size else 0.0)
         self.rows["mu"].append(np.array(mu, dtype=float))
 
     def finish(self, status, violated, message):
@@ -254,7 +256,10 @@ def run_trajectory(config: ScenarioConfig,
 
     Each logged row costs one plant measurement: the step measures ``y``
     (and the sensitivity) at the row's input, and the same ``y`` fills the
-    row and its merit value and violation.
+    row and its merit value and violation.  The row adds no check of its
+    own: ``eval_plant`` (or ``feedback_step``) checks the input and the
+    measured ``y``, the step checks what it computes, and
+    :func:`lyapunov_value` checks ``y`` once more as a public function.
 
     The merit column uses the penalty from ``constants`` when given and 1.0
     otherwise.  When ``constants`` are given and the step size is below their
@@ -316,8 +321,10 @@ def run_trajectory(config: ScenarioConfig,
         def step(s):
             y = eval_plant(problem.plant, s.u)
             nxt = saddle_point_step(problem, s, y)
-            residual = (float(np.linalg.norm(nxt.u - s.u)) / config.alpha
-                        + float(np.linalg.norm(nxt.mu - s.mu)) / config.gamma)
+            du, dmu = nxt.u - s.u, nxt.mu - s.mu
+            # the bits of np.linalg.norm on a real vector
+            residual = (math.sqrt(du.dot(du)) / config.alpha
+                        + math.sqrt(dmu.dot(dmu)) / config.gamma)
             return nxt, y, residual, s.mu, None
 
     prev_V = prev_w = None
@@ -337,7 +344,7 @@ def run_trajectory(config: ScenarioConfig,
             y, V, viol = np.full(problem.output_dim, np.nan), np.nan, np.full(l, np.nan)
         else:
             V = lyapunov_value(problem, penalty, u, y)
-            viol = violation(problem.output_set, y)
+            viol = _violation(problem.output_set, y)  # y was checked as it was measured
         rec.add(k, u, y, V, residual, viol, mu)
         if certify and prev_w is not None:  # the step into this row
             bound = transient_violation_bound(constants.output_lipschitz,

@@ -82,7 +82,9 @@ class Polyhedron:
     Boxes are stored in the same row form; :meth:`box` builds the
     2p-row encoding (upper bounds first, then lower bounds) and remembers
     the bounds so that callers can use cheap clamping and sampling paths.
-    ``lower`` and ``upper`` are given together or not at all.
+    ``lower`` and ``upper`` are given together or not at all.  Every entry
+    of ``A``, ``b`` and the bounds must be finite (a row ``a x <= inf``
+    constrains nothing, so leave it out); the error names the bad rows.
     """
 
     A: Array
@@ -97,6 +99,10 @@ class Polyhedron:
             raise ValueError(f"row mismatch: A has {A.shape[0]} rows, b has {b.size}")
         if A.shape[0] == 0:
             raise ValueError("a polyhedron needs at least one row")
+        bad = ~(np.isfinite(A).all(axis=1) & np.isfinite(b))
+        if bad.any():
+            raise ValueError("rows with non-finite entries are not allowed "
+                             f"(rows {np.flatnonzero(bad)})")
         zero = ~np.any(A != 0.0, axis=1)
         if np.any(zero):
             raise ValueError(f"rows with zero norm are not allowed (rows {np.flatnonzero(zero)})")
@@ -109,6 +115,8 @@ class Polyhedron:
                 bound = _read_only(np.reshape(getattr(self, name), -1))
                 if bound.size != A.shape[1]:
                     raise ValueError(f"{name} must have length {A.shape[1]}, got {bound.size}")
+                if not np.isfinite(bound).all():
+                    raise ValueError(f"{name} must be finite")
                 object.__setattr__(self, name, bound)
 
     @classmethod
@@ -293,5 +301,9 @@ def linearized_constraints(problem: ProblemSpec, u, y, J) -> tuple[Array, Array]
 
 def violation(set_: Polyhedron, x) -> Array:
     """Componentwise constraint violations ``max(0, A x - b)``."""
-    x = _vector(x, set_.dim, "x")
+    return _violation(set_, _vector(x, set_.dim, "x"))
+
+
+def _violation(set_: Polyhedron, x: Array) -> Array:
+    """:func:`violation` at a float vector ``x`` that the caller has checked."""
     return np.maximum(set_.A @ x - set_.b, 0.0)

@@ -10,6 +10,7 @@ are directly comparable on a problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,11 @@ class SaddlePointState:
 
     ``u`` is the plant input, ``mu`` the output multipliers, ``alpha`` /
     ``gamma`` the primal / dual step sizes, and ``rho`` the quadratic
-    penalty weight of the augmented Lagrangian.
+    penalty weight of the augmented Lagrangian.  The constructor copies
+    ``u`` and ``mu`` into read-only float vectors and checks that both are
+    finite, that ``mu >= 0``, that ``0 < alpha, gamma < inf`` and that
+    ``0 <= rho < inf`` (each raises ``ValueError``).  Their lengths are
+    checked against a problem by :func:`saddle_point_step`.
     """
 
     u: Array
@@ -60,18 +65,37 @@ class SaddlePointState:
     rho: float
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).reshape(-1)
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        self._store(_read_only(np.reshape(self.u, -1)),
+                    _read_only(np.reshape(self.mu, -1)))
+        if (self.mu < 0.0).any():
+            raise ValueError("multipliers must be nonnegative")
+        # written "not 0 < x < inf" so that a NaN fails the check too
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError("step sizes must be positive and finite")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError("penalty weight must be nonnegative and finite")
+
+    @classmethod
+    def _adopt(cls, u: Array, mu: Array, alpha: float, gamma: float,
+               rho: float) -> "SaddlePointState":
+        """The state of float vectors ``u`` and ``mu >= 0`` that the caller
+        has just created and keeps no other use of, with the step sizes and
+        penalty weight of a checked state: only the finiteness of ``u`` and
+        ``mu`` is checked, as by the constructor, and they are marked
+        read-only in place, not copied."""
+        state = object.__new__(cls)
+        vars(state).update(alpha=alpha, gamma=gamma, rho=rho)
+        state._store(u, mu)
+        return state
+
+    def _store(self, u: Array, mu: Array) -> None:
+        """Check ``u`` and ``mu`` for finiteness, then keep them read-only."""
         if not (np.isfinite(u).all() and np.isfinite(mu).all()):
             raise ValueError("state contains non-finite entries")
-        if (mu < 0.0).any():
-            raise ValueError("multipliers must be nonnegative")
-        if not (self.alpha > 0.0 and self.gamma > 0.0):  # NaN fails too
-            raise ValueError("step sizes must be positive")
-        if not self.rho >= 0.0:
-            raise ValueError("penalty weight must be nonnegative")
-        object.__setattr__(self, "u", _read_only(u))
-        object.__setattr__(self, "mu", _read_only(mu))
+        u.setflags(write=False)
+        mu.setflags(write=False)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "mu", mu)
 
 
 def _residual(problem: ProblemSpec, y: Array) -> Array:
@@ -109,7 +133,11 @@ def saddle_point_step(problem: ProblemSpec, state: SaddlePointState,
     measurement and one sensitivity evaluation.  Projected gradient descent
     on ``u`` (Euclidean projection onto the input set), projected gradient
     ascent on ``mu`` (clipped at zero).  The state checked its entries when
-    it was built; this checks ``y`` and the state's lengths.
+    it was built; this checks the state's lengths and ``y``, and the
+    sensitivity and the gradient are checked as they are evaluated.  The
+    next state is built by ``SaddlePointState._adopt``: of its values only
+    the new ``u`` and ``mu`` are checked, for finiteness (an overflowing
+    step raises ``ValueError``), and they are not copied.
     """
     if (state.u.size, state.mu.size) != (problem.input_dim, problem.output_set.num_rows):
         raise ValueError(f"state has {state.u.size} inputs and {state.mu.size} "
@@ -120,5 +148,5 @@ def saddle_point_step(problem: ProblemSpec, state: SaddlePointState,
                                                      state.rho, y)
     u_next = project_polyhedron(problem.input_set, state.u - state.alpha * grad_u)
     mu_next = np.maximum(state.mu + state.gamma * grad_mu, 0.0)
-    return SaddlePointState(u=u_next, mu=mu_next, alpha=state.alpha,
-                            gamma=state.gamma, rho=state.rho)
+    return SaddlePointState._adopt(u_next, mu_next, state.alpha, state.gamma,
+                                   state.rho)

@@ -71,7 +71,7 @@ def test_assemble_rejects_bad_alpha():
     prob = builtin_example()
     u = np.zeros(2)
     y = eval_plant(prob.plant, u)
-    for alpha in (0.0, -0.1, np.nan):
+    for alpha in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha must be positive"):
             assemble_projection_qp(prob, u, y, alpha, prob.metric.eval(u))
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fbopt.certificates as certificates_module
+import fbopt.controller as controller_module
+import fbopt.model as model_module
+import fbopt.saddle as saddle_module
 from fbopt import (
     CertificateConstants,
     GridSpec,
@@ -13,20 +17,26 @@ from fbopt import (
     Polyhedron,
     ProblemSpec,
     RunStatus,
+    SaddlePointState,
     SamplerSpec,
     ScenarioConfig,
     TrajectoryLog,
+    augmented_lagrangian_gradients,
     builtin_example,
     estimate_constants,
+    eval_plant,
     feedback_step,
     finite_difference_check,
     get_problem,
     load_scenario,
+    lyapunov_value,
+    project_polyhedron,
     read_csv,
     register_problem,
     run_trajectory,
     sample_input_set,
     sweep,
+    violation,
     write_csv,
 )
 from fbopt.cli import main as cli_main
@@ -94,6 +104,13 @@ def test_config_validation():
                       dict(scheme="saddle", gamma=np.nan, rho=1.0),
                       dict(scheme="saddle", gamma=0.5, rho=np.nan)):
         with pytest.raises(ValueError):
+            make_config(**overrides)
+    # an infinite step size passed as positive: a saddle run with gamma=inf
+    # read a zero dual residual and ran silently to its budget
+    for overrides, message in ((dict(alpha=np.inf), "alpha must be positive and finite"),
+                               (dict(scheme="saddle", gamma=np.inf, rho=1.0), "gamma"),
+                               (dict(scheme="saddle", gamma=0.5, rho=np.inf), "rho")):
+        with pytest.raises(ValueError, match=message):
             make_config(**overrides)
 
 
@@ -299,7 +316,7 @@ def test_feedback_step_measures_plant_once():
     assert plant.calls == {"eval": 1, "jacobian": 1}
 
 
-@pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0, np.inf])
 def test_feedback_step_rejects_bad_alpha_before_measuring(alpha):
     plant = CountedCubic2d(f"counted.bad_alpha.{alpha}")
     with pytest.raises(ValueError, match="alpha must be positive"):
@@ -432,6 +449,93 @@ def test_transient_bound_breach_is_flagged():
         assert log.certificate_violated
         V = log.V
         assert np.all(V[1:] <= V[:-1] + 1e-12 * (1.0 + np.abs(V[:-1])))
+
+
+def hand_saddle_log(config):
+    """The saddle run of ``config`` rebuilt from the public functions: each
+    state through the public constructor, the residual by np.linalg.norm."""
+    prob = get_problem(config.problem_name)
+    s = SaddlePointState(u=config.u0, mu=np.zeros(prob.output_set.num_rows),
+                         alpha=config.alpha, gamma=config.gamma, rho=config.rho)
+    cols = {k: [] for k in ("u", "y", "V", "residual", "max_violation", "mu")}
+    for k in range(config.max_iters + 1):
+        y = eval_plant(prob.plant, s.u)
+        grad_u, grad_mu = augmented_lagrangian_gradients(prob, s.u, s.mu, s.rho, y)
+        nxt = SaddlePointState(
+            u=project_polyhedron(prob.input_set, s.u - s.alpha * grad_u),
+            mu=np.maximum(s.mu + s.gamma * grad_mu, 0.0),
+            alpha=s.alpha, gamma=s.gamma, rho=s.rho)
+        residual = (float(np.linalg.norm(nxt.u - s.u)) / s.alpha
+                    + float(np.linalg.norm(nxt.mu - s.mu)) / s.gamma)
+        for key, value in (("u", s.u), ("y", y), ("V", lyapunov_value(prob, 1.0, s.u, y)),
+                           ("residual", residual),
+                           ("max_violation", np.max(violation(prob.output_set, y))),
+                           ("mu", s.mu)):
+            cols[key].append(value)
+        if residual <= config.stationarity_tol:
+            return cols, RunStatus.CONVERGED
+        s = nxt
+    return cols, RunStatus.ITER_BUDGET
+
+
+@pytest.mark.parametrize("gamma", [0.5, 5.0])
+@pytest.mark.parametrize("u0", [(0.0, 0.0), (0.5, 0.5), (-0.8, 0.9)])
+def test_saddle_run_equals_hand_loop_of_public_calls(gamma, u0):
+    config = make_config(scheme="saddle", gamma=gamma, rho=1.0, u0=np.array(u0),
+                         max_iters=1000, stationarity_tol=1e-6)
+    log = run_trajectory(config)
+    cols, status = hand_saddle_log(config)
+    assert log.status is status
+    assert np.array_equal(log.iters, np.arange(len(cols["u"])))
+    for key, column in cols.items():
+        assert np.array_equal(getattr(log, key), np.array(column)), key
+
+
+def test_certified_run_merit_and_violation_columns_equal_public_calls():
+    prob = builtin_example()
+    constants = estimate_constants(prob, 0.01)
+    log = run_trajectory(make_config(alpha=0.9 * constants.step_size_bound,
+                                     u0=np.array([-0.75, -0.5]),
+                                     stationarity_tol=1e-6), constants)
+    assert log.status is RunStatus.CONVERGED and log.max_violation.max() > 0.0
+    for k in range(log.num_rows):
+        y = eval_plant(prob.plant, log.u[k])
+        assert np.array_equal(log.y[k], y)
+        assert log.V[k] == lyapunov_value(prob, constants.multiplier_bound, log.u[k], y)
+        assert log.max_violation[k] == np.max(violation(prob.output_set, y))
+
+
+def spy_vector_names(monkeypatch):
+    """Record the name of every ``_vector`` check, in every module using it."""
+    names = []
+    vector = model_module._vector
+
+    def counted(x, dim, name):
+        names.append(name)
+        return vector(x, dim, name)
+
+    for module in (model_module, saddle_module, certificates_module, controller_module):
+        monkeypatch.setattr(module, "_vector", counted)
+    return names
+
+
+def test_saddle_row_checks_each_value_once(monkeypatch):
+    names = spy_vector_names(monkeypatch)
+    log = run_trajectory(make_config(scheme="saddle", gamma=0.5, rho=1.0,
+                                     max_iters=20))
+    assert log.num_rows == 21
+    # the start's membership test, then per row: u by eval_plant, y by
+    # saddle_point_step and y by lyapunov_value; the harness adds no check
+    assert names == ["x"] + ["u", "y", "y"] * log.num_rows
+
+
+def test_projected_row_adds_no_check_of_y(monkeypatch):
+    names = spy_vector_names(monkeypatch)
+    log = run_trajectory(make_config(max_iters=20))
+    assert log.num_rows == 21
+    # the start's membership test, then per row: feedback_step's membership
+    # test and eval_plant's check of u, and lyapunov_value's check of y
+    assert names == ["x"] + ["x", "u", "y"] * log.num_rows
 
 
 # ------------------------------------------------------------------ sweeps

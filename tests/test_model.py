@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -155,6 +157,24 @@ def test_general_polyhedron_bounding_box():
 def test_zero_row_rejected():
     with pytest.raises(ValueError):
         Polyhedron(A=np.array([[1.0, 0.0], [0.0, 0.0]]), b=np.array([1.0, 1.0]))
+
+
+def test_non_finite_rows_rejected_by_name():
+    # a NaN or an infinite bound used to pass here and fail every controller
+    # step later with "r must be finite", naming neither the set nor the row
+    for make, rows in (
+            (lambda: Polyhedron(A=[[1.0, np.nan]], b=[1.0]), "[0]"),
+            (lambda: Polyhedron(A=[[1.0, 0.0], [0.0, 1.0]], b=[1.0, np.nan]), "[1]"),
+            (lambda: Polyhedron(A=[[1.0], [-1.0]], b=[-np.inf, np.nan]), "[0 1]"),
+            (lambda: Polyhedron.box([-0.5], [np.inf]), "[0]"),
+            (lambda: Polyhedron.box([np.nan], [1.0]), "[1]")):  # passes lo <= hi
+        with pytest.raises(ValueError, match=f"non-finite entries .*rows {re.escape(rows)}"):
+            make()
+    box = Polyhedron.box([-1.0], [1.0])
+    for bound in ("lower", "upper"):
+        with pytest.raises(ValueError, match=f"{bound} must be finite"):
+            Polyhedron(box.A, box.b, **{"lower": box.lower, "upper": box.upper,
+                                        bound: [np.nan]})
 
 
 def test_box_bounds_must_come_together_with_set_dimension():

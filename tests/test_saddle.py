@@ -3,12 +3,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fbopt import (
+    MetricField,
+    ObjectiveSpec,
+    PlantModel,
     Polyhedron,
+    ProblemSpec,
+    RunStatus,
     SaddlePointState,
+    ScenarioConfig,
     augmented_lagrangian_gradients,
     builtin_example,
     eval_plant,
     project_polyhedron,
+    register_problem,
+    run_trajectory,
     saddle_point_step,
 )
 
@@ -123,7 +131,8 @@ def test_state_validation():
     good = dict(u=np.zeros(2), mu=np.zeros(2), alpha=0.01, gamma=0.5, rho=1.0)
     for key, bad in (("mu", np.array([-0.1, 0.0])), ("alpha", 0.0),
                      ("gamma", -1.0), ("rho", -0.5), ("alpha", np.nan),
-                     ("gamma", np.nan), ("rho", np.nan)):
+                     ("gamma", np.nan), ("rho", np.nan), ("alpha", np.inf),
+                     ("gamma", np.inf), ("rho", np.inf)):
         kwargs = dict(good)
         kwargs[key] = bad
         with pytest.raises(ValueError):
@@ -152,3 +161,67 @@ def test_step_rejects_multipliers_of_wrong_length():
         state = SaddlePointState(u=np.zeros(2), mu=mu, alpha=0.01, gamma=0.5, rho=1.0)
         with pytest.raises(ValueError, match="multipliers"):
             saddle_point_step(prob, state, y)
+
+
+def test_step_builds_next_state_without_the_constructor(monkeypatch):
+    post_inits = []
+    post_init = SaddlePointState.__post_init__
+
+    def counted_post_init(self):
+        post_inits.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SaddlePointState, "__post_init__", counted_post_init)
+    prob = builtin_example()
+    state = SaddlePointState(u=np.zeros(2), mu=np.zeros(2),
+                             alpha=0.01, gamma=0.5, rho=1.0)
+    assert len(post_inits) == 1  # the spy works
+    for _ in range(5):
+        state = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+    assert len(post_inits) == 1
+    assert (state.alpha, state.gamma, state.rho) == (0.01, 0.5, 1.0)
+
+
+def test_stepped_state_holds_read_only_arrays():
+    prob = builtin_example()
+    state = SaddlePointState(u=np.zeros(2), mu=np.zeros(2),
+                             alpha=0.01, gamma=0.5, rho=1.0)
+    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+    for a in (state.u, state.mu, nxt.u, nxt.mu):
+        assert a.dtype == float and a.ndim == 1 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def steep_problem():
+    """y = 1e9 u on u in [-1, 1], output set y <= 0: a huge residual."""
+    plant = PlantModel(input_dim=1, output_dim=1,
+                       eval=lambda u: 1e9 * np.asarray(u, dtype=float),
+                       jacobian=lambda u: np.array([[1e9]]))
+    obj = ObjectiveSpec(eval=lambda u, y: float(u[0] ** 2),
+                        gradient=lambda u, y: np.array([2.0 * u[0], 0.0]))
+    return ProblemSpec(plant=plant, objective=obj,
+                       input_set=Polyhedron.box([-1.0], [1.0]),
+                       output_set=Polyhedron(A=[[1.0]], b=[0.0]),
+                       metric=MetricField.identity(1), name="steep1d")
+
+
+def test_overflowing_dual_step_is_rejected():
+    # mu + gamma * (C y - d) = 1e300 * 5e8 overflows: the stepped state is
+    # checked for finiteness as the public constructor would check it
+    prob = steep_problem()
+    state = SaddlePointState(u=[0.5], mu=[0.0], alpha=0.01, gamma=1e300, rho=1.0)
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="state contains non-finite entries"):
+        saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+    try:
+        register_problem("steep1d", steep_problem)
+    except ValueError:
+        pass  # registered by an earlier run in this session
+    with np.errstate(over="ignore"):
+        log = run_trajectory(ScenarioConfig(problem_name="steep1d", scheme="saddle",
+                                            alpha=0.01, gamma=1e300, rho=1.0,
+                                            u0=[0.5], max_iters=10))
+    assert log.status is RunStatus.ERROR
+    assert log.message == "ValueError: state contains non-finite entries"
+    assert log.num_rows == 1 and np.isnan(log.residual[0])
