@@ -172,20 +172,19 @@ def _max_pair_slopes(points: Array, value_sets) -> list[float]:
     return worst
 
 
-def estimate_lipschitz_constants(problem: ProblemSpec, pts: Array,
-                                 ys) -> tuple[float, Array]:
+def estimate_lipschitz_constants(problem: ProblemSpec, pts: Array, ys,
+                                 Js) -> tuple[float, Array]:
     """Estimate the gradient and output-row Lipschitz constants from a sample.
 
-    ``pts`` holds the sampled inputs (N x p) and ``ys`` the outputs measured
-    there.  Returns ``(grad_lipschitz, output_lipschitz)`` where the first
-    bounds the reduced cost gradient and the second holds one constant per
-    output row (the map ``u -> C_i J(u)``).  Worst pairwise difference
-    quotients over the sample, inflated by ``LIPSCHITZ_SAFETY``.
+    ``pts`` holds the sampled inputs (N x p), ``ys`` and ``Js`` the ``y`` and
+    ``J`` measured there.  Returns ``(grad_lipschitz, output_lipschitz)`` where
+    the first bounds the reduced cost gradient and the second holds one
+    constant per output row (the map ``u -> C_i J(u)``).  Worst pairwise
+    difference quotients over the sample, inflated by ``LIPSCHITZ_SAFETY``.
     """
     C = problem.output_set.A
     grads, rows = [], []
-    for u, y in zip(pts, ys):
-        J = eval_plant_jacobian(problem.plant, u)
+    for u, y, J in zip(pts, ys, Js):
         grads.append(reduced_gradient(problem, u, y, J))
         rows.append(C @ J)
     rows = np.array(rows)
@@ -196,19 +195,19 @@ def estimate_lipschitz_constants(problem: ProblemSpec, pts: Array,
 
 
 def estimate_multiplier_bound(problem: ProblemSpec, alpha: float, pts: Array,
-                              ys) -> float:
+                              ys, Js) -> float:
     """Bound the output multipliers of the projection subproblem from a sample.
 
-    Runs the controller at every sampled input ``pts[k]`` with its measured
-    output ``ys[k]`` and doubles the largest observed output multiplier;
-    points where the linearized set is empty are skipped with a warning.
-    Floored at ``MULTIPLIER_FLOOR`` so the certificate stays finite when no
-    output constraint is ever active.
+    Runs the controller at every sampled input ``pts[k]`` with the output
+    ``ys[k]`` and the sensitivity ``Js[k]`` measured there, and doubles the
+    largest observed output multiplier; points where the linearized set is
+    empty are skipped with a warning.  Floored at ``MULTIPLIER_FLOOR`` so the
+    certificate stays finite when no output constraint is ever active.
     """
     mu_max = 0.0
-    for u, y in zip(pts, ys):
+    for u, y, J in zip(pts, ys, Js):
         try:
-            step = controller_step(problem, u, y, alpha)
+            step = controller_step(problem, u, y, J, alpha)
         except LinearizedSetEmpty:
             warnings.warn(f"skipping sample {u.tolist()}: linearized set empty",
                           stacklevel=2)
@@ -222,18 +221,19 @@ def estimate_constants(problem: ProblemSpec, alpha: float,
                        sampler: SamplerSpec | None = None) -> CertificateConstants:
     """Estimate all certificate constants from one sample of the input set.
 
-    The input set is sampled once and the plant is measured once per sampled
-    point; the Lipschitz constants, the multiplier bound and the metric floor
-    all come from those points.  The multiplier bound depends on the step
-    size used to linearize the output constraints, hence the ``alpha``
-    argument.  Deterministic for a given sampler.
+    The input set is sampled once, and ``y`` and ``J`` are evaluated once per
+    sampled point; the Lipschitz constants, the multiplier bound and the
+    metric floor all come from those points.  The multiplier bound depends on
+    the step size used to linearize the output constraints, hence the
+    ``alpha`` argument.  Deterministic for a given sampler.
     """
     pts = sample_input_set(problem.input_set, sampler or SamplerSpec())
     if pts.shape[0] < 2:
         raise ValueError("sampler produced fewer than two feasible points")
     ys = [eval_plant(problem.plant, u) for u in pts]
-    grad_lipschitz, ell = estimate_lipschitz_constants(problem, pts, ys)
-    mult = estimate_multiplier_bound(problem, alpha, pts, ys)
+    Js = [eval_plant_jacobian(problem.plant, u) for u in pts]
+    grad_lipschitz, ell = estimate_lipschitz_constants(problem, pts, ys, Js)
+    mult = estimate_multiplier_bound(problem, alpha, pts, ys, Js)
     floor = np.inf
     for u in pts:
         G = np.asarray(problem.metric.eval(u), dtype=float)

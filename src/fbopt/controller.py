@@ -1,8 +1,9 @@
 """One-step feedback law for driving a plant to a constrained optimum.
 
-Each step measures the plant output, projects the metric-scaled descent
-direction of the reduced cost onto a linearization of the feasible set, and
-advances the input by ``alpha`` times that direction.  Inputs remain inside
+Each step takes the output ``y`` and the sensitivity ``J`` measured at the
+input (only :func:`feedback_step` calls the plant), projects the metric-scaled
+descent direction of the reduced cost onto a linearization of the feasible set,
+and advances the input by ``alpha`` times that direction.  Inputs remain inside
 their polyhedron at every step; outputs satisfy their constraints to first
 order, with the quadratic remainder bounded by the certificates module.
 
@@ -21,6 +22,7 @@ import numpy as np
 from .model import (
     DEFAULT_ACTIVE_TOL,
     ProblemSpec,
+    _jacobian,
     _vector,
     eval_plant,
     eval_plant_jacobian,
@@ -91,47 +93,46 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be positive and finite")
 
 
-def _projection_qp(problem: ProblemSpec, u: Array, y: Array, alpha: float,
-                   G: Array) -> QpProblem:
-    """The step QP from a checked ``alpha``, ``u`` and ``y`` and the float
-    array ``G``.  The sensitivity and the gradient are checked as they are
-    evaluated; the QP, of which only ``G`` is new data, is checked once by
-    ``QpProblem._adopt`` and not copied."""
-    J = eval_plant_jacobian(problem.plant, u)
+def _projection_qp(problem: ProblemSpec, u: Array, y: Array, J: Array,
+                   alpha: float, G: Array) -> QpProblem:
+    """The step QP from a checked ``alpha``, ``u``, ``y`` and ``J`` and the
+    float array ``G``.  The gradient is checked as it is evaluated; the QP
+    (only ``G`` is new) is checked once, uncopied, by ``QpProblem._adopt``."""
     g = reduced_gradient(problem, u, y, J)
     rows, slack = linearized_constraints(problem, u, y, J)
     return QpProblem._adopt(alpha * G, alpha * g, alpha * rows, slack,
                             "alpha * metric G(u)")
 
 
-def assemble_projection_qp(problem: ProblemSpec, u, y, alpha: float,
+def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float,
                            G) -> QpProblem:
-    """Build the per-step projection QP at ``(u, y)`` with metric ``G = G(u)``.
+    """Build the per-step projection QP at ``(u, y, J)`` with ``G = G(u)``.
 
     The quadratic term is ``alpha * G(u)``, the linear term ``alpha`` times
     the reduced cost gradient, and the rows stack the input constraints
     above the linearized output constraints:
 
         alpha * A w        <= b - A u
-        alpha * C J(u) w   <= d - C y
+        alpha * C J w      <= d - C y
 
-    The first ``input_set.num_rows`` rows always belong to the input set,
-    which is how multipliers are split back into ``(nu, mu)``.  ``alpha``,
-    ``u`` and ``y`` are checked here, in that order; ``G`` must be a
-    symmetric ``(p, p)`` matrix, and ``G``, the sensitivity and the
-    gradient must be finite, as must the QP after scaling by ``alpha``
-    (each raises ``ValueError``).  The QP is checked once, as it is built.
+    The first ``input_set.num_rows`` rows always belong to the input set, which
+    is how multipliers are split back into ``(nu, mu)``.  ``alpha``, ``u``,
+    ``y`` and ``J`` (measured at ``u``) are checked here, in that order; ``G``
+    must be a symmetric ``(p, p)`` matrix, and ``G`` and the gradient must be
+    finite, as must the QP after scaling by ``alpha`` (each raises
+    ``ValueError``).  The QP is checked once, as it is built.
     """
     _check_alpha(alpha)
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
-    return _projection_qp(problem, u, y, alpha, np.asarray(G, dtype=float))
+    J = _jacobian(J, problem.plant, u)
+    return _projection_qp(problem, u, y, J, alpha, np.asarray(G, dtype=float))
 
 
-def _step(problem: ProblemSpec, u: Array, y: Array, alpha: float) -> ControllerStep:
-    """The step from a checked ``alpha``, ``u`` and ``y``."""
+def _step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerStep:
+    """The step from a checked ``alpha``, ``u``, ``y`` and ``J``."""
     G = np.asarray(problem.metric.eval(u), dtype=float)
-    qp = _projection_qp(problem, u, y, alpha, G)
+    qp = _projection_qp(problem, u, y, J, alpha, G)
     try:
         sol = solve_qp(qp)
     except Infeasible as exc:
@@ -145,49 +146,53 @@ def _step(problem: ProblemSpec, u: Array, y: Array, alpha: float) -> ControllerS
                           u_next=u + alpha * w, sigma_norm_G=sigma_norm)
 
 
-def controller_step(problem: ProblemSpec, u, y, alpha: float) -> ControllerStep:
+def controller_step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerStep:
     """Compute the projected direction and the next input from a measurement.
 
-    Raises :class:`LinearizedSetEmpty` if the linearized constraints admit
-    no direction at all.  ``alpha``, ``u`` and ``y`` are checked once each,
-    in that order, so the metric never sees an unchecked ``u``; the step QP
-    is checked as :func:`assemble_projection_qp` builds it.
+    ``y`` and ``J`` are measured at ``u``; a mismatched or estimated ``J`` is
+    used as given.  Raises :class:`LinearizedSetEmpty` if the linearized
+    constraints admit no direction at all.  ``alpha``, ``u``, ``y`` and ``J``
+    are checked once each, in that order, so the metric never sees an unchecked
+    ``u``; the step QP is checked as :func:`assemble_projection_qp` builds it.
     """
     _check_alpha(alpha)
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
-    return _step(problem, u, y, alpha)
+    return _step(problem, u, y, _jacobian(J, problem.plant, u), alpha)
 
 
 def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
-    """Measure the plant at ``u`` and advance one controller step.
+    """Measure ``y`` and ``J`` at ``u``, once each, and advance one step.
 
-    ``u`` must lie in the input set (outputs may be violated during
-    transients; inputs may not).  ``alpha`` is checked first, so a bad step
-    size costs no measurement; ``u`` is checked by the input set's
-    membership test and by :func:`~fbopt.model.eval_plant`, which also
-    checks ``y``.  The rest is :func:`controller_step`'s."""
+    ``u`` must lie in the input set (outputs may be violated during transients;
+    inputs may not).  ``alpha`` is checked first, so a bad step size costs no
+    measurement; ``u`` is checked by the input set's membership test and by
+    :func:`~fbopt.model.eval_plant`, which also checks ``y``, and ``J`` as it
+    is evaluated.  The rest is :func:`controller_step`'s."""
     _check_alpha(alpha)
     if not problem.input_set.membership(u, tol=DEFAULT_ACTIVE_TOL):
         raise ValueError("current input lies outside the input set")
     y = eval_plant(problem.plant, u)
-    return _step(problem, np.asarray(u, dtype=float).reshape(-1), y, alpha)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    return _step(problem, u, y, eval_plant_jacobian(problem.plant, u), alpha)
 
 
-def check_licq(problem: ProblemSpec, u, y, alpha: float, w) -> LicqReport:
+def check_licq(problem: ProblemSpec, u, y, J, alpha: float, w) -> LicqReport:
     """Check linear independence of the active constraint rows at ``w``.
 
-    Activity is measured on the assembled projection rows at the absolute
-    tolerance ``DEFAULT_ACTIVE_TOL``; the rank of the corresponding unscaled
-    rows ``[A; C J(u)]`` is then computed with singular-value threshold
-    ``LICQ_RANK_TOL`` times the largest singular value.  ``u``, ``y`` and
+    Activity is measured on the projection rows built from ``y`` and ``J``
+    (measured at ``u``) at the absolute tolerance ``DEFAULT_ACTIVE_TOL``; the
+    rank of the unscaled rows ``[A; C J]`` is computed with singular-value
+    threshold ``LICQ_RANK_TOL`` times the largest singular value.  ``alpha``
+    and ``J`` are checked as by :func:`controller_step`, and ``u``, ``y`` and
     ``w`` must be finite vectors of the problem's dimensions.
     """
+    _check_alpha(alpha)
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
     w = _vector(w, problem.input_dim, "w")
     rows, slack = linearized_constraints(problem, u, y,
-                                         eval_plant_jacobian(problem.plant, u))
+                                         _jacobian(J, problem.plant, u))
     resid = alpha * (rows @ w) - slack
     active = np.flatnonzero(np.abs(resid) <= DEFAULT_ACTIVE_TOL)
     if active.size == 0:

@@ -248,7 +248,12 @@ def eval_plant_jacobian(plant: PlantModel, u) -> Array:
     the caller has checked (as :func:`eval_plant` does).
 
     Raises ``ValueError`` if the plant returns a non-finite matrix."""
-    J = np.atleast_2d(np.asarray(plant.jacobian(u), dtype=float))
+    return _jacobian(plant.jacobian(u), plant, u)
+
+
+def _jacobian(J, plant: PlantModel, u) -> Array:
+    """``J`` as a finite float ``(n, p)`` matrix: the check of every ``J``."""
+    J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.shape != (plant.output_dim, plant.input_dim):
         raise ValueError(
             f"jacobian shape {J.shape} does not match ({plant.output_dim}, {plant.input_dim})"

@@ -108,12 +108,11 @@ def limit_consistency(problem: ProblemSpec, u,
                       alphas) -> list[tuple[float, float]]:
     """Distance from the controller's direction to its small-step limit.
 
-    The plant is measured once at ``u``, and its Jacobian is evaluated once
-    there plus once per step size inside the controller.  For each step size
-    the direction is ``controller_step(problem, u, y, alpha).w``, the
-    projection of ``-G(u)^{-1} grad`` onto the feasible set of the step QP
-    divided by ``alpha``; the limit is the projection onto the tangent cone
-    at ``u``.
+    The plant output ``y`` and its Jacobian ``J`` are evaluated once, at
+    ``u``.  For each step size the direction is
+    ``controller_step(problem, u, y, J, alpha).w``, the projection of
+    ``-G(u)^{-1} grad`` onto the feasible set of the step QP divided by
+    ``alpha``; the limit is the projection onto the tangent cone at ``u``.
     Returns ``(alpha, deviation)`` pairs with the Euclidean distance between
     the two.  The step-scaled sets shrink onto the cone as ``alpha``
     decreases, so over a decreasing ladder the deviations are nonincreasing
@@ -136,5 +135,5 @@ def limit_consistency(problem: ProblemSpec, u,
     G = np.asarray(problem.metric.eval(u), dtype=float)
     g = reduced_gradient(problem, u, y, J)
     w_limit = project_tangent_cone(cone, G, -np.linalg.solve(G, g))
-    return [(a, float(np.linalg.norm(controller_step(problem, u, y, a).w - w_limit)))
-            for a in alphas]
+    return [(a, float(np.linalg.norm(controller_step(problem, u, y, J, a).w
+                                      - w_limit))) for a in alphas]

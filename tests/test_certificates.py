@@ -126,21 +126,27 @@ def test_pair_slope_memory_grows_linearly():
 
 def test_estimate_constants_measures_each_sample_once(monkeypatch):
     prob = builtin_example()
-    evals, samples = [], []
+    evals, jacobians, samples = [], [], []
 
     def measured(u):
         evals.append(u)
         return prob.plant.eval(u)
+
+    def sensitivity(u):
+        jacobians.append(u)
+        return prob.plant.jacobian(u)
 
     def sampled(*args):
         samples.append(args)
         return sample_input_set(*args)
 
     monkeypatch.setattr(certificates, "sample_input_set", sampled)
-    counted = dataclasses.replace(prob, plant=dataclasses.replace(prob.plant, eval=measured))
+    counted = dataclasses.replace(prob, plant=dataclasses.replace(
+        prob.plant, eval=measured, jacobian=sensitivity))
     estimate_constants(counted, 0.01)
     assert len(samples) == 1
     assert len(evals) == len(sample_input_set(prob.input_set, SamplerSpec())) == 225
+    assert len(jacobians) == 225
 
 
 def test_estimate_constants_needs_two_points():

@@ -34,6 +34,11 @@ from fbopt import (
 OPTIMUM = np.array([-0.5, 1.0])
 
 
+def measure(prob, u):
+    """The output and the sensitivity of the plant at ``u``."""
+    return eval_plant(prob.plant, u), eval_plant_jacobian(prob.plant, u)
+
+
 def random_feasible_input(prob, rng):
     lo, hi = prob.input_set.bounding_box()
     while True:
@@ -45,8 +50,8 @@ def random_feasible_input(prob, rng):
 def test_assemble_origin():
     prob = builtin_example()
     u = np.zeros(2)
-    y = eval_plant(prob.plant, u)
-    qp = assemble_projection_qp(prob, u, y, 0.01, prob.metric.eval(u))
+    y, J = measure(prob, u)
+    qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
     assert_allclose(qp.Q, 0.01 * np.eye(2))
     assert_allclose(qp.c, 0.01 * np.array([1.0, -4.0]))
     assert qp.num_constraints == 6
@@ -54,7 +59,6 @@ def test_assemble_origin():
     assert_allclose(qp.M[:4], 0.01 * prob.input_set.A)
     assert_allclose(qp.r[:4], np.ones(4))
     # linearized output rows: alpha * C J, rhs d - C y
-    J = eval_plant_jacobian(prob.plant, u)
     assert_allclose(qp.M[4:], 0.01 * prob.output_set.A @ J)
     assert_allclose(qp.r[4:], [0.5, 0.5])
 
@@ -62,18 +66,18 @@ def test_assemble_origin():
 def test_assemble_face_rhs_zero():
     prob = builtin_example()
     u = np.array([1.0, 0.0])
-    y = eval_plant(prob.plant, u)
-    qp = assemble_projection_qp(prob, u, y, 0.01, prob.metric.eval(u))
+    y, J = measure(prob, u)
+    qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
     assert qp.r[0] == 0.0  # u1 upper bound tight
 
 
 def test_assemble_rejects_bad_alpha():
     prob = builtin_example()
     u = np.zeros(2)
-    y = eval_plant(prob.plant, u)
+    y, J = measure(prob, u)
     for alpha in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha must be positive"):
-            assemble_projection_qp(prob, u, y, alpha, prob.metric.eval(u))
+            assemble_projection_qp(prob, u, y, J, alpha, prob.metric.eval(u))
 
 
 def test_step_at_origin_is_negative_gradient():
@@ -90,9 +94,9 @@ def test_step_matches_enumeration_oracle():
     rng = np.random.default_rng(2)
     for _ in range(20):
         u = random_feasible_input(prob, rng)
-        y = eval_plant(prob.plant, u)
-        st = controller_step(prob, u, y, 0.01)
-        qp = assemble_projection_qp(prob, u, y, 0.01, prob.metric.eval(u))
+        y, J = measure(prob, u)
+        st = controller_step(prob, u, y, J, 0.01)
+        qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
         ref = enumerate_oracle(qp)
         assert np.linalg.norm(st.w - ref.w) <= 1e-8
         mult = np.concatenate([st.nu, st.mu])
@@ -109,11 +113,10 @@ def test_optimum_is_fixed_point():
 def test_active_output_row_lands_on_boundary_exactly():
     prob = builtin_example()
     u = np.array([0.329, -0.9])
-    y = eval_plant(prob.plant, u)
+    y, J = measure(prob, u)
     assert y[0] == 1.0  # starts on the upper output bound
-    st = controller_step(prob, u, y, 0.01)
+    st = controller_step(prob, u, y, J, 0.01)
     assert st.mu[0] > 0.0
-    J = eval_plant_jacobian(prob.plant, u)
     lin = prob.output_set.A @ (y + st.alpha * (J @ st.w))
     assert lin[0] == prob.output_set.b[0]  # linearized output stays on the face
 
@@ -154,7 +157,7 @@ def test_feedback_step_equals_measured_controller_step():
     for _ in range(10):
         u = random_feasible_input(prob, rng)
         a = feedback_step(prob, u, 0.01)
-        b = controller_step(prob, u, eval_plant(prob.plant, u), 0.01)
+        b = controller_step(prob, u, *measure(prob, u), 0.01)
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.u_next, b.u_next)
 
@@ -180,18 +183,18 @@ def test_feedback_step_rejects_malformed_input():
 def test_step_and_assembly_reject_malformed_input_or_output():
     prob = builtin_example()
     u = np.zeros(2)
-    y = eval_plant(prob.plant, u)
+    y, J = measure(prob, u)
     G = prob.metric.eval(u)
     for bad_u in BAD_INPUTS:
         with pytest.raises(ValueError):
-            controller_step(prob, bad_u, y, 0.01)
+            controller_step(prob, bad_u, y, J, 0.01)
         with pytest.raises(ValueError):
-            assemble_projection_qp(prob, bad_u, y, 0.01, G)
+            assemble_projection_qp(prob, bad_u, y, J, 0.01, G)
     for bad_y in BAD_OUTPUTS:
         with pytest.raises(ValueError):
-            controller_step(prob, u, bad_y, 0.01)
+            controller_step(prob, u, bad_y, J, 0.01)
         with pytest.raises(ValueError):
-            assemble_projection_qp(prob, u, bad_y, 0.01, G)
+            assemble_projection_qp(prob, u, bad_y, J, 0.01, G)
 
 
 def test_step_checks_input_before_metric_reads_it():
@@ -199,9 +202,9 @@ def test_step_checks_input_before_metric_reads_it():
     prob = dataclasses.replace(
         builtin_example(),
         metric=MetricField(eval=lambda u: np.diag([1.0, 1.0 + u[1] ** 2])))
-    y = eval_plant(prob.plant, np.zeros(2))
+    y, J = measure(prob, np.zeros(2))
     with pytest.raises(ValueError, match="u must have length 2"):
-        controller_step(prob, np.zeros(1), y, 0.01)
+        controller_step(prob, np.zeros(1), y, J, 0.01)
 
 
 def warped_cubic2d():
@@ -227,20 +230,87 @@ def test_step_equals_solve_of_publicly_built_qp(make):
             ref = solve_qp(QpProblem(Q=alpha * prob.metric.eval(u),
                                      c=alpha * reduced_gradient(prob, u, y, J),
                                      M=alpha * rows, r=slack))
-            st = controller_step(prob, u, y, alpha)
+            st = controller_step(prob, u, y, J, alpha)
             assert np.array_equal(st.w, ref.w)
             assert np.array_equal(np.concatenate([st.nu, st.mu]), ref.multipliers)
             assert np.array_equal(feedback_step(prob, u, alpha).w, ref.w)
+
+
+@pytest.mark.parametrize("make", [builtin_example, lambda: get_problem("quad1d")],
+                         ids=["cubic2d", "quad1d"])
+def test_given_sensitivity_equals_wrapper_plant_step(make):
+    # a mismatched J passed to the step acts exactly as a plant whose
+    # jacobian returns that J
+    prob = make()
+    rng = np.random.default_rng(47)
+    for alpha in (0.01, 0.3):
+        for _ in range(30):
+            u = random_feasible_input(prob, rng)
+            y, J = measure(prob, u)
+            E = 0.1 * rng.normal(size=J.shape)
+            wrapped = dataclasses.replace(prob, plant=dataclasses.replace(
+                prob.plant, jacobian=lambda x, E=E: eval_plant_jacobian(prob.plant, x) + E))
+            st = controller_step(prob, u, y, J + E, alpha)
+            ref = feedback_step(wrapped, u, alpha)
+            for field in ("w", "nu", "mu", "u_next"):
+                assert np.array_equal(getattr(st, field), getattr(ref, field))
+
+
+def test_step_math_makes_no_plant_call():
+    def unreachable(u):
+        raise AssertionError("the plant was called")
+
+    prob = builtin_example()
+    offline = dataclasses.replace(prob, plant=dataclasses.replace(
+        prob.plant, eval=unreachable, jacobian=unreachable))
+    rng = np.random.default_rng(5)
+    # the optimum has two active rows for check_licq to find
+    for u in [OPTIMUM] + [random_feasible_input(prob, rng) for _ in range(9)]:
+        y, J = measure(prob, u)
+        st = controller_step(offline, u, y, J, 0.01)
+        assert np.array_equal(st.w, controller_step(prob, u, y, J, 0.01).w)
+        qp = assemble_projection_qp(offline, u, y, J, 0.01, prob.metric.eval(u))
+        assert np.array_equal(qp.M, assemble_projection_qp(
+            prob, u, y, J, 0.01, prob.metric.eval(u)).M)
+        rep = check_licq(offline, u, y, J, 0.01, st.w)
+        assert rep.active_rows == check_licq(prob, u, y, J, 0.01, st.w).active_rows
+
+
+# wrong shape (cubic2d's J is 1 x 2) and non-finite sensitivities
+BAD_JACOBIANS = [np.zeros((2, 2)), np.zeros((1, 3)), np.zeros((2, 1)),
+                 np.array([[np.nan, 0.0]]), np.array([[0.0, -np.inf]])]
+
+
+@pytest.mark.parametrize("bad_J", BAD_JACOBIANS,
+                         ids=["2x2", "1x3", "2x1", "nan", "inf"])
+def test_step_assembly_and_licq_reject_malformed_sensitivity(bad_J):
+    prob = builtin_example()
+    u = np.array([0.3, -0.2])
+    y, J = measure(prob, u)
+    G = prob.metric.eval(u)
+    w = controller_step(prob, u, y, J, 0.01).w
+    message = "jacobian shape" if bad_J.shape != J.shape else "jacobian must be finite"
+    with pytest.raises(ValueError, match=message):
+        controller_step(prob, u, y, bad_J, 0.01)
+    with pytest.raises(ValueError, match=message):
+        assemble_projection_qp(prob, u, y, bad_J, 0.01, G)
+    with pytest.raises(ValueError, match=message):
+        check_licq(prob, u, y, bad_J, 0.01, w)
 
 
 def test_step_checks_each_value_once(monkeypatch):
     checked = []
     post_inits = []
     vector, post_init = model_module._vector, QpProblem.__post_init__
+    jacobian = model_module._jacobian
 
     def counted_vector(x, dim, name):
         checked.append(name)
         return vector(x, dim, name)
+
+    def counted_jacobian(J, plant, u):
+        checked.append("J")
+        return jacobian(J, plant, u)
 
     def counted_post_init(self):
         post_inits.append(self)
@@ -248,17 +318,20 @@ def test_step_checks_each_value_once(monkeypatch):
 
     monkeypatch.setattr(model_module, "_vector", counted_vector)
     monkeypatch.setattr(controller_module, "_vector", counted_vector)
+    monkeypatch.setattr(model_module, "_jacobian", counted_jacobian)
+    monkeypatch.setattr(controller_module, "_jacobian", counted_jacobian)
     monkeypatch.setattr(QpProblem, "__post_init__", counted_post_init)
     prob = builtin_example()
     u = np.array([0.3, -0.2])
     feedback_step(prob, u, 0.01)
-    # u: by the input set's membership test and by eval_plant
-    assert checked == ["x", "u"]
+    # u: by the input set's membership test and by eval_plant; J: by
+    # eval_plant_jacobian
+    assert checked == ["x", "u", "J"]
     assert post_inits == []
-    y = eval_plant(prob.plant, u)
+    y, J = measure(prob, u)
     checked.clear()
-    controller_step(prob, u, y, 0.01)
-    assert checked == ["u", "y"]
+    controller_step(prob, u, y, J, 0.01)
+    assert checked == ["u", "y", "J"]
     assert post_inits == []
     QpProblem(Q=np.eye(1), c=[0.0], M=[[1.0]], r=[1.0])  # the spy works
     assert len(post_inits) == 1
@@ -279,13 +352,13 @@ def test_bad_metric_is_named_by_every_entry(metric, message):
     message = re.escape(f"alpha * metric G(u) {message}")
     prob = dataclasses.replace(builtin_example(), metric=MetricField(eval=metric))
     u = np.array([0.3, -0.2])
-    y = eval_plant(prob.plant, u)
+    y, J = measure(prob, u)
     with pytest.raises(ValueError, match=message):
         feedback_step(prob, u, 0.01)
     with pytest.raises(ValueError, match=message):
-        controller_step(prob, u, y, 0.01)
+        controller_step(prob, u, y, J, 0.01)
     with pytest.raises(ValueError, match=message):
-        assemble_projection_qp(prob, u, y, 0.01, metric(u))
+        assemble_projection_qp(prob, u, y, J, 0.01, metric(u))
 
 
 def test_indefinite_metric_raises():
@@ -301,14 +374,14 @@ def test_overflowing_step_size_raises():
     prob = dataclasses.replace(builtin_example(),
                                metric=MetricField.constant(4.0 * np.eye(2)))
     u = np.array([0.3, -0.2])
-    y = eval_plant(prob.plant, u)
+    y, J = measure(prob, u)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="must be finite"):
             feedback_step(prob, u, 1e308)
         with pytest.raises(ValueError, match="must be finite"):
-            controller_step(prob, u, y, 1e308)
+            controller_step(prob, u, y, J, 1e308)
         with pytest.raises(ValueError, match="must be finite"):
-            assemble_projection_qp(prob, u, y, 1e308, prob.metric.eval(u))
+            assemble_projection_qp(prob, u, y, J, 1e308, prob.metric.eval(u))
 
 
 def test_fixed_point_invariant_under_metric_change():
@@ -333,9 +406,9 @@ def test_stationarity_residual_metric_norm():
 def test_check_licq_interior():
     prob = builtin_example()
     u = np.zeros(2)
-    y = eval_plant(prob.plant, u)
-    st = controller_step(prob, u, y, 0.01)
-    rep = check_licq(prob, u, y, 0.01, st.w)
+    y, J = measure(prob, u)
+    st = controller_step(prob, u, y, J, 0.01)
+    rep = check_licq(prob, u, y, J, 0.01, st.w)
     assert rep.satisfied
     assert rep.num_active == 0
 
@@ -343,9 +416,9 @@ def test_check_licq_interior():
 def test_check_licq_output_active():
     prob = builtin_example()
     u = np.array([0.329, -0.9])
-    y = eval_plant(prob.plant, u)
-    st = controller_step(prob, u, y, 0.01)
-    rep = check_licq(prob, u, y, 0.01, st.w)
+    y, J = measure(prob, u)
+    st = controller_step(prob, u, y, J, 0.01)
+    rep = check_licq(prob, u, y, J, 0.01, st.w)
     assert rep.satisfied
     assert rep.num_active >= 1
     assert rep.rank == rep.num_active
@@ -363,29 +436,39 @@ def test_check_licq_duplicate_rows():
                        output_set=Polyhedron.box([-5.0], [5.0]),
                        metric=MetricField.identity(1))
     u = np.array([1.0])
-    y = eval_plant(plant, u)
+    y, J = measure(prob, u)
     with pytest.warns(Warning):
-        st = controller_step(prob, u, y, 0.01)
-    rep = check_licq(prob, u, y, 0.01, st.w)
+        st = controller_step(prob, u, y, J, 0.01)
+    rep = check_licq(prob, u, y, J, 0.01, st.w)
     assert not rep.satisfied
     assert rep.num_active == 2
     assert rep.rank == 1
 
 
+@pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0, np.inf])
+def test_check_licq_rejects_bad_alpha(alpha):
+    # a NaN or infinite alpha would drop every row from the active set
+    prob = builtin_example()
+    y, J = measure(prob, OPTIMUM)
+    w = controller_step(prob, OPTIMUM, y, J, 0.01).w
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        check_licq(prob, OPTIMUM, y, J, alpha, w)
+
+
 def test_check_licq_rejects_bad_measurement():
     # an unchecked NaN output would drop the output row from the active set
     prob = builtin_example()
-    y = eval_plant(prob.plant, OPTIMUM)
-    w = controller_step(prob, OPTIMUM, y, 0.01).w
-    assert check_licq(prob, OPTIMUM, y, 0.01, w).num_active == 2
+    y, J = measure(prob, OPTIMUM)
+    w = controller_step(prob, OPTIMUM, y, J, 0.01).w
+    assert check_licq(prob, OPTIMUM, y, J, 0.01, w).num_active == 2
     with pytest.raises(ValueError, match="y must be finite"):
-        check_licq(prob, OPTIMUM, [np.nan], 0.01, w)
+        check_licq(prob, OPTIMUM, [np.nan], J, 0.01, w)
     with pytest.raises(ValueError, match="y must have length 1"):
-        check_licq(prob, OPTIMUM, [0.0, 0.0], 0.01, w)
+        check_licq(prob, OPTIMUM, [0.0, 0.0], J, 0.01, w)
     with pytest.raises(ValueError, match="w must be finite"):
-        check_licq(prob, OPTIMUM, y, 0.01, [np.nan, 0.0])
+        check_licq(prob, OPTIMUM, y, J, 0.01, [np.nan, 0.0])
     with pytest.raises(ValueError, match="w must have length 2"):
-        check_licq(prob, OPTIMUM, y, 0.01, [0.0])
+        check_licq(prob, OPTIMUM, y, J, 0.01, [0.0])
 
 
 def test_kkt_point_residual_at_optimum():
@@ -421,7 +504,7 @@ def test_tiny_step_size_keeps_nonempty_linearization():
     # rows of order alpha ~ 1e-10 must not make a nonempty set look empty
     prob = builtin_example()
     u = np.array([1.0, 1.0])
-    st = controller_step(prob, u, eval_plant(prob.plant, u), alpha=1e-10)
+    st = controller_step(prob, u, *measure(prob, u), alpha=1e-10)
     assert np.all(np.isfinite(st.w))
     assert np.all(np.isfinite(st.u_next))
     assert prob.input_set.membership(st.u_next, tol=1e-12)

@@ -125,7 +125,8 @@ def test_zeroed_active_rows_match_cone_data():
     # the cone rows, bit for bit
     prob = builtin_example()
     y = eval_plant(prob.plant, OPTIMUM)
-    qp = assemble_projection_qp(prob, OPTIMUM, y, 0.01, prob.metric.eval(OPTIMUM))
+    J = eval_plant_jacobian(prob.plant, OPTIMUM)
+    qp = assemble_projection_qp(prob, OPTIMUM, y, J, 0.01, prob.metric.eval(OPTIMUM))
     cone = tangent_cone(prob, OPTIMUM)
     active = np.flatnonzero(qp.r == 0.0)
     assert list(active) == [1, 5]  # u2 upper bound, lower output row
@@ -153,12 +154,13 @@ def test_limit_deviation_is_controller_direction_to_cone_projection():
     ladder = [10.0 ** (-k) for k in range(1, 7)]
     for u in (OPTIMUM, np.array([0.329, -0.9]), np.array([-0.45, 0.0])):
         y = eval_plant(prob.plant, u)
+        J = eval_plant_jacobian(prob.plant, u)
         G = prob.metric.eval(u)
-        grad = reduced_gradient(prob, u, y, eval_plant_jacobian(prob.plant, u))
+        grad = reduced_gradient(prob, u, y, J)
         w_limit = project_tangent_cone(tangent_cone(prob, u), G,
                                        -np.linalg.solve(G, grad))
         for alpha, dev in limit_consistency(prob, u, ladder):
-            w = controller_step(prob, u, y, alpha).w
+            w = controller_step(prob, u, y, J, alpha).w
             assert dev == float(np.linalg.norm(w - w_limit))
 
 
@@ -179,7 +181,7 @@ def test_limit_consistency_measures_plant_once():
     alphas = [10.0 ** (-k) for k in range(1, 7)]
     limit_consistency(counted, OPTIMUM, alphas)
     assert len(calls) == 1
-    assert len(jacobians) == 1 + len(alphas)  # once here, once per controller step
+    assert len(jacobians) == 1
 
 
 def test_limit_consistency_validates_ladder():
