@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import LinearizedSetEmpty, controller_step
+from .controller import LinearizedSetEmpty, _step
 from .model import (
     Polyhedron,
     ProblemSpec,
+    _check_positive,
     _read_only,
     _vector,
     _violation,
@@ -122,11 +123,8 @@ class CertificateConstants:
         ell = np.asarray(self.output_lipschitz, dtype=float).reshape(-1)
         # a NaN constant would make step_size_bound NaN, and `alpha < nan`
         # would then turn certification off without a word
-        if not (0.0 < self.grad_lipschitz < np.inf
-                and 0.0 < self.multiplier_bound < np.inf):
-            raise ValueError("certificate constants must be positive and finite")
-        if not 0.0 < self.metric_floor < np.inf:
-            raise ValueError("metric floor must be positive and finite")
+        for name in ("grad_lipschitz", "multiplier_bound", "metric_floor"):
+            _check_positive(getattr(self, name), name)
         if not ((ell >= 0.0) & (ell < np.inf)).all():
             raise ValueError("output Lipschitz constants must be nonnegative and finite")
         object.__setattr__(self, "output_lipschitz", _read_only(ell))
@@ -203,11 +201,15 @@ def estimate_multiplier_bound(problem: ProblemSpec, alpha: float, pts: Array,
     largest observed output multiplier; points where the linearized set is
     empty are skipped with a warning.  Floored at ``MULTIPLIER_FLOOR`` so the
     certificate stays finite when no output constraint is ever active.
+    ``alpha`` is checked once, before any step; the points and measurements
+    are used as given, as :func:`estimate_constants` checked them when it
+    sampled and measured them.
     """
+    _check_positive(alpha, "alpha")
     mu_max = 0.0
     for u, y, J in zip(pts, ys, Js):
         try:
-            step = controller_step(problem, u, y, J, alpha)
+            step = _step(problem, u, y, J, alpha)
         except LinearizedSetEmpty:
             warnings.warn(f"skipping sample {u.tolist()}: linearized set empty",
                           stacklevel=2)

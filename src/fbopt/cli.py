@@ -23,17 +23,16 @@ from dataclasses import replace
 import numpy as np
 
 from .certificates import SamplerSpec, estimate_constants, sample_input_set
-from .harness import GridSpec, RunStatus, _read_key_values, load_scenario, \
+from .harness import _SCENARIO_KEYS, RunStatus, _read_key_values, load_scenario, \
     run_trajectory, sweep, write_csv, finite_difference_check
 from .problems import get_problem, problem_names
 
 __all__ = ["main"]
 
 
-_GRID_KINDS = {"alpha": float, "gamma": float, "rho": float,
-               "max_iters": int, "stationarity_tol": float}
+# the scalar scenario keys, each taking a comma-separated list
 _GRID_KEYS = {key: lambda text, kind=kind: [kind(part) for part in text.split(",")]
-              for key, kind in _GRID_KINDS.items()}
+              for key, kind in _SCENARIO_KEYS.items() if kind in (int, float)}
 
 
 def _parse_grid_file(path) -> dict:
@@ -60,7 +59,7 @@ def _status_code(statuses) -> int:
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    if isinstance(config.u0, GridSpec):
+    if isinstance(config.u0, SamplerSpec):
         print("error: run needs a concrete u0; use sweep for grid starts",
               file=sys.stderr)
         return 1
@@ -102,7 +101,7 @@ def _cmd_compare(args) -> int:
         print("error: compare needs a saddle scenario (gamma and rho set); "
               "the projected twin is derived from it", file=sys.stderr)
         return 1
-    if isinstance(config.u0, GridSpec):
+    if isinstance(config.u0, SamplerSpec):
         print("error: compare needs a concrete u0", file=sys.stderr)
         return 1
     projected = replace(config, scheme="projected", gamma=None, rho=None)

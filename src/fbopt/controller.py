@@ -22,6 +22,7 @@ import numpy as np
 from .model import (
     DEFAULT_ACTIVE_TOL,
     ProblemSpec,
+    _check_positive,
     _jacobian,
     _vector,
     eval_plant,
@@ -88,11 +89,6 @@ class LicqReport:
     singular_values: Array
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < math.inf:  # NaN fails too
-        raise ValueError("alpha must be positive and finite")
-
-
 def _projection_qp(problem: ProblemSpec, u: Array, y: Array, J: Array,
                    alpha: float, G: Array) -> QpProblem:
     """The step QP from a checked ``alpha``, ``u``, ``y`` and ``J`` and the
@@ -122,7 +118,7 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float,
     finite, as must the QP after scaling by ``alpha`` (each raises
     ``ValueError``).  The QP is checked once, as it is built.
     """
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
     J = _jacobian(J, problem.plant, u)
@@ -155,7 +151,7 @@ def controller_step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerSt
     are checked once each, in that order, so the metric never sees an unchecked
     ``u``; the step QP is checked as :func:`assemble_projection_qp` builds it.
     """
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
     return _step(problem, u, y, _jacobian(J, problem.plant, u), alpha)
@@ -169,7 +165,7 @@ def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
     measurement; ``u`` is checked by the input set's membership test and by
     :func:`~fbopt.model.eval_plant`, which also checks ``y``, and ``J`` as it
     is evaluated.  The rest is :func:`controller_step`'s."""
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     if not problem.input_set.membership(u, tol=DEFAULT_ACTIVE_TOL):
         raise ValueError("current input lies outside the input set")
     y = eval_plant(problem.plant, u)
@@ -187,7 +183,7 @@ def check_licq(problem: ProblemSpec, u, y, J, alpha: float, w) -> LicqReport:
     and ``J`` are checked as by :func:`controller_step`, and ``u``, ``y`` and
     ``w`` must be finite vectors of the problem's dimensions.
     """
-    _check_alpha(alpha)
+    _check_positive(alpha, "alpha")
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
     w = _vector(w, problem.input_dim, "w")

@@ -18,21 +18,20 @@ import enum
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
 from .certificates import CertificateConstants, SamplerSpec, lyapunov_value, \
     sample_input_set, transient_violation_bound
 from .controller import feedback_step
-from .model import ProblemSpec, _read_only, _violation, eval_plant, \
-    eval_plant_jacobian, reduced_cost, reduced_gradient
+from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_positive, _read_only, \
+    _violation, eval_plant, eval_plant_jacobian, reduced_cost, reduced_gradient
 from .problems import get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
 __all__ = [
     "RunStatus",
-    "GridSpec",
     "ScenarioConfig",
     "TrajectoryLog",
     "FiniteDifferenceReport",
@@ -63,25 +62,17 @@ class RunStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Even grid of starting points over the input set (per-dimension count)."""
-
-    points_per_dim: int
-
-    def __post_init__(self):
-        if self.points_per_dim < 2:
-            raise ValueError("grid needs at least two points per dimension")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """One closed-loop experiment.
 
     ``scheme`` selects the update rule: ``"projected"`` for the projection-
     based controller, ``"saddle"`` for the primal-dual baseline (which is the
     only scheme using ``gamma`` and ``rho``).  ``u0`` is either a concrete
-    start or a :class:`GridSpec` that a sweep expands into one run per grid
-    point.
+    start or a :class:`~fbopt.certificates.SamplerSpec` that a sweep expands
+    into one run per point that :func:`~fbopt.certificates.sample_input_set`
+    draws from the input set (``SamplerSpec(count=N)`` is the N-per-dimension
+    grid).  ``alpha``, ``gamma`` and ``stationarity_tol`` must be positive
+    and finite, ``rho`` nonnegative and finite.
     """
 
     problem_name: str
@@ -96,25 +87,21 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scheme not in ("projected", "saddle"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # written "not 0 < x < inf" so that a NaN fails the check too
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        _check_positive(self.alpha, "alpha")
         # range() takes integers only; bool is one, but never a budget
         if isinstance(self.max_iters, bool) \
                 or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
             raise ValueError("max_iters must be an integer >= 0")
-        if not self.stationarity_tol > 0.0:
-            raise ValueError("stationarity_tol must be positive")
+        _check_positive(self.stationarity_tol, "stationarity_tol")
         has_saddle = self.gamma is not None or self.rho is not None
         if self.scheme == "saddle":
             if self.gamma is None or self.rho is None:
                 raise ValueError("saddle scheme requires gamma and rho")
-            if not (0.0 < self.gamma < math.inf and 0.0 <= self.rho < math.inf):
-                raise ValueError("gamma must be positive and rho nonnegative, "
-                                 "both finite")
+            _check_positive(self.gamma, "gamma")
+            _check_positive(self.rho, "rho", zero_ok=True)
         elif has_saddle:
             raise ValueError("gamma/rho are only valid for the saddle scheme")
-        if not isinstance(self.u0, GridSpec):
+        if not isinstance(self.u0, SamplerSpec):
             u0 = np.asarray(self.u0, dtype=float).reshape(-1)
             if not np.all(np.isfinite(u0)):
                 raise ValueError("u0 must be finite")
@@ -160,7 +147,7 @@ class TrajectoryLog:
 
 def _parse_u0(text: str):
     if text.startswith("grid:"):
-        return GridSpec(points_per_dim=int(text[len("grid:"):]))
+        return SamplerSpec(count=int(text[len("grid:"):]))
     return np.array([float(part) for part in text.split(",")])
 
 
@@ -174,7 +161,7 @@ _SCENARIO_KEYS = {
     "gamma": float,
     "rho": float,
 }
-_REQUIRED_KEYS = ("problem_name", "scheme", "alpha", "u0")
+_REQUIRED_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.default is MISSING)
 
 
 def _read_key_values(path, kinds: dict):
@@ -205,17 +192,17 @@ def load_scenario(path) -> ScenarioConfig:
     comma-separated floats or ``grid:<points per dimension>``.  A concrete
     ``u0`` must belong to the problem's input set.
     """
-    fields = dict(_read_key_values(path, _SCENARIO_KEYS))
-    missing = [k for k in _REQUIRED_KEYS if k not in fields]
+    values = dict(_read_key_values(path, _SCENARIO_KEYS))
+    missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
-    config = ScenarioConfig(**fields)
+    config = ScenarioConfig(**values)
     problem = get_problem(config.problem_name)
-    if not isinstance(config.u0, GridSpec):
+    if not isinstance(config.u0, SamplerSpec):
         if config.u0.size != problem.input_dim:
             raise ValueError(f"{path}: u0 has size {config.u0.size}, "
                              f"problem needs {problem.input_dim}")
-        if not problem.input_set.membership(config.u0, tol=1e-9):
+        if not problem.input_set.membership(config.u0, tol=DEFAULT_ACTIVE_TOL):
             raise ValueError(f"{path}: u0 is outside the input set")
     return config
 
@@ -279,14 +266,14 @@ def run_trajectory(config: ScenarioConfig,
     multipliers.  If that re-measurement fails too, its output, merit and
     worst violation are logged as NaN.
     """
-    if isinstance(config.u0, GridSpec):
+    if isinstance(config.u0, SamplerSpec):
         raise ValueError("run_trajectory needs a concrete u0; "
                          "expand grid starts with sweep()")
     problem = get_problem(config.problem_name)
     if config.u0.size != problem.input_dim:
         raise ValueError(f"u0 has size {config.u0.size}, "
                          f"problem needs {problem.input_dim}")
-    if not problem.input_set.membership(config.u0, tol=1e-9):
+    if not problem.input_set.membership(config.u0, tol=DEFAULT_ACTIVE_TOL):
         raise ValueError("u0 is outside the input set")
 
     penalty = constants.multiplier_bound if constants is not None else 1.0
@@ -374,15 +361,15 @@ def sweep(base: ScenarioConfig, grid: dict,
     """Run one trajectory per point of a parameter grid.
 
     ``grid`` maps config field names to lists of values; the sweep covers
-    their Cartesian product.  A :class:`GridSpec` starting point in ``base``
-    is expanded into one run per feasible lattice point.  Returns ``(overrides,
-    log)`` pairs in deterministic order; raises if the product is empty.
+    their Cartesian product.  A :class:`~fbopt.certificates.SamplerSpec`
+    start in ``base`` is expanded into one run per point it samples from the
+    input set.  Returns ``(overrides, log)`` pairs in deterministic order;
+    raises if the product is empty.
     """
     grid = dict(grid)
-    if isinstance(base.u0, GridSpec) and "u0" not in grid:
+    if isinstance(base.u0, SamplerSpec) and "u0" not in grid:
         problem = get_problem(base.problem_name)
-        grid["u0"] = sample_input_set(problem.input_set,
-                                      SamplerSpec(count=base.u0.points_per_dim))
+        grid["u0"] = sample_input_set(problem.input_set, base.u0)
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("sweep grid is empty")
     for key in grid:

@@ -13,6 +13,7 @@ expressions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,6 +51,15 @@ def _vector(x, dim: int, name: str) -> Array:
     return v
 
 
+def _check_positive(x: float, name: str, zero_ok: bool = False) -> None:
+    """Raise ``ValueError`` unless ``0 < x < inf`` (``0 <= x < inf`` when
+    ``zero_ok``): the rule of every step size, penalty weight and
+    certificate constant.  Written so that a NaN fails it too."""
+    if not (0.0 < x < math.inf or zero_ok and x == 0.0):
+        raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} "
+                         "and finite")
+
+
 def _read_only(a: Array) -> Array:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -80,17 +90,19 @@ class Polyhedron:
     """Finite intersection of halfspaces ``{x : A x <= b}``.
 
     Boxes are stored in the same row form; :meth:`box` builds the
-    2p-row encoding (upper bounds first, then lower bounds) and remembers
-    the bounds so that callers can use cheap clamping and sampling paths.
-    ``lower`` and ``upper`` are given together or not at all.  Every entry
-    of ``A``, ``b`` and the bounds must be finite (a row ``a x <= inf``
-    constrains nothing, so leave it out); the error names the bad rows.
+    2p-row encoding (upper bounds first, then lower bounds) and keeps
+    read-only copies of the bounds as ``lower`` and ``upper``, so that
+    callers can use cheap clamping and sampling paths.  Only :meth:`box`
+    sets them: the constructor takes no bounds, and a set made any other
+    way (``dataclasses.replace`` of a box too) is not a box.  Every entry of
+    ``A`` and ``b`` must be finite (a row ``a x <= inf`` constrains
+    nothing, so leave it out); the error names the bad rows.
     """
 
     A: Array
     b: Array
-    lower: Array | None = field(default=None)
-    upper: Array | None = field(default=None)
+    lower: Array | None = field(default=None, init=False)
+    upper: Array | None = field(default=None, init=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -108,16 +120,6 @@ class Polyhedron:
             raise ValueError(f"rows with zero norm are not allowed (rows {np.flatnonzero(zero)})")
         object.__setattr__(self, "A", _read_only(A))
         object.__setattr__(self, "b", _read_only(b))
-        if (self.lower is None) != (self.upper is None):
-            raise ValueError("lower and upper bounds must be given together")
-        if self.lower is not None:
-            for name in ("lower", "upper"):
-                bound = _read_only(np.reshape(getattr(self, name), -1))
-                if bound.size != A.shape[1]:
-                    raise ValueError(f"{name} must have length {A.shape[1]}, got {bound.size}")
-                if not np.isfinite(bound).all():
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, bound)
 
     @classmethod
     def box(cls, lower, upper) -> "Polyhedron":
@@ -127,9 +129,11 @@ class Polyhedron:
             raise ValueError("lower and upper must have the same length")
         if np.any(lo > hi):
             raise ValueError("box must satisfy lower <= upper")
-        p = lo.size
-        eye = np.eye(p)
-        return cls(A=np.vstack([eye, -eye]), b=np.concatenate([hi, -lo]), lower=lo, upper=hi)
+        eye = np.eye(lo.size)
+        box = cls(A=np.vstack([eye, -eye]), b=np.concatenate([hi, -lo]))
+        object.__setattr__(box, "lower", _read_only(lo))
+        object.__setattr__(box, "upper", _read_only(hi))
+        return box
 
     @property
     def dim(self) -> int:
@@ -189,8 +193,7 @@ class MetricField:
 
     @classmethod
     def identity(cls, dim: int) -> "MetricField":
-        eye = np.eye(dim)
-        return cls(eval=lambda u, _eye=eye: _eye.copy())
+        return cls.constant(np.eye(dim))
 
     @classmethod
     def constant(cls, matrix) -> "MetricField":

@@ -10,13 +10,12 @@ are directly comparable on a problem.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Polyhedron, ProblemSpec, _read_only, _vector, \
-    eval_plant_jacobian, reduced_gradient
+from .model import Polyhedron, ProblemSpec, _check_positive, _read_only, \
+    _vector, eval_plant_jacobian, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -69,11 +68,9 @@ class SaddlePointState:
                     _read_only(np.reshape(self.mu, -1)))
         if (self.mu < 0.0).any():
             raise ValueError("multipliers must be nonnegative")
-        # written "not 0 < x < inf" so that a NaN fails the check too
-        if not (0.0 < self.alpha < math.inf and 0.0 < self.gamma < math.inf):
-            raise ValueError("step sizes must be positive and finite")
-        if not 0.0 <= self.rho < math.inf:
-            raise ValueError("penalty weight must be nonnegative and finite")
+        _check_positive(self.alpha, "alpha")
+        _check_positive(self.gamma, "gamma")
+        _check_positive(self.rho, "rho", zero_ok=True)
 
     @classmethod
     def _adopt(cls, u: Array, mu: Array, alpha: float, gamma: float,

@@ -24,6 +24,8 @@ from fbopt import (
 )
 
 from fbopt import certificates
+from fbopt import controller as controller_module
+from fbopt import model as model_module
 from fbopt.certificates import PAIR_BLOCK_ROWS, _max_pair_slopes
 
 GRAD_CURVATURE = (5.0 + np.sqrt(5.0)) / 2.0  # top eigenvalue of the cost Hessian
@@ -149,6 +151,42 @@ def test_estimate_constants_measures_each_sample_once(monkeypatch):
     assert len(jacobians) == 225
 
 
+def test_estimate_constants_checks_each_value_once(monkeypatch):
+    # each sampled u, y and J is checked as it is measured, and the
+    # multiplier bound checks none of them again
+    checked = {"vector": 0, "J": 0}
+    vector, jacobian = model_module._vector, model_module._jacobian
+
+    def counted_vector(*args):
+        checked["vector"] += 1
+        return vector(*args)
+
+    def counted_jacobian(*args):
+        checked["J"] += 1
+        return jacobian(*args)
+
+    for module in (model_module, controller_module, certificates):
+        monkeypatch.setattr(module, "_vector", counted_vector)
+    for module in (model_module, controller_module):
+        monkeypatch.setattr(module, "_jacobian", counted_jacobian)
+    estimate_constants(builtin_example(), 0.01)
+    # u by eval_plant and J by eval_plant_jacobian, at each of 225 points
+    assert checked == {"vector": 225, "J": 225}
+
+
+def test_multiplier_bound_checks_alpha_before_any_step(monkeypatch):
+    prob = builtin_example()
+    pts = sample_input_set(prob.input_set, SamplerSpec(count=3))
+    ys = [eval_plant(prob.plant, u) for u in pts]
+    Js = [prob.plant.jacobian(u) for u in pts]
+    steps = []
+    monkeypatch.setattr(certificates, "_step", lambda *args: steps.append(args))
+    for alpha in (np.nan, 0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            certificates.estimate_multiplier_bound(prob, alpha, pts, ys, Js)
+    assert steps == []
+
+
 def test_estimate_constants_needs_two_points():
     # |u1| + |u2| <= 1: a 2 x 2 grid over its bounding box has only the
     # four corners, and every one lies outside
@@ -235,7 +273,9 @@ def test_constants_validation():
                      ("output_lipschitz", [np.nan]), ("output_lipschitz", [np.inf])):
         kwargs = dict(good)
         kwargs[key] = bad
-        with pytest.raises(ValueError):
+        message = ("output Lipschitz constants must be nonnegative and finite"
+                   if key == "output_lipschitz" else f"{key} must be positive and finite")
+        with pytest.raises(ValueError, match=message):
             CertificateConstants(**kwargs)
 
 

@@ -10,7 +10,6 @@ import fbopt.model as model_module
 import fbopt.saddle as saddle_module
 from fbopt import (
     CertificateConstants,
-    GridSpec,
     MetricField,
     ObjectiveSpec,
     PlantModel,
@@ -109,7 +108,10 @@ def test_config_validation():
     # read a zero dual residual and ran silently to its budget
     for overrides, message in ((dict(alpha=np.inf), "alpha must be positive and finite"),
                                (dict(scheme="saddle", gamma=np.inf, rho=1.0), "gamma"),
-                               (dict(scheme="saddle", gamma=0.5, rho=np.inf), "rho")):
+                               (dict(scheme="saddle", gamma=0.5, rho=np.inf), "rho"),
+                               # every residual is below inf: a run would
+                               # report Converged at row 0
+                               (dict(stationarity_tol=np.inf), "stationarity_tol")):
         with pytest.raises(ValueError, match=message):
             make_config(**overrides)
 
@@ -135,11 +137,6 @@ def test_input_grid_counts():
         assert prob.input_set.membership(u)
 
 
-def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(points_per_dim=1)
-
-
 # -------------------------------------------------------------- scenarios
 
 def test_load_scenario_round_trip(tmp_path):
@@ -155,8 +152,7 @@ def test_load_scenario_round_trip(tmp_path):
 def test_load_scenario_grid_start(tmp_path):
     path = write_scenario(tmp_path / "s.txt", u0="grid:5")
     config = load_scenario(path)
-    assert isinstance(config.u0, GridSpec)
-    assert config.u0.points_per_dim == 5
+    assert config.u0 == SamplerSpec(count=5)
 
 
 def test_load_scenario_saddle_fields(tmp_path):
@@ -193,6 +189,9 @@ def test_load_scenario_errors(tmp_path):
     write_scenario(bad, u0="0.0")
     with pytest.raises(ValueError):
         load_scenario(bad)  # wrong dimension
+    write_scenario(bad, u0="grid:1")
+    with pytest.raises(ValueError, match="at least two points"):
+        load_scenario(bad)  # a one-point grid
     write_scenario(bad, problem_name="unknownproblem")
     with pytest.raises(KeyError):
         load_scenario(bad)
@@ -224,7 +223,7 @@ def test_zero_budget_logs_single_row():
 
 
 def test_run_rejects_grid_start():
-    config = make_config(u0=GridSpec(points_per_dim=3))
+    config = make_config(u0=SamplerSpec(count=3))
     with pytest.raises(ValueError):
         run_trajectory(config)
 
@@ -552,7 +551,7 @@ def test_sweep_alpha_ladder_orders_violations():
 
 
 def test_sweep_expands_grid_start():
-    base = make_config(u0=GridSpec(points_per_dim=3), max_iters=2000,
+    base = make_config(u0=SamplerSpec(count=3), max_iters=2000,
                        stationarity_tol=1e-6)
     results = sweep(base, {})
     assert len(results) == 9

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -170,21 +171,23 @@ def test_non_finite_rows_rejected_by_name():
             (lambda: Polyhedron.box([np.nan], [1.0]), "[1]")):  # passes lo <= hi
         with pytest.raises(ValueError, match=f"non-finite entries .*rows {re.escape(rows)}"):
             make()
-    box = Polyhedron.box([-1.0], [1.0])
-    for bound in ("lower", "upper"):
-        with pytest.raises(ValueError, match=f"{bound} must be finite"):
-            Polyhedron(box.A, box.b, **{"lower": box.lower, "upper": box.upper,
-                                        bound: [np.nan]})
 
 
-def test_box_bounds_must_come_together_with_set_dimension():
-    box = Polyhedron.box([-1.0, -1.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        Polyhedron(box.A, box.b, lower=box.lower)  # upper missing
-    with pytest.raises(ValueError):
-        Polyhedron(box.A, box.b, upper=box.upper)  # lower missing
-    with pytest.raises(ValueError):
-        Polyhedron(box.A, box.b, lower=[-1.0], upper=[1.0])  # wrong length
+def test_box_bounds_come_only_from_box():
+    # the rows are the one description of the set: no bounds can be given
+    # beside them, and a box whose rows are replaced is no longer a box
+    with pytest.raises(TypeError):
+        Polyhedron(A=[[1.0], [-1.0]], b=[1.0, 1.0], lower=[-5.0], upper=[5.0])
+    box = Polyhedron.box([-1.0, 0.0], [1.0, 2.0])
+    assert np.array_equal(box.lower, [-1.0, 0.0]) and np.array_equal(box.upper, [1.0, 2.0])
+    for bound in (box.lower, box.upper):
+        with pytest.raises(ValueError):
+            bound[0] = 0.5  # read-only
+    moved = dataclasses.replace(box, b=[0.5, 1.0, 0.5, 0.0])
+    assert not moved.is_box and moved.lower is None and moved.upper is None
+    lo, hi = moved.bounding_box()
+    assert_allclose(lo, [-0.5, 0.0], atol=1e-9)
+    assert_allclose(hi, [0.5, 1.0], atol=1e-9)
 
 
 def test_membership_tolerance():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -118,6 +120,14 @@ def test_project_clamp_agrees_with_qp_route():
                               - project_polyhedron(rows, x)) <= 1e-10
 
 
+def test_projection_of_replaced_box_stays_in_its_rows():
+    # the projection follows the rows, not the bounds of the original box
+    moved = dataclasses.replace(Polyhedron.box([-1.0], [1.0]), b=[0.5, 0.5])
+    z = project_polyhedron(moved, [0.9])
+    assert moved.membership(z, tol=1e-12)
+    assert_allclose(z, [0.5], atol=1e-10)
+
+
 def test_projection_nonexpansive():
     box = Polyhedron.box([-1.0, -1.0], [1.0, 1.0])
     rng = np.random.default_rng(31)
@@ -129,14 +139,19 @@ def test_projection_nonexpansive():
 
 def test_state_validation():
     good = dict(u=np.zeros(2), mu=np.zeros(2), alpha=0.01, gamma=0.5, rho=1.0)
+    messages = {"mu": "multipliers must be nonnegative",
+                "alpha": "alpha must be positive and finite",
+                "gamma": "gamma must be positive and finite",
+                "rho": "rho must be nonnegative and finite"}
     for key, bad in (("mu", np.array([-0.1, 0.0])), ("alpha", 0.0),
                      ("gamma", -1.0), ("rho", -0.5), ("alpha", np.nan),
                      ("gamma", np.nan), ("rho", np.nan), ("alpha", np.inf),
                      ("gamma", np.inf), ("rho", np.inf)):
         kwargs = dict(good)
         kwargs[key] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=messages[key]):
             SaddlePointState(**kwargs)
+    SaddlePointState(**{**good, "rho": 0.0})  # rho = 0, no penalty, is allowed
 
 
 def test_step_rejects_malformed_input_or_output():
