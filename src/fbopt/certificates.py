@@ -25,6 +25,7 @@ from .controller import LinearizedSetEmpty, _step
 from .model import (
     Polyhedron,
     ProblemSpec,
+    _check_count,
     _check_positive,
     _read_only,
     _vector,
@@ -62,7 +63,7 @@ class SamplerSpec:
 
     ``kind`` is ``"grid"`` (``count`` points per dimension) or ``"random"``
     (``count`` points total, uniform over the bounding box with membership
-    rejection, seeded).
+    rejection, seeded).  ``count`` must be an integer ``>= 2``.
     """
 
     kind: str = "grid"
@@ -72,8 +73,7 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in ("grid", "random"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.count < 2:
-            raise ValueError("sampler needs at least two points")
+        _check_count(self.count, "count", 2)
 
 
 def sample_input_set(input_set: Polyhedron, spec: SamplerSpec) -> Array:

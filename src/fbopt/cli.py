@@ -10,7 +10,9 @@ Exit codes: 0 when every run converged (or the report completed cleanly),
 2 when some run of ``run`` or ``sweep`` ended at the iteration budget or a
 certificate breach, and 1 on errors (bad inputs, solver failures, derivative
 mismatches).  ``compare`` exits 1 if either run ends in an error and 0
-otherwise, whether or not the runs converged.
+otherwise, whether or not the runs converged.  ``run`` and ``sweep`` create
+their output directory only after their runs, so a rejected start writes
+nothing.
 """
 
 from __future__ import annotations
@@ -58,13 +60,8 @@ def _status_code(statuses) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_scenario(args.scenario)
-    if isinstance(config.u0, SamplerSpec):
-        print("error: run needs a concrete u0; use sweep for grid starts",
-              file=sys.stderr)
-        return 1
+    log = run_trajectory(load_scenario(args.scenario))
     os.makedirs(args.out, exist_ok=True)
-    log = run_trajectory(config)
     path = os.path.join(args.out, "trajectory.csv")
     write_csv(log, path)
     print(_summary_line("run", log))
@@ -77,8 +74,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
     grid = _parse_grid_file(args.grid) if args.grid else {}
-    os.makedirs(args.out, exist_ok=True)
     results = sweep(config, grid)
+    os.makedirs(args.out, exist_ok=True)
     statuses = []
     for i, (overrides, log) in enumerate(results):
         path = os.path.join(args.out, f"run_{i:03d}.csv")
@@ -100,9 +97,6 @@ def _cmd_compare(args) -> int:
     if config.scheme != "saddle":
         print("error: compare needs a saddle scenario (gamma and rho set); "
               "the projected twin is derived from it", file=sys.stderr)
-        return 1
-    if isinstance(config.u0, SamplerSpec):
-        print("error: compare needs a concrete u0", file=sys.stderr)
         return 1
     projected = replace(config, scheme="projected", gamma=None, rho=None)
     log_p = run_trajectory(projected)

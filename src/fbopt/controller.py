@@ -1,11 +1,14 @@
 """One-step feedback law for driving a plant to a constrained optimum.
 
 Each step takes the output ``y`` and the sensitivity ``J`` measured at the
-input (only :func:`feedback_step` calls the plant), projects the metric-scaled
-descent direction of the reduced cost onto a linearization of the feasible set,
-and advances the input by ``alpha`` times that direction.  Inputs remain inside
-their polyhedron at every step; outputs satisfy their constraints to first
-order, with the quadratic remainder bounded by the certificates module.
+input, projects the metric-scaled descent direction of the reduced cost onto a
+linearization of the feasible set, and advances the input by ``alpha`` times
+that direction.  Of the step functions only :func:`feedback_step` calls the
+plant, to take that measurement; the others here, like the saddle baseline's
+:func:`~fbopt.saddle.saddle_point_step`, are handed ``y`` and ``J``.  Inputs
+remain inside their polyhedron at every step; outputs satisfy their
+constraints to first order, with the quadratic remainder bounded by the
+certificates module.
 
 The projection subproblem is assembled so that its Lagrange multipliers are
 exactly the stationarity multipliers of the underlying design problem: at a

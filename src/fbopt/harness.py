@@ -17,7 +17,6 @@ import csv
 import enum
 import itertools
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -25,8 +24,9 @@ import numpy as np
 from .certificates import CertificateConstants, SamplerSpec, lyapunov_value, \
     sample_input_set, transient_violation_bound
 from .controller import feedback_step
-from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_positive, _read_only, \
-    _violation, eval_plant, eval_plant_jacobian, reduced_cost, reduced_gradient
+from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_count, _check_positive, \
+    _read_only, _violation, eval_plant, eval_plant_jacobian, reduced_cost, \
+    reduced_gradient
 from .problems import get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
@@ -88,10 +88,7 @@ class ScenarioConfig:
         if self.scheme not in ("projected", "saddle"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         _check_positive(self.alpha, "alpha")
-        # range() takes integers only; bool is one, but never a budget
-        if isinstance(self.max_iters, bool) \
-                or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 0:
-            raise ValueError("max_iters must be an integer >= 0")
+        _check_count(self.max_iters, "max_iters", 0)
         _check_positive(self.stationarity_tol, "stationarity_tol")
         has_saddle = self.gamma is not None or self.rho is not None
         if self.scheme == "saddle":
@@ -189,21 +186,16 @@ def load_scenario(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario file and validate it.
 
     Lines starting with ``#`` and blank lines are ignored.  ``u0`` is either
-    comma-separated floats or ``grid:<points per dimension>``.  A concrete
-    ``u0`` must belong to the problem's input set.
+    comma-separated floats or ``grid:<points per dimension>``.  The problem
+    name must be registered; a concrete ``u0``'s size and input-set
+    membership are checked by :func:`run_trajectory` alone.
     """
     values = dict(_read_key_values(path, _SCENARIO_KEYS))
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
     config = ScenarioConfig(**values)
-    problem = get_problem(config.problem_name)
-    if not isinstance(config.u0, SamplerSpec):
-        if config.u0.size != problem.input_dim:
-            raise ValueError(f"{path}: u0 has size {config.u0.size}, "
-                             f"problem needs {problem.input_dim}")
-        if not problem.input_set.membership(config.u0, tol=DEFAULT_ACTIVE_TOL):
-            raise ValueError(f"{path}: u0 is outside the input set")
+    get_problem(config.problem_name)  # an unknown name raises KeyError
     return config
 
 
@@ -241,12 +233,15 @@ def run_trajectory(config: ScenarioConfig,
                    constants: CertificateConstants | None = None) -> TrajectoryLog:
     """Run one closed-loop trajectory to convergence, budget, or error.
 
-    Each logged row costs one plant measurement: the step measures ``y``
-    (and the sensitivity) at the row's input, and the same ``y`` fills the
-    row and its merit value and violation.  The row adds no check of its
-    own: ``eval_plant`` (or ``feedback_step``) checks the input and the
-    measured ``y``, the step checks what it computes, and
-    :func:`lyapunov_value` checks ``y`` once more as a public function.
+    ``config.u0`` must be a concrete start of the problem's size inside its
+    input set (else ``ValueError``): the one check of a start.  Each logged
+    row costs one plant measurement: ``y`` and the sensitivity are measured
+    once each at the row's input (by ``feedback_step``, or here for
+    ``saddle_point_step``), and the same ``y`` fills the row and its merit
+    value and violation.  The row adds no check of its own: ``eval_plant``
+    (or ``feedback_step``) checks the input and the measured ``y``, the step
+    checks the sensitivity and what it computes, and :func:`lyapunov_value`
+    checks ``y`` once more as a public function.
 
     The merit column uses the penalty from ``constants`` when given and 1.0
     otherwise.  When ``constants`` are given and the step size is below their
@@ -267,8 +262,8 @@ def run_trajectory(config: ScenarioConfig,
     worst violation are logged as NaN.
     """
     if isinstance(config.u0, SamplerSpec):
-        raise ValueError("run_trajectory needs a concrete u0; "
-                         "expand grid starts with sweep()")
+        raise ValueError("a run needs a concrete u0, not a grid start; "
+                         "a sweep runs one per grid point")
     problem = get_problem(config.problem_name)
     if config.u0.size != problem.input_dim:
         raise ValueError(f"u0 has size {config.u0.size}, "
@@ -306,12 +301,12 @@ def run_trajectory(config: ScenarioConfig,
             return s.u, s.mu
 
         def step(s):
+            # J is taken at the u that eval_plant has just checked, and
+            # checked once, by saddle_point_step
             y = eval_plant(problem.plant, s.u)
-            nxt = saddle_point_step(problem, s, y)
-            du, dmu = nxt.u - s.u, nxt.mu - s.mu
-            # the bits of np.linalg.norm on a real vector
-            residual = (math.sqrt(du.dot(du)) / config.alpha
-                        + math.sqrt(dmu.dot(dmu)) / config.gamma)
+            nxt = saddle_point_step(problem, s, y, problem.plant.jacobian(s.u))
+            residual = (_norm(nxt.u - s.u) / config.alpha
+                        + _norm(nxt.mu - s.mu) / config.gamma)
             return nxt, y, residual, s.mu, None
 
     prev_V = prev_w = None
@@ -354,6 +349,14 @@ def run_trajectory(config: ScenarioConfig,
     if violated and status is not RunStatus.CONVERGED and status is not RunStatus.ERROR:
         status = RunStatus.CERTIFICATE_VIOLATED
     return rec.finish(status, violated, message)
+
+
+def _norm(d: Array) -> float:
+    """The bits of ``np.linalg.norm`` on a real vector ``d`` whose ``d·d`` is
+    finite, and the scaled ``math.hypot`` where ``d·d`` overflows.  ``vdot``
+    takes the same BLAS dot as ``d.dot(d)`` but raises no overflow warning."""
+    dd = np.vdot(d, d)
+    return math.sqrt(dd) if dd < math.inf else math.hypot(*d)
 
 
 def sweep(base: ScenarioConfig, grid: dict,

@@ -14,6 +14,7 @@ expressions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,6 +59,14 @@ def _check_positive(x: float, name: str, zero_ok: bool = False) -> None:
     if not (0.0 < x < math.inf or zero_ok and x == 0.0):
         raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'} "
                          "and finite")
+
+
+def _check_count(x, name: str, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``x`` is an integer ``>= minimum``: the rule
+    of every budget and point count.  A float with an integer value is not
+    one, nor is a bool."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 def _read_only(a: Array) -> Array:

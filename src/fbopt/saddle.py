@@ -4,8 +4,9 @@ Handles the output constraints through explicit multipliers instead of a
 projection subproblem: the input update is a projected gradient step on the
 augmented Lagrangian, the multiplier update a projected (nonnegative) ascent
 step on the constraint residuals.  Same measurement model as the controller
-— only steady-state outputs and sensitivities are used — so the two schemes
-are directly comparable on a problem.
+— each step takes the output ``y`` and the sensitivity ``J`` measured at its
+input, and nothing here calls the plant — so the two schemes are directly
+comparable on a problem, and either can be fed a mismatched ``J``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Polyhedron, ProblemSpec, _check_positive, _read_only, \
-    _vector, eval_plant_jacobian, reduced_gradient
+from .model import Polyhedron, ProblemSpec, _check_positive, _jacobian, \
+    _read_only, _vector, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -101,21 +102,19 @@ def _residual(problem: ProblemSpec, y: Array) -> Array:
 
 
 def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
-                                   y) -> tuple[Array, Array]:
+                                   y, J) -> tuple[Array, Array]:
     """Gradients of the augmented Lagrangian in ``u`` and ``mu``, from the
-    output ``y`` measured at ``u`` by the caller.
+    output ``y`` and the sensitivity ``J`` measured at ``u`` by the caller.
 
     Returns ``(grad_u, grad_mu)`` with
 
-        grad_u  = reduced gradient + (mu + rho * max(0, C y - d)) C J(u)
+        grad_u  = reduced gradient + (mu + rho * max(0, C y - d)) C J
         grad_mu = C y - d
 
-    The sensitivity ``J(u)`` is evaluated once, here.  The penalty gradient
-    uses the value 0 exactly on the constraint boundary (the squared
-    positive part makes this the continuous choice).  The arrays are used
-    as given: :func:`saddle_point_step` checks them.
+    The penalty gradient uses the value 0 exactly on the constraint boundary
+    (the squared positive part makes this the continuous choice).  The
+    arrays are used as given: :func:`saddle_point_step` checks them.
     """
-    J = eval_plant_jacobian(problem.plant, u)
     resid = _residual(problem, y)
     weights = mu + rho * np.maximum(resid, 0.0)
     grad_u = reduced_gradient(problem, u, y, J) + weights @ (problem.output_set.A @ J)
@@ -123,26 +122,29 @@ def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
 
 
 def saddle_point_step(problem: ProblemSpec, state: SaddlePointState,
-                      y) -> SaddlePointState:
-    """One primal-dual update from the output ``y`` measured at ``state.u``.
+                      y, J) -> SaddlePointState:
+    """One primal-dual update from the output ``y`` and the sensitivity ``J``
+    measured at ``state.u``.
 
-    The caller takes the measurement, so one step costs one plant
-    measurement and one sensitivity evaluation.  Projected gradient descent
-    on ``u`` (Euclidean projection onto the input set), projected gradient
-    ascent on ``mu`` (clipped at zero).  The state checked its entries when
-    it was built; this checks the state's lengths and ``y``, and the
-    sensitivity and the gradient are checked as they are evaluated.  The
-    next state is built by ``SaddlePointState._adopt``: of its values only
-    the new ``u`` and ``mu`` are checked, for finiteness (an overflowing
-    step raises ``ValueError``), and they are not copied.
+    The caller takes the measurements, so one step costs one plant
+    measurement and one sensitivity evaluation; a mismatched or estimated
+    ``J`` is used as given.  Projected gradient descent on ``u`` (Euclidean
+    projection onto the input set), projected gradient ascent on ``mu``
+    (clipped at zero).  The state checked its entries when it was built;
+    this checks the state's lengths, then ``y`` and ``J`` once each, and the
+    gradient as it is evaluated.  The next state is built by
+    ``SaddlePointState._adopt``: of its values only the new ``u`` and ``mu``
+    are checked, for finiteness (an overflowing step raises ``ValueError``),
+    and they are not copied.
     """
     if (state.u.size, state.mu.size) != (problem.input_dim, problem.output_set.num_rows):
         raise ValueError(f"state has {state.u.size} inputs and {state.mu.size} "
                          f"multipliers, problem needs {problem.input_dim} and "
                          f"{problem.output_set.num_rows}")
     y = _vector(y, problem.output_dim, "y")
+    J = _jacobian(J, problem.plant, state.u)
     grad_u, grad_mu = augmented_lagrangian_gradients(problem, state.u, state.mu,
-                                                     state.rho, y)
+                                                     state.rho, y, J)
     u_next = project_polyhedron(problem.input_set, state.u - state.alpha * grad_u)
     mu_next = np.maximum(state.mu + state.gamma * grad_mu, 0.0)
     return SaddlePointState._adopt(u_next, mu_next, state.alpha, state.gamma,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import controller_step
-from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _read_only, eval_plant, \
-    eval_plant_jacobian, linearized_constraints, reduced_gradient
+from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_positive, _read_only, \
+    eval_plant, eval_plant_jacobian, linearized_constraints, reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -118,15 +118,15 @@ def limit_consistency(problem: ProblemSpec, u,
     decreases, so over a decreasing ladder the deviations are nonincreasing
     up to roundoff (and vanish whenever no constraint is ever hit).
 
-    ``alphas`` must be positive and strictly decreasing; raises
+    ``alphas`` must be positive, finite and strictly decreasing; raises
     :class:`NotFeasible` if ``u`` is not feasible.
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one step size")
-    if not all(a > 0.0 for a in alphas):  # NaN fails too
-        raise ValueError("step sizes must be positive")
+    for a in alphas:
+        _check_positive(a, "step sizes")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("step sizes must be strictly decreasing")
     y = eval_plant(problem.plant, u)

@@ -337,3 +337,12 @@ def test_sampler_validation():
         SamplerSpec(kind="sobol")
     with pytest.raises(ValueError):
         SamplerSpec(count=1)
+
+
+# count=2.5 used to construct, and the random kind then drew 3 points
+@pytest.mark.parametrize("count", [2.5, 3.0, np.nan, True, "3"])
+def test_sampler_count_must_be_an_integer(count):
+    for kind in ("grid", "random"):
+        with pytest.raises(ValueError, match="count must be an integer >= 2"):
+            SamplerSpec(kind=kind, count=count)
+    assert SamplerSpec(count=np.int64(3)).count == 3

@@ -16,7 +16,9 @@ from fbopt import (
     Polyhedron,
     ProblemSpec,
     QpProblem,
+    SaddlePointState,
     assemble_projection_qp,
+    augmented_lagrangian_gradients,
     builtin_example,
     check_licq,
     controller_step,
@@ -28,6 +30,7 @@ from fbopt import (
     kkt_point_residual,
     linearized_constraints,
     reduced_gradient,
+    saddle_point_step,
     solve_qp,
 )
 
@@ -274,6 +277,14 @@ def test_step_math_makes_no_plant_call():
             prob, u, y, J, 0.01, prob.metric.eval(u)).M)
         rep = check_licq(offline, u, y, J, 0.01, st.w)
         assert rep.active_rows == check_licq(prob, u, y, J, 0.01, st.w).active_rows
+        # the saddle baseline's step math is handed y and J the same way
+        s = SaddlePointState(u=u, mu=[0.0, 0.5], alpha=0.01, gamma=0.5, rho=1.0)
+        assert np.array_equal(saddle_point_step(offline, s, y, J).u,
+                              saddle_point_step(prob, s, y, J).u)
+        grads = augmented_lagrangian_gradients(offline, s.u, s.mu, s.rho, y, J)
+        for got, ref in zip(grads, augmented_lagrangian_gradients(
+                prob, s.u, s.mu, s.rho, y, J)):
+            assert np.array_equal(got, ref)
 
 
 # wrong shape (cubic2d's J is 1 x 2) and non-finite sensitivities

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fbopt import (
     builtin_example,
     estimate_constants,
     eval_plant,
+    eval_plant_jacobian,
     feedback_step,
     finite_difference_check,
     get_problem,
@@ -76,6 +78,11 @@ def write_scenario(path, **overrides):
     lines = ["# scenario"] + [f"{k} = {v}" for k, v in fields.items() if v != ""]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# concrete starts that load_scenario passes on and run_trajectory rejects
+BAD_STARTS = [("2.0, 0.0", "u0 is outside the input set"),
+              ("0.0", "u0 has size 1, problem needs 2")]
 
 
 # ----------------------------------------------------------- configuration
@@ -183,14 +190,13 @@ def test_load_scenario_errors(tmp_path):
     write_scenario(bad, turbo="on")
     with pytest.raises(ValueError):
         load_scenario(bad)  # unknown key
-    write_scenario(bad, u0="2.0, 0.0")
-    with pytest.raises(ValueError):
-        load_scenario(bad)  # start outside the input set
-    write_scenario(bad, u0="0.0")
-    with pytest.raises(ValueError):
-        load_scenario(bad)  # wrong dimension
+    for u0, message in BAD_STARTS:
+        write_scenario(bad, u0=u0)
+        config = load_scenario(bad)
+        with pytest.raises(ValueError, match=message):
+            run_trajectory(config)
     write_scenario(bad, u0="grid:1")
-    with pytest.raises(ValueError, match="at least two points"):
+    with pytest.raises(ValueError, match="count must be an integer >= 2"):
         load_scenario(bad)  # a one-point grid
     write_scenario(bad, problem_name="unknownproblem")
     with pytest.raises(KeyError):
@@ -459,7 +465,8 @@ def hand_saddle_log(config):
     cols = {k: [] for k in ("u", "y", "V", "residual", "max_violation", "mu")}
     for k in range(config.max_iters + 1):
         y = eval_plant(prob.plant, s.u)
-        grad_u, grad_mu = augmented_lagrangian_gradients(prob, s.u, s.mu, s.rho, y)
+        grad_u, grad_mu = augmented_lagrangian_gradients(
+            prob, s.u, s.mu, s.rho, y, eval_plant_jacobian(prob.plant, s.u))
         nxt = SaddlePointState(
             u=project_polyhedron(prob.input_set, s.u - s.alpha * grad_u),
             mu=np.maximum(s.mu + s.gamma * grad_mu, 0.0),
@@ -504,37 +511,58 @@ def test_certified_run_merit_and_violation_columns_equal_public_calls():
         assert log.max_violation[k] == np.max(violation(prob.output_set, y))
 
 
-def spy_vector_names(monkeypatch):
-    """Record the name of every ``_vector`` check, in every module using it."""
+def spy_checks(monkeypatch):
+    """Record the name of every ``_vector`` check, and ``"J"`` for every
+    ``_jacobian`` check, in every module using them."""
     names = []
-    vector = model_module._vector
+    vector, jacobian = model_module._vector, model_module._jacobian
 
     def counted(x, dim, name):
         names.append(name)
         return vector(x, dim, name)
 
+    def counted_jacobian(J, plant, u):
+        names.append("J")
+        return jacobian(J, plant, u)
+
     for module in (model_module, saddle_module, certificates_module, controller_module):
         monkeypatch.setattr(module, "_vector", counted)
+    for module in (model_module, saddle_module, controller_module):
+        monkeypatch.setattr(module, "_jacobian", counted_jacobian)
     return names
 
 
 def test_saddle_row_checks_each_value_once(monkeypatch):
-    names = spy_vector_names(monkeypatch)
+    names = spy_checks(monkeypatch)
     log = run_trajectory(make_config(scheme="saddle", gamma=0.5, rho=1.0,
                                      max_iters=20))
     assert log.num_rows == 21
-    # the start's membership test, then per row: u by eval_plant, y by
+    # the start's membership test, then per row: u by eval_plant, y and J by
     # saddle_point_step and y by lyapunov_value; the harness adds no check
-    assert names == ["x"] + ["u", "y", "y"] * log.num_rows
+    assert names == ["x"] + ["u", "y", "J", "y"] * log.num_rows
 
 
 def test_projected_row_adds_no_check_of_y(monkeypatch):
-    names = spy_vector_names(monkeypatch)
+    names = spy_checks(monkeypatch)
     log = run_trajectory(make_config(max_iters=20))
     assert log.num_rows == 21
     # the start's membership test, then per row: feedback_step's membership
-    # test and eval_plant's check of u, and lyapunov_value's check of y
-    assert names == ["x"] + ["x", "u", "y"] * log.num_rows
+    # test, eval_plant's check of u and eval_plant_jacobian's of J, and
+    # lyapunov_value's check of y
+    assert names == ["x"] + ["x", "u", "J", "y"] * log.num_rows
+
+
+def test_saddle_residual_stays_finite_under_huge_dual_rate():
+    # each dual step is about gamma = 1e300, so dmu.dmu overflows while
+    # ||dmu|| / gamma is of order one; no overflow warning may be raised
+    log = run_trajectory(make_config(scheme="saddle", gamma=1e300, rho=1.0,
+                                     u0=np.array([1.0, 0.0]), max_iters=50))
+    assert log.status is RunStatus.ITER_BUDGET and log.num_rows == 51
+    assert np.isfinite(log.residual).all()
+    for k in range(log.num_rows - 1):
+        du, dmu = log.u[k + 1] - log.u[k], log.mu[k + 1] - log.mu[k]
+        assert log.residual[k] == pytest.approx(
+            math.hypot(*du) / 0.01 + math.hypot(*dmu) / 1e300, rel=1e-12)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -679,6 +707,41 @@ def test_cli_run_rejects_grid_scenario(tmp_path):
     scenario = write_scenario(tmp_path / "s.txt", u0="grid:3")
     out = tmp_path / "out"
     assert cli_main(["run", "--scenario", str(scenario), "--out", str(out)]) == 1
+    assert not out.exists()  # a rejected start writes nothing
+
+
+# the start is checked by run_trajectory alone, and --out is made after the runs
+@pytest.mark.parametrize("command, u0, message",
+                         [(c, u0, m) for c in ("run", "sweep", "compare")
+                          for u0, m in BAD_STARTS]
+                         + [("compare", "grid:3", "not a grid start")])
+def test_cli_rejects_bad_start_and_writes_nothing(tmp_path, capsys, command, u0, message):
+    scenario = write_scenario(tmp_path / "s.txt", u0=u0, scheme="saddle",
+                              gamma="0.5", rho="1.0")
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha = 0.005, 0.01\n", encoding="utf-8")
+    out = tmp_path / "out"
+    extra = {"run": ["--out", str(out)], "sweep": ["--grid", str(grid), "--out", str(out)],
+             "compare": []}[command]
+    assert cli_main([command, "--scenario", str(scenario)] + extra) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_tests_start_membership_twice(tmp_path, monkeypatch):
+    # run_trajectory's check of the start and feedback_step's own gate
+    calls = []
+    membership = Polyhedron.membership
+
+    def counted(self, x, tol=0.0):
+        calls.append(tuple(np.asarray(x, dtype=float)))
+        return membership(self, x, tol)
+
+    monkeypatch.setattr(Polyhedron, "membership", counted)
+    scenario = write_scenario(tmp_path / "s.txt", u0="1.0, 1.0", max_iters="0")
+    assert cli_main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert calls == [(1.0, 1.0)] * 2
 
 
 def test_cli_sweep(tmp_path):

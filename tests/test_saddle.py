@@ -16,6 +16,7 @@ from fbopt import (
     augmented_lagrangian_gradients,
     builtin_example,
     eval_plant,
+    eval_plant_jacobian,
     project_polyhedron,
     register_problem,
     run_trajectory,
@@ -26,18 +27,23 @@ OPTIMUM = np.array([-0.5, 1.0])
 OPT_MU = np.array([0.0, 0.5])
 
 
+def measure(prob, u):
+    """The output and the sensitivity of the plant at ``u``."""
+    return eval_plant(prob.plant, u), eval_plant_jacobian(prob.plant, u)
+
+
 def test_dual_gradient_is_constraint_residual():
     prob = builtin_example()
     for rho in (0.0, 7.0):
         _, grad_mu = augmented_lagrangian_gradients(
-            prob, [0.0, 0.0], [0.0, 0.0], rho, eval_plant(prob.plant, [0.0, 0.0]))
+            prob, [0.0, 0.0], [0.0, 0.0], rho, *measure(prob, [0.0, 0.0]))
         assert_allclose(grad_mu, [-0.5, -0.5])
 
 
 def test_primal_gradient_reduces_to_cost_gradient():
     prob = builtin_example()
     grad_u, _ = augmented_lagrangian_gradients(
-        prob, [0.0, 0.0], [0.0, 0.0], 0.0, eval_plant(prob.plant, [0.0, 0.0]))
+        prob, [0.0, 0.0], [0.0, 0.0], 0.0, *measure(prob, [0.0, 0.0]))
     assert_allclose(grad_u, [1.0, -4.0])
 
 
@@ -45,7 +51,7 @@ def test_step_from_origin():
     prob = builtin_example()
     state = SaddlePointState(u=np.zeros(2), mu=np.zeros(2),
                              alpha=0.01, gamma=0.5, rho=1.0)
-    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+    nxt = saddle_point_step(prob, state, *measure(prob, state.u))
     assert_allclose(nxt.u, [-0.01, 0.04], atol=1e-14)
     assert_allclose(nxt.mu, [0.0, 0.0])  # both output rows slack at the start
 
@@ -53,7 +59,7 @@ def test_step_from_origin():
 def test_optimal_pair_is_fixed_point():
     prob = builtin_example()
     state = SaddlePointState(u=OPTIMUM, mu=OPT_MU, alpha=0.01, gamma=0.5, rho=0.0)
-    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+    nxt = saddle_point_step(prob, state, *measure(prob, state.u))
     assert_allclose(nxt.u, OPTIMUM, atol=1e-12)
     assert_allclose(nxt.mu, OPT_MU, atol=1e-12)
 
@@ -62,7 +68,7 @@ def test_residual_positive_away_from_saddle():
     prob = builtin_example()
     state = SaddlePointState(u=np.zeros(2), mu=np.zeros(2),
                              alpha=0.01, gamma=0.5, rho=1.0)
-    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+    nxt = saddle_point_step(prob, state, *measure(prob, state.u))
     displacement = (np.linalg.norm(nxt.u - state.u) / state.alpha
                     + np.linalg.norm(nxt.mu - state.mu) / state.gamma)
     assert displacement > 1.0
@@ -77,7 +83,7 @@ def test_dual_iterates_stay_nonnegative():
                                  alpha=0.01, gamma=float(rng.uniform(0.1, 5.0)),
                                  rho=float(rng.uniform(0.0, 10.0)))
         for _ in range(5):
-            state = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+            state = saddle_point_step(prob, state, *measure(prob, state.u))
             assert np.all(state.mu >= 0.0)
             assert prob.input_set.membership(state.u, tol=1e-12)
 
@@ -157,25 +163,54 @@ def test_state_validation():
 def test_step_rejects_malformed_input_or_output():
     prob = builtin_example()
     good = dict(u=np.zeros(2), mu=np.zeros(2), alpha=0.01, gamma=0.5, rho=1.0)
-    y = eval_plant(prob.plant, good["u"])
+    y, J = measure(prob, good["u"])
     for bad_u in (np.zeros(3), np.zeros(1), np.array([np.nan, 0.0]),
                   np.array([0.0, np.inf])):
         with pytest.raises(ValueError):
-            saddle_point_step(prob, SaddlePointState(**{**good, "u": bad_u}), y)
+            saddle_point_step(prob, SaddlePointState(**{**good, "u": bad_u}), y, J)
     state = SaddlePointState(**good)
     for bad_y in (np.zeros(2), np.zeros(0), np.array([np.nan]), np.array([np.inf])):
         with pytest.raises(ValueError):
-            saddle_point_step(prob, state, bad_y)
+            saddle_point_step(prob, state, bad_y, J)
+    # the messages of eval_plant_jacobian (cubic2d's J is 1 x 2)
+    for bad_J, message in ((np.zeros((2, 2)), "jacobian shape"),
+                           (np.zeros((1, 3)), "jacobian shape"),
+                           (np.array([[np.nan, 0.0]]), "jacobian must be finite"),
+                           (np.array([[0.0, -np.inf]]), "jacobian must be finite")):
+        with pytest.raises(ValueError, match=message):
+            saddle_point_step(prob, state, y, bad_J)
 
 
 def test_step_rejects_multipliers_of_wrong_length():
     # a single multiplier used to broadcast over both output rows
     prob = builtin_example()
-    y = eval_plant(prob.plant, np.zeros(2))
+    y, J = measure(prob, np.zeros(2))
     for mu in (np.zeros(1), np.zeros(3)):
         state = SaddlePointState(u=np.zeros(2), mu=mu, alpha=0.01, gamma=0.5, rho=1.0)
         with pytest.raises(ValueError, match="multipliers"):
-            saddle_point_step(prob, state, y)
+            saddle_point_step(prob, state, y, J)
+
+
+def test_step_uses_the_given_sensitivity():
+    # a mismatched J goes straight into the step, as for controller_step
+    prob = builtin_example()
+    C, d = prob.output_set.A, prob.output_set.b
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        state = SaddlePointState(u=rng.uniform(-1.0, 1.0, size=2),
+                                 mu=rng.uniform(0.0, 2.0, size=2),
+                                 alpha=0.01, gamma=0.5, rho=1.0)
+        y, J = measure(prob, state.u)
+        JE = J + 0.1 * rng.normal(size=J.shape)
+        resid = C @ y - d
+        g = prob.objective.gradient(state.u, y)
+        grad_u = (g[:2] + g[2:] @ JE
+                  + (state.mu + state.rho * np.maximum(resid, 0.0)) @ (C @ JE))
+        nxt = saddle_point_step(prob, state, y, JE)
+        assert np.array_equal(nxt.u, project_polyhedron(
+            prob.input_set, state.u - state.alpha * grad_u))
+        assert np.array_equal(nxt.mu, np.maximum(state.mu + state.gamma * resid, 0.0))
+        assert not np.array_equal(nxt.u, saddle_point_step(prob, state, y, J).u)
 
 
 def test_step_builds_next_state_without_the_constructor(monkeypatch):
@@ -192,7 +227,7 @@ def test_step_builds_next_state_without_the_constructor(monkeypatch):
                              alpha=0.01, gamma=0.5, rho=1.0)
     assert len(post_inits) == 1  # the spy works
     for _ in range(5):
-        state = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+        state = saddle_point_step(prob, state, *measure(prob, state.u))
     assert len(post_inits) == 1
     assert (state.alpha, state.gamma, state.rho) == (0.01, 0.5, 1.0)
 
@@ -201,7 +236,7 @@ def test_stepped_state_holds_read_only_arrays():
     prob = builtin_example()
     state = SaddlePointState(u=np.zeros(2), mu=np.zeros(2),
                              alpha=0.01, gamma=0.5, rho=1.0)
-    nxt = saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+    nxt = saddle_point_step(prob, state, *measure(prob, state.u))
     for a in (state.u, state.mu, nxt.u, nxt.mu):
         assert a.dtype == float and a.ndim == 1 and not a.flags.writeable
         with pytest.raises(ValueError):
@@ -228,7 +263,7 @@ def test_overflowing_dual_step_is_rejected():
     state = SaddlePointState(u=[0.5], mu=[0.0], alpha=0.01, gamma=1e300, rho=1.0)
     with np.errstate(over="ignore"), \
             pytest.raises(ValueError, match="state contains non-finite entries"):
-        saddle_point_step(prob, state, eval_plant(prob.plant, state.u))
+        saddle_point_step(prob, state, *measure(prob, state.u))
     try:
         register_problem("steep1d", steep_problem)
     except ValueError:

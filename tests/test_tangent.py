@@ -192,6 +192,9 @@ def test_limit_consistency_validates_ladder():
         limit_consistency(prob, [0.0, 0.0], [0.1, -0.01])
     with pytest.raises(ValueError, match="positive"):
         limit_consistency(prob, [0.0, 0.0], [np.nan])
+    # inf passed a bare a > 0 test and failed only inside controller_step
+    with pytest.raises(ValueError, match="step sizes must be positive and finite"):
+        limit_consistency(prob, [0.0, 0.0], [np.inf, 1.0])
     with pytest.raises(ValueError):
         limit_consistency(prob, [0.0, 0.0], [0.01, 0.1])
 
