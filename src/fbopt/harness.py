@@ -25,9 +25,9 @@ from .certificates import CertificateConstants, SamplerSpec, lyapunov_value, \
     sample_input_set, transient_violation_bound
 from .controller import feedback_step
 from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_count, _check_positive, \
-    _read_only, _violation, eval_plant, eval_plant_jacobian, reduced_cost, \
+    _finite, _read_only, _violation, eval_plant, eval_plant_jacobian, reduced_cost, \
     reduced_gradient
-from .problems import get_problem
+from .problems import _factory, get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
 __all__ = [
@@ -100,7 +100,7 @@ class ScenarioConfig:
             raise ValueError("gamma/rho are only valid for the saddle scheme")
         if not isinstance(self.u0, SamplerSpec):
             u0 = np.asarray(self.u0, dtype=float).reshape(-1)
-            if not np.all(np.isfinite(u0)):
+            if not _finite(u0):
                 raise ValueError("u0 must be finite")
             object.__setattr__(self, "u0", _read_only(u0))
 
@@ -187,7 +187,8 @@ def load_scenario(path) -> ScenarioConfig:
 
     Lines starting with ``#`` and blank lines are ignored.  ``u0`` is either
     comma-separated floats or ``grid:<points per dimension>``.  The problem
-    name must be registered; a concrete ``u0``'s size and input-set
+    name must be registered (``KeyError`` otherwise), which is checked
+    without building the problem; a concrete ``u0``'s size and input-set
     membership are checked by :func:`run_trajectory` alone.
     """
     values = dict(_read_key_values(path, _SCENARIO_KEYS))
@@ -195,7 +196,7 @@ def load_scenario(path) -> ScenarioConfig:
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
     config = ScenarioConfig(**values)
-    get_problem(config.problem_name)  # an unknown name raises KeyError
+    _factory(config.problem_name)
     return config
 
 
@@ -234,7 +235,9 @@ def run_trajectory(config: ScenarioConfig,
     """Run one closed-loop trajectory to convergence, budget, or error.
 
     ``config.u0`` must be a concrete start of the problem's size inside its
-    input set (else ``ValueError``): the one check of a start.  Each logged
+    input set (else ``ValueError``): the one check of a start.  ``constants``,
+    when given, must hold one output Lipschitz constant per output row
+    (else ``ValueError``, before the first step).  Each logged
     row costs one plant measurement: ``y`` and the sensitivity are measured
     once each at the row's input (by ``feedback_step``, or here for
     ``saddle_point_step``), and the same ``y`` fills the row and its merit
@@ -270,11 +273,14 @@ def run_trajectory(config: ScenarioConfig,
                          f"problem needs {problem.input_dim}")
     if not problem.input_set.membership(config.u0, tol=DEFAULT_ACTIVE_TOL):
         raise ValueError("u0 is outside the input set")
+    l = problem.output_set.num_rows
+    if constants is not None and constants.output_lipschitz.size != l:
+        raise ValueError(f"output_lipschitz has {constants.output_lipschitz.size} "
+                         f"entries, the problem has {l} output rows")
 
     penalty = constants.multiplier_bound if constants is not None else 1.0
     certify = (constants is not None
                and config.alpha < constants.step_size_bound)
-    l = problem.output_set.num_rows
     rec = _Recorder()
     violated = False
     message = ""

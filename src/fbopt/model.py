@@ -41,13 +41,24 @@ DEFAULT_ACTIVE_TOL = 1e-9
 Array = np.ndarray
 
 
+def _finite(x: Array) -> bool:
+    """Whether every entry of the float array ``x`` is finite: the one
+    finiteness test of the step path.  ``x·x`` is finite only if every entry
+    is, so the elementwise test runs only when the sum of squares is not
+    (a non-finite entry, or entries above about 1.3e154); the verdict is
+    always that of ``np.isfinite(x).all()``.  ``vdot`` flattens ``x`` and,
+    unlike ``x.dot(x)``, raises no overflow warning."""
+    return np.vdot(x, x) < math.inf or bool(np.isfinite(x).all())
+
+
 def _vector(x, dim: int, name: str) -> Array:
-    """``x`` as a float vector of length ``dim`` with finite entries: the
-    check a public function runs once on each array its caller passes."""
+    """``x`` as a float vector of length ``dim`` with finite entries (by
+    :func:`_finite`): the check a public function runs once on each array
+    its caller passes."""
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.size != dim:
         raise ValueError(f"{name} must have length {dim}, got {v.size}")
-    if not np.isfinite(v).all():
+    if not _finite(v):
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -244,12 +255,13 @@ class ProblemSpec:
 def eval_plant(plant: PlantModel, u) -> Array:
     """Evaluate the steady-state output for input ``u``.
 
-    Raises ``ValueError`` if the plant returns a non-finite output."""
+    ``u`` is checked by :func:`_vector`.  Raises ``ValueError`` if the plant
+    returns an output of the wrong length or one that fails :func:`_finite`."""
     u = _vector(u, plant.input_dim, "u")
     y = np.asarray(plant.eval(u), dtype=float).reshape(-1)
     if y.size != plant.output_dim:
         raise ValueError(f"plant returned {y.size} outputs, expected {plant.output_dim}")
-    if not np.isfinite(y).all():
+    if not _finite(y):
         raise ValueError(f"plant output must be finite, got {y.tolist()} "
                          f"at u={u.tolist()}")
     return y
@@ -264,13 +276,14 @@ def eval_plant_jacobian(plant: PlantModel, u) -> Array:
 
 
 def _jacobian(J, plant: PlantModel, u) -> Array:
-    """``J`` as a finite float ``(n, p)`` matrix: the check of every ``J``."""
+    """``J`` as a float ``(n, p)`` matrix that passes :func:`_finite`: the
+    check of every ``J``."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.shape != (plant.output_dim, plant.input_dim):
         raise ValueError(
             f"jacobian shape {J.shape} does not match ({plant.output_dim}, {plant.input_dim})"
         )
-    if not np.isfinite(J).all():
+    if not _finite(J):
         raise ValueError(f"plant jacobian must be finite, got {J.tolist()} "
                          f"at u={np.asarray(u).tolist()}")
     return J
@@ -284,13 +297,14 @@ def reduced_gradient(problem: ProblemSpec, u, y, J) -> Array:
     there and the sensitivity ``J = eval_plant_jacobian(problem.plant, u)``;
     the chain rule folds the output sensitivity into the input coordinates:
     ``grad_u cost + grad_y cost @ J``.  Raises ``ValueError`` if the
-    objective returns a non-finite gradient.
+    objective returns a gradient of the wrong length or one that fails
+    :func:`_finite`.
     """
     p = problem.input_dim
     g = np.asarray(problem.objective.gradient(u, y), dtype=float).reshape(-1)
     if g.size != p + problem.output_dim:
         raise ValueError(f"objective gradient must have length {p + problem.output_dim}")
-    if not np.isfinite(g).all():
+    if not _finite(g):
         raise ValueError(f"objective gradient must be finite, got {g.tolist()} "
                          f"at u={np.asarray(u).tolist()}")
     return g[:p] + g[p:] @ J

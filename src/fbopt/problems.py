@@ -41,12 +41,17 @@ def register_problem(name: str, factory) -> None:
 
 def get_problem(name: str) -> ProblemSpec:
     """Instantiate the registered problem ``name``."""
+    return _factory(name)()
+
+
+def _factory(name: str):
+    """The factory registered under ``name``: a name check that builds
+    nothing.  An unknown name raises ``KeyError`` listing the known ones."""
     try:
-        factory = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "none"
         raise KeyError(f"unknown problem {name!r} (registered: {known})") from None
-    return factory()
 
 
 def problem_names() -> list[str]:

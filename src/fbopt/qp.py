@@ -47,6 +47,8 @@ from scipy.optimize import linprog  # noqa: F401 -- unused; perfbench/tracer.py 
 # `import fbopt` slower
 from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
 
+from .model import _finite
+
 __all__ = [
     "Infeasible",
     "NotPositiveDefinite",
@@ -147,7 +149,7 @@ class QpProblem:
         # a sum is finite only if every term is; the loop names the array
         if not math.isfinite(qmax + scale + M.sum()):
             for name, a in ((q_name, Q), ("c", c), ("M", M), ("r", r)):
-                if not np.isfinite(a).all():
+                if not _finite(a):
                     raise ValueError(f"{name} must be finite")
         for name, a in (("Q", Q), ("c", c), ("M", M), ("r", r)):
             a.setflags(write=False)
@@ -238,7 +240,7 @@ def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bo
         kkt[p:, :p] = N
     rhs = np.concatenate([top, bottom])
     sol, info = dgesv(kkt, rhs)[2:]
-    if info == 0 and np.isfinite(sol).all():
+    if info == 0 and _finite(sol):
         return sol, False
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Polyhedron, ProblemSpec, _check_positive, _jacobian, \
+from .model import Polyhedron, ProblemSpec, _check_positive, _finite, _jacobian, \
     _read_only, _vector, reduced_gradient
 from .qp import QpProblem, solve_qp
 
@@ -53,7 +53,8 @@ class SaddlePointState:
     ``gamma`` the primal / dual step sizes, and ``rho`` the quadratic
     penalty weight of the augmented Lagrangian.  The constructor copies
     ``u`` and ``mu`` into read-only float vectors and checks that both are
-    finite, that ``mu >= 0``, that ``0 < alpha, gamma < inf`` and that
+    finite (by :func:`~fbopt.model._finite`, as every stepped state is),
+    that ``mu >= 0``, that ``0 < alpha, gamma < inf`` and that
     ``0 <= rho < inf`` (each raises ``ValueError``).  Their lengths are
     checked against a problem by :func:`saddle_point_step`.
     """
@@ -87,8 +88,8 @@ class SaddlePointState:
         return state
 
     def _store(self, u: Array, mu: Array) -> None:
-        """Check ``u`` and ``mu`` for finiteness, then keep them read-only."""
-        if not (np.isfinite(u).all() and np.isfinite(mu).all()):
+        """Check ``u`` and ``mu`` with ``_finite``, then keep them read-only."""
+        if not (_finite(u) and _finite(mu)):
             raise ValueError("state contains non-finite entries")
         u.setflags(write=False)
         mu.setflags(write=False)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import fbopt.certificates as certificates_module
 import fbopt.controller as controller_module
+import fbopt.harness as harness_module
 import fbopt.model as model_module
 import fbopt.saddle as saddle_module
 from fbopt import (
@@ -456,6 +457,24 @@ def test_transient_bound_breach_is_flagged():
         assert np.all(V[1:] <= V[:-1] + 1e-12 * (1.0 + np.abs(V[:-1])))
 
 
+@pytest.mark.parametrize("ell", [[6.0], [6.0, 6.0, 6.0]])
+def test_constants_must_fit_the_output_rows(monkeypatch, ell):
+    # one entry used to broadcast over cubic2d's two output rows, three to
+    # raise numpy's broadcast error after row 0, outside the step's try
+    c = estimate_constants(builtin_example(), 0.01)
+    constants = CertificateConstants(grad_lipschitz=c.grad_lipschitz,
+                                     output_lipschitz=ell,
+                                     multiplier_bound=c.multiplier_bound,
+                                     metric_floor=c.metric_floor)
+    steps = []
+    monkeypatch.setattr(harness_module, "feedback_step",
+                        lambda *args: steps.append(args))
+    message = f"output_lipschitz has {len(ell)} entries, the problem has 2 output rows"
+    with pytest.raises(ValueError, match=message):
+        run_trajectory(make_config(alpha=0.01, u0=np.array([1.0, 1.0])), constants)
+    assert steps == []
+
+
 def hand_saddle_log(config):
     """The saddle run of ``config`` rebuilt from the public functions: each
     state through the public constructor, the residual by np.linalg.norm."""
@@ -742,6 +761,29 @@ def test_cli_run_tests_start_membership_twice(tmp_path, monkeypatch):
     assert cli_main(["run", "--scenario", str(scenario),
                      "--out", str(tmp_path / "out")]) == 2
     assert calls == [(1.0, 1.0)] * 2
+
+
+def test_cli_builds_the_problem_once_per_run(tmp_path):
+    # load_scenario checks the name without calling the factory
+    builds = []
+
+    def factory():
+        builds.append(1)
+        return builtin_example()
+
+    register_problem("cubic2d.counted", factory)
+    scenario = write_scenario(tmp_path / "s.txt", problem_name="cubic2d.counted",
+                              scheme="saddle", gamma="0.5", rho="1.0",
+                              max_iters="5")
+    assert cli_main(["compare", "--scenario", str(scenario)]) == 0
+    assert len(builds) == 2
+    del builds[:]
+    assert cli_main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert len(builds) == 1
+    # an unknown name is still a KeyError naming the registered problems
+    with pytest.raises(KeyError, match="unknown problem 'nope'.*cubic2d.counted"):
+        load_scenario(write_scenario(tmp_path / "u.txt", problem_name="nope"))
 
 
 def test_cli_sweep(tmp_path):

@@ -19,6 +19,7 @@ from fbopt import (
     reduced_gradient,
     violation,
 )
+from fbopt.model import _finite, _jacobian, _vector
 
 
 def identity_plant(dim):
@@ -46,6 +47,66 @@ def test_eval_plant_rejects_wrong_dimension():
     prob = builtin_example()
     with pytest.raises(ValueError):
         eval_plant(prob.plant, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("x", [
+    np.array([1e200, -1e200]),           # x.x overflows: the elementwise fallback
+    np.array([0.0, np.nan]),
+    np.array([np.inf, 1.0]),
+    np.array([-np.inf]),
+    np.zeros(0),
+    np.arange(6.0).reshape(2, 3).T,      # not contiguous
+    np.array([[1.0, np.nan], [0.0, 2.0]]).T,
+    np.array([5e-324]),                  # x.x underflows to 0
+    np.full((36, 12), 1e160),
+    np.full((36, 12), 0.5),
+])
+def test_finite_agrees_with_elementwise_test(x):
+    assert bool(_finite(x)) == bool(np.isfinite(x).all())
+
+
+def huge_output_problem(y):
+    """A two-input, two-output problem whose plant returns the constant
+    ``y``, whose Jacobian is filled with ``y[0]`` and whose objective
+    gradient carries ``y``."""
+    plant = PlantModel(input_dim=2, output_dim=2,
+                       eval=lambda u: np.array(y),
+                       jacobian=lambda u: np.full((2, 2), y[0]))
+    obj = ObjectiveSpec(eval=lambda u, out: 0.0,
+                        gradient=lambda u, out: np.array([y[0], y[1], 0.0, 0.0]))
+    return ProblemSpec(plant=plant, objective=obj,
+                       input_set=Polyhedron.box([-1.0, -1.0], [1.0, 1.0]),
+                       output_set=Polyhedron.box([-1.0, -1.0], [1.0, 1.0]),
+                       metric=MetricField.identity(2))
+
+
+def test_huge_finite_values_pass_every_check():
+    # the sum of squares of these overflows, so a bare x.x test would
+    # reject them
+    y = [1e200, -1e200]
+    prob = huge_output_problem(y)
+    assert np.array_equal(eval_plant(prob.plant, [0.0, 0.0]), y)
+    assert np.array_equal(eval_plant_jacobian(prob.plant, [0.0, 0.0]), np.full((2, 2), 1e200))
+    assert np.array_equal(_vector(y, 2, "y"), y)
+    assert np.array_equal(reduced_gradient(prob, np.zeros(2), np.zeros(2), np.zeros((2, 2))), y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_keep_their_messages(bad):
+    y = [1e200, bad]
+    prob = huge_output_problem(y)
+    u = np.zeros(2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"plant output must be finite, got {np.array(y).tolist()} at u=[0.0, 0.0]")):
+        eval_plant(prob.plant, u)
+    with pytest.raises(ValueError, match="^plant jacobian must be finite, got "):
+        _jacobian(np.array([[1.0, bad]]), builtin_example().plant, u)
+    with pytest.raises(ValueError, match="^objective gradient must be finite, got "):
+        reduced_gradient(prob, u, np.zeros(2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^u must be finite$"):
+        eval_plant(prob.plant, [0.0, bad])
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        prob.input_set.membership([bad, 0.0])
 
 
 def test_jacobian_builtin_origin():

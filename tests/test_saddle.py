@@ -160,6 +160,43 @@ def test_state_validation():
     SaddlePointState(**{**good, "rho": 0.0})  # rho = 0, no penalty, is allowed
 
 
+def test_state_accepts_huge_finite_entries_only():
+    # u.u and mu.mu overflow here, so a bare sum-of-squares test would fail
+    state = SaddlePointState(u=[1e200, -1e200], mu=[1e200, 0.0],
+                             alpha=0.01, gamma=0.5, rho=1.0)
+    assert np.array_equal(state.u, [1e200, -1e200])
+    assert np.array_equal(state.mu, [1e200, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        for key, value in (("u", [1e200, bad]), ("mu", [0.0, abs(bad)])):
+            kwargs = dict(u=np.zeros(2), mu=np.zeros(2), alpha=0.01, gamma=0.5, rho=1.0)
+            kwargs[key] = value
+            with pytest.raises(ValueError, match="^state contains non-finite entries$"):
+                SaddlePointState(**kwargs)
+
+
+@pytest.mark.parametrize("scheme, extra", [("projected", {}),
+                                           ("saddle", dict(gamma=0.5, rho=1.0))])
+def test_steps_make_no_elementwise_finiteness_test(monkeypatch, scheme, extra):
+    # on finite data every check of a row is decided by one sum of squares
+    prob = builtin_example()
+    name = f"cubic2d.prebuilt.{scheme}"
+    register_problem(name, lambda: prob)  # built before the spy is set
+    calls = []
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    assert not np.isfinite(np.array([np.inf])).all() and len(calls) == 1  # the spy works
+    del calls[:]
+    log = run_trajectory(ScenarioConfig(problem_name=name, scheme=scheme, alpha=0.01,
+                                        u0=np.array([1.0, 1.0]), max_iters=50, **extra))
+    assert log.num_rows == 51
+    assert calls == []
+
+
 def test_step_rejects_malformed_input_or_output():
     prob = builtin_example()
     good = dict(u=np.zeros(2), mu=np.zeros(2), alpha=0.01, gamma=0.5, rho=1.0)
