@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import LinearizedSetEmpty, _step
+from .controller import LinearizedSetEmpty, _metric, _step
 from .model import (
     Polyhedron,
     ProblemSpec,
@@ -193,13 +193,14 @@ def estimate_lipschitz_constants(problem: ProblemSpec, pts: Array, ys,
 
 
 def estimate_multiplier_bound(problem: ProblemSpec, alpha: float, pts: Array,
-                              ys, Js) -> float:
+                              ys, Js, Gs) -> float:
     """Bound the output multipliers of the projection subproblem from a sample.
 
     Runs the controller at every sampled input ``pts[k]`` with the output
-    ``ys[k]`` and the sensitivity ``Js[k]`` measured there, and doubles the
-    largest observed output multiplier; points where the linearized set is
-    empty are skipped with a warning.  Floored at ``MULTIPLIER_FLOOR`` so the
+    ``ys[k]`` and the sensitivity ``Js[k]`` measured there and the metric
+    ``Gs[k]`` (a float array) evaluated there, and doubles the largest
+    observed output multiplier; points where the linearized set is empty
+    are skipped with a warning.  Floored at ``MULTIPLIER_FLOOR`` so the
     certificate stays finite when no output constraint is ever active.
     ``alpha`` is checked once, before any step; the points and measurements
     are used as given, as :func:`estimate_constants` checked them when it
@@ -207,9 +208,9 @@ def estimate_multiplier_bound(problem: ProblemSpec, alpha: float, pts: Array,
     """
     _check_positive(alpha, "alpha")
     mu_max = 0.0
-    for u, y, J in zip(pts, ys, Js):
+    for u, y, J, G in zip(pts, ys, Js, Gs):
         try:
-            step = _step(problem, u, y, J, alpha)
+            step = _step(problem, u, y, J, alpha, G)
         except LinearizedSetEmpty:
             warnings.warn(f"skipping sample {u.tolist()}: linearized set empty",
                           stacklevel=2)
@@ -223,22 +224,22 @@ def estimate_constants(problem: ProblemSpec, alpha: float,
                        sampler: SamplerSpec | None = None) -> CertificateConstants:
     """Estimate all certificate constants from one sample of the input set.
 
-    The input set is sampled once, and ``y`` and ``J`` are evaluated once per
-    sampled point; the Lipschitz constants, the multiplier bound and the
-    metric floor all come from those points.  The multiplier bound depends on
-    the step size used to linearize the output constraints, hence the
-    ``alpha`` argument.  Deterministic for a given sampler.
+    The input set is sampled once, and ``y``, ``J`` and the metric are
+    evaluated once per sampled point; the Lipschitz constants, the multiplier
+    bound and the metric floor all come from those points.  The multiplier
+    bound depends on the step size used to linearize the output constraints,
+    hence the ``alpha`` argument.  Deterministic for a given sampler.
     """
     pts = sample_input_set(problem.input_set, sampler or SamplerSpec())
     if pts.shape[0] < 2:
         raise ValueError("sampler produced fewer than two feasible points")
     ys = [eval_plant(problem.plant, u) for u in pts]
     Js = [eval_plant_jacobian(problem.plant, u) for u in pts]
+    Gs = [_metric(problem, u) for u in pts]
     grad_lipschitz, ell = estimate_lipschitz_constants(problem, pts, ys, Js)
-    mult = estimate_multiplier_bound(problem, alpha, pts, ys, Js)
+    mult = estimate_multiplier_bound(problem, alpha, pts, ys, Js, Gs)
     floor = np.inf
-    for u in pts:
-        G = np.asarray(problem.metric.eval(u), dtype=float)
+    for G in Gs:
         floor = min(floor, float(np.linalg.eigvalsh(G)[0]))
     if not np.isfinite(floor) or floor <= 0.0:
         raise ValueError("metric must be positive definite on the input set")

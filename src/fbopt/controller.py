@@ -128,9 +128,14 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float,
     return _projection_qp(problem, u, y, J, alpha, np.asarray(G, dtype=float))
 
 
-def _step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerStep:
-    """The step from a checked ``alpha``, ``u``, ``y`` and ``J``."""
-    G = np.asarray(problem.metric.eval(u), dtype=float)
+def _metric(problem: ProblemSpec, u: Array) -> Array:
+    """The metric ``G(u)`` as a float array."""
+    return np.asarray(problem.metric.eval(u), dtype=float)
+
+
+def _step(problem: ProblemSpec, u, y, J, alpha: float, G: Array) -> ControllerStep:
+    """The step from a checked ``alpha``, ``u``, ``y`` and ``J`` and the
+    float array ``G = G(u)``."""
     qp = _projection_qp(problem, u, y, J, alpha, G)
     try:
         sol = solve_qp(qp)
@@ -157,7 +162,8 @@ def controller_step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerSt
     _check_positive(alpha, "alpha")
     u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
-    return _step(problem, u, y, _jacobian(J, problem.plant, u), alpha)
+    J = _jacobian(J, problem.plant, u)
+    return _step(problem, u, y, J, alpha, _metric(problem, u))
 
 
 def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
@@ -173,7 +179,8 @@ def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
         raise ValueError("current input lies outside the input set")
     y = eval_plant(problem.plant, u)
     u = np.asarray(u, dtype=float).reshape(-1)
-    return _step(problem, u, y, eval_plant_jacobian(problem.plant, u), alpha)
+    J = eval_plant_jacobian(problem.plant, u)
+    return _step(problem, u, y, J, alpha, _metric(problem, u))
 
 
 def check_licq(problem: ProblemSpec, u, y, J, alpha: float, w) -> LicqReport:

@@ -165,8 +165,8 @@ def _read_key_values(path, kinds: dict):
     """Yield ``(key, kinds[key](value))`` for each ``key = value`` line.
 
     Lines starting with ``#`` and blank lines are skipped; a line without
-    ``=`` or with a key outside ``kinds`` raises ``ValueError`` naming
-    ``path:lineno``.
+    ``=``, with a key outside ``kinds`` or with a value its converter rejects
+    raises ``ValueError`` naming ``path:lineno`` (and the key, for a value).
     """
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -179,7 +179,11 @@ def _read_key_values(path, kinds: dict):
             key = key.strip()
             if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            yield key, kinds[key](value.strip())
+            try:
+                converted = kinds[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
+            yield key, converted
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -373,7 +377,8 @@ def sweep(base: ScenarioConfig, grid: dict,
     their Cartesian product.  A :class:`~fbopt.certificates.SamplerSpec`
     start in ``base`` is expanded into one run per point it samples from the
     input set.  Returns ``(overrides, log)`` pairs in deterministic order;
-    raises if the product is empty.
+    raises if the product is empty.  Every config is built, and so checked,
+    before the first run.
     """
     grid = dict(grid)
     if isinstance(base.u0, SamplerSpec) and "u0" not in grid:
@@ -385,12 +390,11 @@ def sweep(base: ScenarioConfig, grid: dict,
         if key not in ScenarioConfig.__dataclass_fields__:
             raise ValueError(f"unknown config field {key!r}")
     keys = sorted(grid)
-    out = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        config = replace(base, **overrides)
-        out.append((overrides, run_trajectory(config, constants)))
-    return out
+    overrides = [dict(zip(keys, combo))
+                 for combo in itertools.product(*(grid[k] for k in keys))]
+    configs = [replace(base, **ov) for ov in overrides]
+    return [(ov, run_trajectory(config, constants))
+            for ov, config in zip(overrides, configs)]
 
 
 # ------------------------------------------------------- derivative checking

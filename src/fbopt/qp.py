@@ -42,9 +42,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401 -- unused; perfbench/tracer.py looks it up
-# after scipy.optimize, which loads scipy.linalg: imported first, it made
-# `import fbopt` slower
 from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
 
 from .model import _finite
@@ -62,6 +59,24 @@ __all__ = [
 ]
 
 Array = np.ndarray
+
+
+def __getattr__(name: str):
+    """Resolve ``fbopt.qp.linprog`` to SciPy's own function, importing
+    :mod:`scipy.optimize` only then; any other missing name raises
+    ``AttributeError``.
+
+    No code here calls ``linprog``.  The name resolves only because
+    ``perfbench/tracer.py`` looks it up with a bare ``getattr``; importing
+    it on first lookup keeps :mod:`scipy.optimize` out of ``import fbopt``.
+    Delete this together with that lookup (ROADMAP item 5).
+    """
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Absolute lower bound accepted for multipliers before a candidate active set
 # of the enumeration oracle is rejected.

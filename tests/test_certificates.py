@@ -151,6 +151,26 @@ def test_estimate_constants_measures_each_sample_once(monkeypatch):
     assert len(jacobians) == 225
 
 
+def test_estimate_constants_evaluates_metric_once_per_sample():
+    # one G(u) per sampled point serves the multiplier bound and the metric
+    # floor; the constants are those of two evaluations per point, bit for bit
+    calls = []
+
+    def metric(u):
+        calls.append(u)
+        return np.array([[2.0 + u[0], 0.5 * u[1]], [0.5 * u[1], 2.0]])
+
+    prob = dataclasses.replace(builtin_example(), metric=MetricField(eval=metric))
+    constants = estimate_constants(prob, 0.01)
+    assert len(calls) == 225
+    assert constants.grad_lipschitz == float.fromhex("0x1.fd6b1b39907e1p+1")
+    assert constants.output_lipschitz.tolist() == \
+        [float.fromhex("0x1.883a83a83a83dp+2")] * 2
+    assert constants.multiplier_bound == float.fromhex("0x1.043dd9c46c503p+9")
+    assert constants.metric_floor == float.fromhex("0x1.95f619980c434p-1")
+    assert constants.step_size_bound == float.fromhex("0x1.047b6789aa63ap-12")
+
+
 def test_estimate_constants_checks_each_value_once(monkeypatch):
     # each sampled u, y and J is checked as it is measured, and the
     # multiplier bound checks none of them again
@@ -179,11 +199,12 @@ def test_multiplier_bound_checks_alpha_before_any_step(monkeypatch):
     pts = sample_input_set(prob.input_set, SamplerSpec(count=3))
     ys = [eval_plant(prob.plant, u) for u in pts]
     Js = [prob.plant.jacobian(u) for u in pts]
+    Gs = [prob.metric.eval(u) for u in pts]
     steps = []
     monkeypatch.setattr(certificates, "_step", lambda *args: steps.append(args))
     for alpha in (np.nan, 0.0, -1.0, np.inf):
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            certificates.estimate_multiplier_bound(prob, alpha, pts, ys, Js)
+            certificates.estimate_multiplier_bound(prob, alpha, pts, ys, Js, Gs)
     assert steps == []
 
 

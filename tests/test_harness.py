@@ -199,6 +199,15 @@ def test_load_scenario_errors(tmp_path):
     write_scenario(bad, u0="grid:1")
     with pytest.raises(ValueError, match="count must be an integer >= 2"):
         load_scenario(bad)  # a one-point grid
+    # a value its converter rejects names the file, the line and the key
+    for key, value, lineno, message in [
+            ("alpha", "abc", 4, "could not convert string to float: 'abc'"),
+            ("u0", "grid:2.5", 5, "invalid literal for int() with base 10: '2.5'"),
+            ("u0", "0, x", 5, "could not convert string to float: ' x'")]:
+        write_scenario(bad, **{key: value})
+        with pytest.raises(ValueError) as err:
+            load_scenario(bad)
+        assert str(err.value) == f"{bad}:{lineno}: {key}: {message}"
     write_scenario(bad, problem_name="unknownproblem")
     with pytest.raises(KeyError):
         load_scenario(bad)
@@ -607,6 +616,19 @@ def test_sweep_expands_grid_start():
         assert "u0" in overrides
 
 
+def test_sweep_checks_every_config_before_running(monkeypatch):
+    runs = []
+
+    def counted(config, constants=None):
+        runs.append(config)
+        return run_trajectory(config, constants)
+
+    monkeypatch.setattr(harness_module, "run_trajectory", counted)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        sweep(make_config(), {"alpha": [0.01, 0.02, -1.0]})
+    assert runs == []
+
+
 def test_sweep_validation():
     base = make_config()
     with pytest.raises(ValueError):
@@ -797,7 +819,8 @@ def test_cli_sweep(tmp_path):
     assert (out / "run_001.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["beta = 0.1, 0.2", "alpha 0.1", "seed = 1, 2"])
+@pytest.mark.parametrize("line", ["beta = 0.1, 0.2", "alpha 0.1", "seed = 1, 2",
+                                  "alpha = 0.005, abc"])
 def test_cli_sweep_rejects_bad_grid_line(tmp_path, capsys, line):
     scenario = write_scenario(tmp_path / "s.txt")
     grid = tmp_path / "grid.txt"
