@@ -144,8 +144,15 @@ def lyapunov_value(problem: ProblemSpec, penalty: float, u, y) -> float:
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     y = _vector(y, problem.output_dim, "y")
-    return (float(problem.objective.eval(u, y))
-            + penalty * float(_violation(problem.output_set, y).sum()))
+    return _merit(problem, penalty, u, y, _violation(problem.output_set, y))
+
+
+def _merit(problem: ProblemSpec, penalty: float, u: Array, y: Array,
+           viol: Array) -> float:
+    """:func:`lyapunov_value` at a float vector ``u`` and a checked ``y``
+    whose output violations ``viol = _violation(problem.output_set, y)`` the
+    caller has computed."""
+    return float(problem.objective.eval(u, y)) + penalty * float(viol.sum())
 
 
 def _max_pair_slopes(points: Array, value_sets) -> list[float]:

@@ -27,6 +27,7 @@ from .model import (
     ProblemSpec,
     _check_positive,
     _jacobian,
+    _measure,
     _vector,
     eval_plant,
     eval_plant_jacobian,
@@ -171,14 +172,15 @@ def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
 
     ``u`` must lie in the input set (outputs may be violated during transients;
     inputs may not).  ``alpha`` is checked first, so a bad step size costs no
-    measurement; ``u`` is checked by the input set's membership test and by
-    :func:`~fbopt.model.eval_plant`, which also checks ``y``, and ``J`` as it
-    is evaluated.  The rest is :func:`controller_step`'s."""
+    measurement; then ``u``, once, and the input set's membership test and the
+    measurement of ``y`` (checked as by :func:`~fbopt.model.eval_plant`) both
+    take the checked vector; ``J`` is checked as it is evaluated.  The rest is
+    :func:`controller_step`'s."""
     _check_positive(alpha, "alpha")
-    if not problem.input_set.membership(u, tol=DEFAULT_ACTIVE_TOL):
+    u = _vector(u, problem.input_dim, "u")
+    if not problem.input_set._contains(u, DEFAULT_ACTIVE_TOL):
         raise ValueError("current input lies outside the input set")
-    y = eval_plant(problem.plant, u)
-    u = np.asarray(u, dtype=float).reshape(-1)
+    y = _measure(problem.plant, u)
     J = eval_plant_jacobian(problem.plant, u)
     return _step(problem, u, y, J, alpha, _metric(problem, u))
 

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .certificates import CertificateConstants, SamplerSpec, lyapunov_value, \
+from .certificates import CertificateConstants, SamplerSpec, _merit, \
     sample_input_set, transient_violation_bound
 from .controller import feedback_step
 from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_count, _check_positive, \
@@ -193,7 +193,8 @@ def load_scenario(path) -> ScenarioConfig:
     comma-separated floats or ``grid:<points per dimension>``.  The problem
     name must be registered (``KeyError`` otherwise), which is checked
     without building the problem; a concrete ``u0``'s size and input-set
-    membership are checked by :func:`run_trajectory` alone.
+    membership are checked with the problem, by :func:`run_trajectory` and,
+    for every run before the first, by :func:`sweep`.
     """
     values = dict(_read_key_values(path, _SCENARIO_KEYS))
     missing = [k for k in _REQUIRED_KEYS if k not in values]
@@ -239,16 +240,19 @@ def run_trajectory(config: ScenarioConfig,
     """Run one closed-loop trajectory to convergence, budget, or error.
 
     ``config.u0`` must be a concrete start of the problem's size inside its
-    input set (else ``ValueError``): the one check of a start.  ``constants``,
+    input set (else ``ValueError``, after the problem is built): the one
+    check of a start, which :func:`sweep` also makes.  ``constants``,
     when given, must hold one output Lipschitz constant per output row
     (else ``ValueError``, before the first step).  Each logged
     row costs one plant measurement: ``y`` and the sensitivity are measured
     once each at the row's input (by ``feedback_step``, or here for
     ``saddle_point_step``), and the same ``y`` fills the row and its merit
     value and violation.  The row adds no check of its own: ``eval_plant``
-    (or ``feedback_step``) checks the input and the measured ``y``, the step
-    checks the sensitivity and what it computes, and :func:`lyapunov_value`
-    checks ``y`` once more as a public function.
+    (or ``feedback_step``) checks the input and the measured ``y``, and the
+    step checks the sensitivity and what it computes.  The row's output
+    violation is computed once and serves both its worst-violation column
+    and its merit value, which equals
+    :func:`~fbopt.certificates.lyapunov_value` bit for bit.
 
     The merit column uses the penalty from ``constants`` when given and 1.0
     otherwise.  When ``constants`` are given and the step size is below their
@@ -268,15 +272,8 @@ def run_trajectory(config: ScenarioConfig,
     multipliers.  If that re-measurement fails too, its output, merit and
     worst violation are logged as NaN.
     """
-    if isinstance(config.u0, SamplerSpec):
-        raise ValueError("a run needs a concrete u0, not a grid start; "
-                         "a sweep runs one per grid point")
     problem = get_problem(config.problem_name)
-    if config.u0.size != problem.input_dim:
-        raise ValueError(f"u0 has size {config.u0.size}, "
-                         f"problem needs {problem.input_dim}")
-    if not problem.input_set.membership(config.u0, tol=DEFAULT_ACTIVE_TOL):
-        raise ValueError("u0 is outside the input set")
+    _check_start(config, problem)
     l = problem.output_set.num_rows
     if constants is not None and constants.output_lipschitz.size != l:
         raise ValueError(f"output_lipschitz has {constants.output_lipschitz.size} "
@@ -334,9 +331,9 @@ def run_trajectory(config: ScenarioConfig,
                 y = None
         if y is None:
             y, V, viol = np.full(problem.output_dim, np.nan), np.nan, np.full(l, np.nan)
-        else:
-            V = lyapunov_value(problem, penalty, u, y)
-            viol = _violation(problem.output_set, y)  # y was checked as it was measured
+        else:  # y was checked as it was measured
+            viol = _violation(problem.output_set, y)
+            V = _merit(problem, penalty, u, y, viol)
         rec.add(k, u, y, V, residual, viol, mu)
         if certify and prev_w is not None:  # the step into this row
             bound = transient_violation_bound(constants.output_lipschitz,
@@ -361,6 +358,20 @@ def run_trajectory(config: ScenarioConfig,
     return rec.finish(status, violated, message)
 
 
+def _check_start(config: ScenarioConfig, problem: ProblemSpec) -> None:
+    """Raise ``ValueError`` unless ``config.u0`` is a concrete start of
+    ``problem``'s size inside its input set: the one check of a start."""
+    if isinstance(config.u0, SamplerSpec):
+        raise ValueError("a run needs a concrete u0, not a grid start; "
+                         "a sweep runs one per grid point")
+    if config.u0.size != problem.input_dim:
+        raise ValueError(f"u0 has size {config.u0.size}, "
+                         f"problem needs {problem.input_dim}")
+    # ScenarioConfig holds u0 as a finite float vector
+    if not problem.input_set._contains(config.u0, DEFAULT_ACTIVE_TOL):
+        raise ValueError("u0 is outside the input set")
+
+
 def _norm(d: Array) -> float:
     """The bits of ``np.linalg.norm`` on a real vector ``d`` whose ``d·d`` is
     finite, and the scaled ``math.hypot`` where ``d·d`` overflows.  ``vdot``
@@ -378,6 +389,7 @@ def sweep(base: ScenarioConfig, grid: dict,
     start in ``base`` is expanded into one run per point it samples from the
     input set.  Returns ``(overrides, log)`` pairs in deterministic order;
     raises if the product is empty.  Every config is built, and so checked,
+    and its start checked against its problem as by :func:`run_trajectory`,
     before the first run.
     """
     grid = dict(grid)
@@ -393,6 +405,10 @@ def sweep(base: ScenarioConfig, grid: dict,
     overrides = [dict(zip(keys, combo))
                  for combo in itertools.product(*(grid[k] for k in keys))]
     configs = [replace(base, **ov) for ov in overrides]
+    problems = {name: get_problem(name)
+                for name in dict.fromkeys(c.problem_name for c in configs)}
+    for config in configs:
+        _check_start(config, problems[config.problem_name])
     return [(ov, run_trajectory(config, constants))
             for ov, config in zip(overrides, configs)]
 

@@ -168,7 +168,11 @@ class Polyhedron:
         return self.lower is not None
 
     def membership(self, x, tol: float = 0.0) -> bool:
-        x = _vector(x, self.dim, "x")
+        return self._contains(_vector(x, self.dim, "x"), tol)
+
+    def _contains(self, x: Array, tol: float) -> bool:
+        """:meth:`membership` of a float vector ``x`` that the caller has
+        checked."""
         return bool((self.A @ x <= self.b + tol).all())
 
     def bounding_box(self) -> tuple[Array, Array]:
@@ -257,7 +261,12 @@ def eval_plant(plant: PlantModel, u) -> Array:
 
     ``u`` is checked by :func:`_vector`.  Raises ``ValueError`` if the plant
     returns an output of the wrong length or one that fails :func:`_finite`."""
-    u = _vector(u, plant.input_dim, "u")
+    return _measure(plant, _vector(u, plant.input_dim, "u"))
+
+
+def _measure(plant: PlantModel, u: Array) -> Array:
+    """:func:`eval_plant` at a float vector ``u`` that the caller has
+    checked: the check of every measured ``y``."""
     y = np.asarray(plant.eval(u), dtype=float).reshape(-1)
     if y.size != plant.output_dim:
         raise ValueError(f"plant returned {y.size} outputs, expected {plant.output_dim}")

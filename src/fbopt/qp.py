@@ -156,13 +156,15 @@ class QpProblem:
         p = c.size
         if Q.shape != (p, p):
             raise ValueError(f"{q_name} must be ({p}, {p}), got {Q.shape}")
-        qmax = float(np.abs(Q).max())
         asym = np.abs(Q - Q.T).max()
-        if asym > 1e-12 * max(1.0, qmax):
+        # the bound 1e-12 * max(1, max|Q|) is at least 1e-12, so max|Q| is
+        # needed only above that
+        if asym > 1e-12 and asym > 1e-12 * float(np.abs(Q).max()):
             raise ValueError(f"{q_name} must be symmetric (asymmetry {asym:.3e})")
         scale = 1.0 + math.sqrt(c.dot(c)) + math.sqrt(r.dot(r))  # np.linalg.norm's bits
-        # a sum is finite only if every term is; the loop names the array
-        if not math.isfinite(qmax + scale + M.sum()):
+        # a sum is finite only if every term is, and Q·Q only if every entry
+        # of Q is (as in _finite: no overflow warning); the loop names the array
+        if not math.isfinite(np.vdot(Q, Q) + scale + np.vdot(M, M)):
             for name, a in ((q_name, Q), ("c", c), ("M", M), ("r", r)):
                 if not _finite(a):
                     raise ValueError(f"{name} must be finite")
@@ -228,19 +230,19 @@ def _check_spd(Q: Array) -> None:
 def _finish(qp: QpProblem, w: Array, Mw: Array, mult: Array, work, iterations: int,
             rank_flag: bool) -> QpSolution:
     """The solution ``w`` with ``Mw = M @ w``, which the caller has already
-    formed to test feasibility."""
+    formed to test feasibility; ``work`` holds Python ints."""
     # ``work`` holds independent rows, so only active rows outside it can
     # make the active set rank-deficient
     if qp.num_constraints:
-        act = np.flatnonzero(np.abs(Mw - qp.r) <= 1e-9 * qp.scale)
-        if not set(act.tolist()).issubset(work) \
+        act = (np.abs(Mw - qp.r) <= 1e-9 * qp.scale).nonzero()[0]
+        if act.size and not set(act.tolist()).issubset(work) \
                 and np.linalg.matrix_rank(qp.M[act]) < act.size:
             rank_flag = True
     if rank_flag:
         warnings.warn("active constraint rows are linearly dependent; "
                       "multipliers are not unique", RankDeficientActiveSet,
                       stacklevel=3)
-    return QpSolution(w=w, multipliers=mult, active=tuple(int(i) for i in work),
+    return QpSolution(w=w, multipliers=mult, active=tuple(work),
                       iterations=iterations, rank_deficient=rank_flag)
 
 
@@ -260,10 +262,11 @@ def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bo
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
 
 
-def _equality_solve(qp: QpProblem, work: list[int]) -> tuple[Array, Array, bool]:
+def _equality_solve(qp: QpProblem, work, N: Array) -> tuple[Array, Array, bool]:
     """Point and full multiplier vector of the QP with the rows ``work``
-    (sorted) held as equalities; the flag marks a singular KKT system."""
-    sol, singular = _kkt_solve(qp.Q, qp.M[work], -qp.c, qp.r[work])
+    (sorted), whose block of ``M`` is ``N``, held as equalities; the flag
+    marks a singular KKT system."""
+    sol, singular = _kkt_solve(qp.Q, N, -qp.c, qp.r[work])
     mult = np.zeros(qp.num_constraints)
     mult[work] = sol[qp.dim:]
     return sol[:qp.dim], mult, singular
@@ -275,7 +278,7 @@ def _independent(S: Array) -> bool:
     ``S = N Q^-1 N' = L L'``, ``L_kk^2`` is ``a' z`` of row ``k`` against
     the rows before it."""
     L, info = dpotrf(S, lower=1)
-    return info == 0 and bool((np.diag(L) ** 2 > 1e-13 * np.diag(S)).all())
+    return info == 0 and bool((L.diagonal() ** 2 > 1e-13 * S.diagonal()).all())
 
 
 def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
@@ -324,7 +327,9 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     independence test below applied to all of them at once (with
     ``S = M_V Q^{-1} M_V' = L L'``, every ``L_kk^2 > 1e-13 S_kk``; a single
     row passes unless it is zero, which the KKT solve then reports as
-    singular), the equality QP on ``V`` is solved by one KKT solve.  If the system is not
+    singular), the equality QP on ``V`` is solved by one KKT solve; the
+    rows ``M_V`` are sliced from ``M`` once, for the test and that solve.
+    If the system is not
     singular and its multipliers are ``>= 0``, the start is dual feasible:
     when it also satisfies every row to within ``1e-11 * scale`` it is
     returned, with the working set ``V`` and ``|V| + 1`` iterations (the
@@ -374,24 +379,25 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
         raise NotPositiveDefinite("quadratic term is singular to working precision")
     tol = 1e-11 * scale
     Mw = M @ w
-    start = np.flatnonzero(Mw > r + tol).tolist()  # the violated rows
-    if not start:
+    V = (Mw > r + tol).nonzero()[0]  # the violated rows
+    k = V.size
+    if not k:
         return _finish(qp, w, Mw, np.zeros(m), (), 1, False)
     lam = np.zeros(m)
     work: list[int] = []  # sorted
     # first try the violated rows as the working set: adding them without a
-    # drop would take the method below len(start) + 1 iterations.  One row
-    # passes the independence test unless it is zero, and then the KKT
-    # solve below is singular, so the test runs only on two or more rows.
-    if len(start) <= p and len(start) < max_iter and (
-            len(start) == 1
-            or _independent(M[start] @ dgetrs(lu, piv, M[start].T)[0])):
-        ws, mult, singular = _equality_solve(qp, start)
-        if not singular and (mult >= 0.0).all():
-            Mws = M @ ws
-            if (Mws <= r + tol).all():
-                return _finish(qp, ws, Mws, mult, start, len(start) + 1, False)
-            w, lam, work = ws, mult, start  # dual feasible: go on from it
+    # drop would take the method below k + 1 iterations.  One row passes the
+    # independence test unless it is zero, and then the KKT solve below is
+    # singular, so the test runs only on two or more rows.
+    if k <= p and k < max_iter:
+        M_V = M[V]
+        if k == 1 or _independent(M_V @ dgetrs(lu, piv, M_V.T)[0]):
+            ws, mult, singular = _equality_solve(qp, V, M_V)
+            if not singular and (mult >= 0.0).all():
+                Mws = M @ ws
+                if (Mws <= r + tol).all():
+                    return _finish(qp, ws, Mws, mult, V.tolist(), k + 1, False)
+                w, lam, work = ws, mult, V.tolist()  # dual feasible: go on from it
 
     Qinv_Mt = dgetrs(lu, piv, M.T)[0]  # column i is Q^-1 a_i
     curvature = np.einsum("ij,ji->i", M, Qinv_Mt)  # a' Q^-1 a
@@ -404,7 +410,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
             viol[work] = -np.inf
             add = int(np.argmax(viol))  # lowest index on ties
             if viol[add] <= tol:
-                w, mult, singular = _equality_solve(qp, work)
+                w, mult, singular = _equality_solve(qp, work, M[work])
                 return _finish(qp, w, M @ w, mult, work, it, rank_flag or singular)
 
         a = M[add]

@@ -565,19 +565,18 @@ def test_saddle_row_checks_each_value_once(monkeypatch):
     log = run_trajectory(make_config(scheme="saddle", gamma=0.5, rho=1.0,
                                      max_iters=20))
     assert log.num_rows == 21
-    # the start's membership test, then per row: u by eval_plant, y and J by
-    # saddle_point_step and y by lyapunov_value; the harness adds no check
-    assert names == ["x"] + ["u", "y", "J", "y"] * log.num_rows
+    # the start is a checked ScenarioConfig value, so per row only: u by
+    # eval_plant, y and J by saddle_point_step; the harness adds no check
+    assert names == ["u", "y", "J"] * log.num_rows
 
 
 def test_projected_row_adds_no_check_of_y(monkeypatch):
     names = spy_checks(monkeypatch)
     log = run_trajectory(make_config(max_iters=20))
     assert log.num_rows == 21
-    # the start's membership test, then per row: feedback_step's membership
-    # test, eval_plant's check of u and eval_plant_jacobian's of J, and
-    # lyapunov_value's check of y
-    assert names == ["x"] + ["x", "u", "J", "y"] * log.num_rows
+    # per row: feedback_step's one check of u and eval_plant_jacobian's of J;
+    # the row's merit takes the y that feedback_step checked
+    assert names == ["u", "J"] * log.num_rows
 
 
 def test_saddle_residual_stays_finite_under_huge_dual_rate():
@@ -626,6 +625,23 @@ def test_sweep_checks_every_config_before_running(monkeypatch):
     monkeypatch.setattr(harness_module, "run_trajectory", counted)
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
         sweep(make_config(), {"alpha": [0.01, 0.02, -1.0]})
+    assert runs == []
+
+
+def test_sweep_checks_every_start_before_running(monkeypatch):
+    runs = []
+
+    def counted(config, constants=None):
+        runs.append(config)
+        return run_trajectory(config, constants)
+
+    monkeypatch.setattr(harness_module, "run_trajectory", counted)
+    with pytest.raises(ValueError, match="u0 is outside the input set"):
+        sweep(make_config(), {"u0": [(0.0, 0.0), (0.5, 0.5), (2.0, 0.0)]})
+    with pytest.raises(ValueError, match="u0 has size 3, problem needs 2"):
+        sweep(make_config(), {"u0": [(0.0, 0.0), (0.0, 0.0, 0.0)]})
+    with pytest.raises(ValueError, match="not a grid start"):
+        sweep(make_config(), {"u0": [(0.0, 0.0), SamplerSpec(count=2)]})
     assert runs == []
 
 
@@ -770,15 +786,16 @@ def test_cli_rejects_bad_start_and_writes_nothing(tmp_path, capsys, command, u0,
 
 
 def test_cli_run_tests_start_membership_twice(tmp_path, monkeypatch):
-    # run_trajectory's check of the start and feedback_step's own gate
+    # run_trajectory's check of the start and feedback_step's own gate, both
+    # through the membership test of a checked vector
     calls = []
-    membership = Polyhedron.membership
+    contains = Polyhedron._contains
 
-    def counted(self, x, tol=0.0):
-        calls.append(tuple(np.asarray(x, dtype=float)))
-        return membership(self, x, tol)
+    def counted(self, x, tol):
+        calls.append(tuple(x))
+        return contains(self, x, tol)
 
-    monkeypatch.setattr(Polyhedron, "membership", counted)
+    monkeypatch.setattr(Polyhedron, "_contains", counted)
     scenario = write_scenario(tmp_path / "s.txt", u0="1.0, 1.0", max_iters="0")
     assert cli_main(["run", "--scenario", str(scenario),
                      "--out", str(tmp_path / "out")]) == 2

@@ -12,7 +12,11 @@ from fbopt import (
     NotPositiveDefinite,
     QpProblem,
     RankDeficientActiveSet,
+    assemble_projection_qp,
     enumerate_oracle,
+    eval_plant,
+    eval_plant_jacobian,
+    get_problem,
     kkt_residual,
     solve_qp,
 )
@@ -186,6 +190,34 @@ def test_problem_rejects_non_finite_data():
                      ("M", [[np.nan, 0.0]]), ("r", [-np.inf])):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             solve_qp(QpProblem(**{**good, key: bad}))
+
+
+# (Q, error): the asymmetry bound is 1e-12 * max(1, max|Q|).  An infinity
+# mirrored by another makes ``Q - Q.T`` warn, so each one here faces a finite
+# entry.  The step QP names its quadratic term "alpha * metric G(u)".
+QUADRATIC_TERMS = [
+    ([[1e6, 0.0], [1e-7, 1e6]], None),
+    ([[1e6, 0.0], [1e-5, 1e6]], "must be symmetric"),
+    ([[0.5, 0.0], [2e-12, 0.5]], "must be symmetric"),
+    ([[0.5, 0.0], [8e-13, 0.5]], None),
+    ([[1e308, 1e308], [1e308, 1e308]], None),  # finite, though its sum is not
+] + [(Q, r"^(Q|alpha \* metric G\(u\)) must be finite$")
+     for Q in ([[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
+               [[1.0, np.inf], [0.0, 1.0]], [[1.0, 0.0], [-np.inf, 1.0]])]
+
+
+@pytest.mark.parametrize("Q, error", QUADRATIC_TERMS)
+def test_quadratic_term_checks_of_problem_and_step_qp(Q, error):
+    prob = get_problem("cubic2d")
+    u = np.array([0.3, -0.2])
+    y, J = eval_plant(prob.plant, u), eval_plant_jacobian(prob.plant, u)
+    for build in (lambda: QpProblem(Q=Q, c=[0.0, 0.0], M=[[1.0, 0.0]], r=[1.0]),
+                  lambda: assemble_projection_qp(prob, u, y, J, 1.0, Q)):
+        if error is None:
+            assert np.array_equal(build().Q, Q)
+        else:
+            with pytest.raises(ValueError, match=error):
+                build()
 
 
 def test_oracle_constraint_cap():
