@@ -191,7 +191,7 @@ def estimate_lipschitz_constants(problem: ProblemSpec, pts: Array, ys,
     grads, rows = [], []
     for u, y, J in zip(pts, ys, Js):
         grads.append(reduced_gradient(problem, u, y, J))
-        rows.append(C @ J)
+        rows.append(C.dot(J))
     rows = np.array(rows)
     slopes = _max_pair_slopes(pts, [np.array(grads)]
                               + [rows[:, i, :] for i in range(C.shape[0])])
@@ -265,4 +265,4 @@ def transient_violation_bound(output_lipschitz, alpha: float, w) -> Array:
     """
     ell = np.asarray(output_lipschitz, dtype=float).reshape(-1)
     d = float(alpha) * np.asarray(w, dtype=float).reshape(-1)
-    return 0.5 * ell * float(d @ d)
+    return 0.5 * ell * float(d.dot(d))

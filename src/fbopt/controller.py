@@ -145,7 +145,7 @@ def _step(problem: ProblemSpec, u, y, J, alpha: float, G: Array) -> ControllerSt
             f"linearized constraint set is empty at u={u.tolist()}") from exc
     q = problem.input_set.num_rows
     w = sol.w
-    sigma_norm = math.sqrt(max(w @ G @ w, 0.0))
+    sigma_norm = math.sqrt(max(w.dot(G).dot(w), 0.0))
     return ControllerStep(u=u, y=y, alpha=float(alpha), w=w,
                           nu=sol.multipliers[:q], mu=sol.multipliers[q:],
                           u_next=u + alpha * w, sigma_norm_G=sigma_norm)

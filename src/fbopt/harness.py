@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import enum
 import itertools
-import math
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -25,8 +24,8 @@ from .certificates import CertificateConstants, SamplerSpec, _merit, \
     sample_input_set, transient_violation_bound
 from .controller import feedback_step
 from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_count, _check_positive, \
-    _finite, _read_only, _violation, eval_plant, eval_plant_jacobian, reduced_cost, \
-    reduced_gradient
+    _finite, _measure, _norm, _read_only, _violation, eval_plant, eval_plant_jacobian, \
+    reduced_cost, reduced_gradient
 from .problems import _factory, get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
@@ -247,11 +246,12 @@ def run_trajectory(config: ScenarioConfig,
     row costs one plant measurement: ``y`` and the sensitivity are measured
     once each at the row's input (by ``feedback_step``, or here for
     ``saddle_point_step``), and the same ``y`` fills the row and its merit
-    value and violation.  The row adds no check of its own: ``eval_plant``
-    (or ``feedback_step``) checks the input and the measured ``y``, and the
-    step checks the sensitivity and what it computes.  The row's output
-    violation is computed once and serves both its worst-violation column
-    and its merit value, which equals
+    value and violation.  The row adds no check of its own:
+    ``feedback_step`` checks the input and the measured ``y``; a saddle
+    row's measurement checks ``y``, since its state's input was checked when
+    the state was built; and the step checks the sensitivity and what it
+    computes.  The row's output violation is computed once and serves both
+    its worst-violation column and its merit value, which equals
     :func:`~fbopt.certificates.lyapunov_value` bit for bit.
 
     The merit column uses the penalty from ``constants`` when given and 1.0
@@ -308,9 +308,9 @@ def run_trajectory(config: ScenarioConfig,
             return s.u, s.mu
 
         def step(s):
-            # J is taken at the u that eval_plant has just checked, and
-            # checked once, by saddle_point_step
-            y = eval_plant(problem.plant, s.u)
+            # s.u was checked as the state was built, and J is checked once,
+            # by saddle_point_step
+            y = _measure(problem.plant, s.u)
             nxt = saddle_point_step(problem, s, y, problem.plant.jacobian(s.u))
             residual = (_norm(nxt.u - s.u) / config.alpha
                         + _norm(nxt.mu - s.mu) / config.gamma)
@@ -338,7 +338,7 @@ def run_trajectory(config: ScenarioConfig,
         if certify and prev_w is not None:  # the step into this row
             bound = transient_violation_bound(constants.output_lipschitz,
                                               config.alpha, prev_w)
-            if (viol > bound + VIOLATION_SLACK).any():
+            if np.count_nonzero(viol > bound + VIOLATION_SLACK):
                 violated = True
         if status is RunStatus.ERROR:
             break
@@ -370,14 +370,6 @@ def _check_start(config: ScenarioConfig, problem: ProblemSpec) -> None:
     # ScenarioConfig holds u0 as a finite float vector
     if not problem.input_set._contains(config.u0, DEFAULT_ACTIVE_TOL):
         raise ValueError("u0 is outside the input set")
-
-
-def _norm(d: Array) -> float:
-    """The bits of ``np.linalg.norm`` on a real vector ``d`` whose ``d·d`` is
-    finite, and the scaled ``math.hypot`` where ``d·d`` overflows.  ``vdot``
-    takes the same BLAS dot as ``d.dot(d)`` but raises no overflow warning."""
-    dd = np.vdot(d, d)
-    return math.sqrt(dd) if dd < math.inf else math.hypot(*d)
 
 
 def sweep(base: ScenarioConfig, grid: dict,

@@ -51,6 +51,14 @@ def _finite(x: Array) -> bool:
     return np.vdot(x, x) < math.inf or bool(np.isfinite(x).all())
 
 
+def _norm(d: Array) -> float:
+    """The bits of ``np.linalg.norm`` on a real vector ``d`` whose ``d·d`` is
+    finite, and the scaled ``math.hypot`` where ``d·d`` overflows.  ``vdot``
+    takes the same BLAS dot as ``d.dot(d)`` but raises no overflow warning."""
+    dd = np.vdot(d, d)
+    return math.sqrt(dd) if dd < math.inf else math.hypot(*d)
+
+
 def _vector(x, dim: int, name: str) -> Array:
     """``x`` as a float vector of length ``dim`` with finite entries (by
     :func:`_finite`): the check a public function runs once on each array
@@ -173,7 +181,8 @@ class Polyhedron:
     def _contains(self, x: Array, tol: float) -> bool:
         """:meth:`membership` of a float vector ``x`` that the caller has
         checked."""
-        return bool((self.A @ x <= self.b + tol).all())
+        inside = self.A.dot(x) <= self.b + tol
+        return np.count_nonzero(inside) == inside.size
 
     def bounding_box(self) -> tuple[Array, Array]:
         """Componentwise bounds of the set.  Exact for boxes, solved by
@@ -316,7 +325,7 @@ def reduced_gradient(problem: ProblemSpec, u, y, J) -> Array:
     if not _finite(g):
         raise ValueError(f"objective gradient must be finite, got {g.tolist()} "
                          f"at u={np.asarray(u).tolist()}")
-    return g[:p] + g[p:] @ J
+    return g[:p] + g[p:].dot(J)
 
 
 def reduced_cost(problem: ProblemSpec, u) -> float:
@@ -336,7 +345,7 @@ def linearized_constraints(problem: ProblemSpec, u, y, J) -> tuple[Array, Array]
     """
     A, b = problem.input_set.A, problem.input_set.b
     C, d = problem.output_set.A, problem.output_set.b
-    return np.concatenate([A, C @ J]), np.concatenate([b - A @ u, d - C @ y])
+    return np.concatenate([A, C.dot(J)]), np.concatenate([b - A.dot(u), d - C.dot(y)])
 
 
 def violation(set_: Polyhedron, x) -> Array:
@@ -346,4 +355,4 @@ def violation(set_: Polyhedron, x) -> Array:
 
 def _violation(set_: Polyhedron, x: Array) -> Array:
     """:func:`violation` at a float vector ``x`` that the caller has checked."""
-    return np.maximum(set_.A @ x - set_.b, 0.0)
+    return np.maximum(set_.A.dot(x) - set_.b, 0.0)

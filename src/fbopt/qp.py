@@ -20,7 +20,14 @@ solve costs call overhead, not flops, so :func:`solve_qp` calls LAPACK
 directly through :mod:`scipy.linalg.lapack`, whose wrappers cost a fraction
 of :mod:`numpy.linalg`'s, and factors ``Q`` once by LU: the factor gives
 the unconstrained minimizer and every ``Q^-1 a_i``.  The Cholesky
-factorization of ``Q`` serves only as the definiteness test.
+factorization of ``Q`` serves only as the definiteness test.  For the same
+reason every product on the step path (here and in the modules that build
+and use the step) is ``ndarray.dot``, not ``@``, which dispatches through
+numpy's matmul gufunc, and every all/any verdict is ``np.count_nonzero``,
+not ``.all()``/``.any()``, which go through Python-level wrappers.  Both
+give the same bits and the same verdicts, NaN included, at a fraction of
+the call cost.  The reference code (:func:`kkt_residual`,
+:func:`enumerate_oracle`) keeps ``@``.
 
 Two independent routes are provided: :func:`solve_qp` (the production
 active-set method) and :func:`enumerate_oracle` (brute-force enumeration of
@@ -44,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
 
-from .model import _finite
+from .model import _finite, _norm
 
 __all__ = [
     "Infeasible",
@@ -156,18 +163,21 @@ class QpProblem:
         p = c.size
         if Q.shape != (p, p):
             raise ValueError(f"{q_name} must be ({p}, {p}), got {Q.shape}")
-        asym = np.abs(Q - Q.T).max()
-        # the bound 1e-12 * max(1, max|Q|) is at least 1e-12, so max|Q| is
-        # needed only above that
-        if asym > 1e-12 and asym > 1e-12 * float(np.abs(Q).max()):
-            raise ValueError(f"{q_name} must be symmetric (asymmetry {asym:.3e})")
-        scale = 1.0 + math.sqrt(c.dot(c)) + math.sqrt(r.dot(r))  # np.linalg.norm's bits
+        scale = 1.0 + _norm(c) + _norm(r)
         # a sum is finite only if every term is, and Q·Q only if every entry
         # of Q is (as in _finite: no overflow warning); the loop names the array
         if not math.isfinite(np.vdot(Q, Q) + scale + np.vdot(M, M)):
             for name, a in ((q_name, Q), ("c", c), ("M", M), ("r", r)):
                 if not _finite(a):
                     raise ValueError(f"{name} must be finite")
+        # an exactly symmetric Q (the usual case) needs no reduction; the
+        # bound 1e-12 * max(1, max|Q|) is at least 1e-12, so max|Q| is needed
+        # only above that.  Q is finite here, but Q - Q.T may overflow.
+        if np.count_nonzero(Q != Q.T):
+            with np.errstate(over="ignore"):
+                asym = np.abs(Q - Q.T).max()
+            if asym > 1e-12 and asym > 1e-12 * float(np.abs(Q).max()):
+                raise ValueError(f"{q_name} must be symmetric (asymmetry {asym:.3e})")
         for name, a in (("Q", Q), ("c", c), ("M", M), ("r", r)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -278,7 +288,10 @@ def _independent(S: Array) -> bool:
     ``S = N Q^-1 N' = L L'``, ``L_kk^2`` is ``a' z`` of row ``k`` against
     the rows before it."""
     L, info = dpotrf(S, lower=1)
-    return info == 0 and bool((L.diagonal() ** 2 > 1e-13 * S.diagonal()).all())
+    if info:
+        return False
+    passed = L.diagonal() ** 2 > 1e-13 * S.diagonal()
+    return np.count_nonzero(passed) == passed.size
 
 
 def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
@@ -378,7 +391,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     if info:
         raise NotPositiveDefinite("quadratic term is singular to working precision")
     tol = 1e-11 * scale
-    Mw = M @ w
+    Mw = M.dot(w)
     V = (Mw > r + tol).nonzero()[0]  # the violated rows
     k = V.size
     if not k:
@@ -391,11 +404,11 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     # singular, so the test runs only on two or more rows.
     if k <= p and k < max_iter:
         M_V = M[V]
-        if k == 1 or _independent(M_V @ dgetrs(lu, piv, M_V.T)[0]):
+        if k == 1 or _independent(M_V.dot(dgetrs(lu, piv, M_V.T)[0])):
             ws, mult, singular = _equality_solve(qp, V, M_V)
-            if not singular and (mult >= 0.0).all():
-                Mws = M @ ws
-                if (Mws <= r + tol).all():
+            if not singular and np.count_nonzero(mult >= 0.0) == m:
+                Mws = M.dot(ws)
+                if np.count_nonzero(Mws <= r + tol) == m:
                     return _finish(qp, ws, Mws, mult, V.tolist(), k + 1, False)
                 w, lam, work = ws, mult, V.tolist()  # dual feasible: go on from it
 
@@ -406,21 +419,21 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
 
     for it in range(len(work) + 1, max_iter + 1):
         if add is None:
-            viol = M @ w - r
+            viol = M.dot(w) - r
             viol[work] = -np.inf
             add = int(np.argmax(viol))  # lowest index on ties
             if viol[add] <= tol:
                 w, mult, singular = _equality_solve(qp, work, M[work])
-                return _finish(qp, w, M @ w, mult, work, it, rank_flag or singular)
+                return _finish(qp, w, M.dot(w), mult, work, it, rank_flag or singular)
 
         a = M[add]
         sol, singular = _kkt_solve(Q, M[work], a, np.zeros(len(work)))
         rank_flag = rank_flag or singular
         z, s = sol[:p], sol[p:]
-        az = float(a @ z)
+        az = float(a.dot(z))
         # p working rows span every row, so z is zero up to roundoff
         independent = len(work) < p and az > 1e-13 * curvature[add]
-        full = max(float(a @ w) - r[add], 0.0) / az if independent else np.inf
+        full = max(float(a.dot(w)) - r[add], 0.0) / az if independent else np.inf
         partial, drop = np.inf, None
         for j, i in enumerate(work):
             if s[j] > 0.0 and lam[i] / s[j] < partial:

@@ -99,7 +99,7 @@ class SaddlePointState:
 
 def _residual(problem: ProblemSpec, y: Array) -> Array:
     # C h(u) - d, signed
-    return problem.output_set.A @ y - problem.output_set.b
+    return problem.output_set.A.dot(y) - problem.output_set.b
 
 
 def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
@@ -118,7 +118,7 @@ def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
     """
     resid = _residual(problem, y)
     weights = mu + rho * np.maximum(resid, 0.0)
-    grad_u = reduced_gradient(problem, u, y, J) + weights @ (problem.output_set.A @ J)
+    grad_u = reduced_gradient(problem, u, y, J) + weights.dot(problem.output_set.A.dot(J))
     return grad_u, resid
 
 

@@ -565,9 +565,10 @@ def test_saddle_row_checks_each_value_once(monkeypatch):
     log = run_trajectory(make_config(scheme="saddle", gamma=0.5, rho=1.0,
                                      max_iters=20))
     assert log.num_rows == 21
-    # the start is a checked ScenarioConfig value, so per row only: u by
-    # eval_plant, y and J by saddle_point_step; the harness adds no check
-    assert names == ["u", "y", "J"] * log.num_rows
+    # the start is a checked ScenarioConfig value and every later state's u
+    # was checked as the state was built, so per row only: y and J by
+    # saddle_point_step; the harness adds no check
+    assert names == ["y", "J"] * log.num_rows
 
 
 def test_projected_row_adds_no_check_of_y(monkeypatch):

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import os
 import subprocess
+import textwrap
 import sys
 from pathlib import Path
 
@@ -67,3 +70,35 @@ def test_non_box_bounding_box_imports_linprog_lazily():
               "lo, hi = triangle.bounding_box()\n"
               "assert abs(lo).max() < 1e-9 and abs(hi - 1.0).max() < 1e-9, (lo, hi)\n"
               "assert 'scipy.optimize' in sys.modules\n")
+
+
+# Every product and every all/any verdict on a per-step or per-row path goes
+# through numpy's C entry points: ``ndarray.dot`` and ``np.count_nonzero``.
+# ``@`` dispatches through the matmul gufunc, and ``.all``/``.any``/``.max``
+# through Python wrappers, each costing several times the arithmetic at the
+# sizes of a step.
+STEP_PATH = (model.Polyhedron._contains, model.reduced_gradient,
+             model.linearized_constraints, model._violation, controller._step,
+             qp.QpProblem._store, qp._independent, qp.solve_qp, saddle._residual,
+             saddle.augmented_lagrangian_gradients, harness.run_trajectory,
+             certificates.transient_violation_bound,
+             certificates.estimate_lipschitz_constants)
+# the one exception: QpProblem._store measures an asymmetry only once an
+# exact comparison has found one
+ASYMMETRY_PATH = "np.count_nonzero(Q != Q.T)"
+
+
+def test_step_path_uses_numpy_entry_points():
+    exempt = 0
+    for func in STEP_PATH:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.If) and ast.unparse(node.test) == ASYMMETRY_PATH:
+                node.body = []
+                exempt += 1
+        slow = [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("all", "any", "max")]
+        assert not slow, f"{func.__qualname__}: {slow}"
+    assert exempt == 1

@@ -192,18 +192,26 @@ def test_problem_rejects_non_finite_data():
             solve_qp(QpProblem(**{**good, key: bad}))
 
 
-# (Q, error): the asymmetry bound is 1e-12 * max(1, max|Q|).  An infinity
-# mirrored by another makes ``Q - Q.T`` warn, so each one here faces a finite
-# entry.  The step QP names its quadratic term "alpha * metric G(u)".
+# (Q, error).  The asymmetry bound is 1e-12 * max(1, max|Q|).  pytest turns
+# a numpy RuntimeWarning into an error, so each case also checks that no
+# arithmetic on the way warns; the last three are an asymmetry that overflows
+# ``Q - Q.T``, an infinity facing itself and one facing another (``Q - Q.T``
+# would be inf - inf).  The step QP names its quadratic term
+# "alpha * metric G(u)".
+NOT_FINITE = r"^(Q|alpha \* metric G\(u\)) must be finite$"
 QUADRATIC_TERMS = [
     ([[1e6, 0.0], [1e-7, 1e6]], None),
     ([[1e6, 0.0], [1e-5, 1e6]], "must be symmetric"),
     ([[0.5, 0.0], [2e-12, 0.5]], "must be symmetric"),
     ([[0.5, 0.0], [8e-13, 0.5]], None),
     ([[1e308, 1e308], [1e308, 1e308]], None),  # finite, though its sum is not
-] + [(Q, r"^(Q|alpha \* metric G\(u\)) must be finite$")
-     for Q in ([[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
-               [[1.0, np.inf], [0.0, 1.0]], [[1.0, 0.0], [-np.inf, 1.0]])]
+    *[(Q, NOT_FINITE)
+      for Q in ([[1.0, 0.0], [0.0, np.nan]], [[1.0, np.nan], [np.nan, 1.0]],
+                [[1.0, np.inf], [0.0, 1.0]], [[1.0, 0.0], [-np.inf, 1.0]])],
+    ([[1.0, 1e308], [-1e308, 1.0]], "must be symmetric"),
+    ([[np.inf, 0.0], [0.0, 1.0]], NOT_FINITE),
+    ([[1.0, np.inf], [np.inf, 1.0]], NOT_FINITE),
+]
 
 
 @pytest.mark.parametrize("Q, error", QUADRATIC_TERMS)
@@ -218,6 +226,13 @@ def test_quadratic_term_checks_of_problem_and_step_qp(Q, error):
         else:
             with pytest.raises(ValueError, match=error):
                 build()
+
+
+def test_scale_of_finite_data_stays_finite():
+    # c·c overflows, yet c is finite: the problem is accepted, with no
+    # overflow warning (pytest makes one an error) and a finite scale
+    qp = QpProblem(Q=np.eye(2), c=[1e200, 0.0], M=[[1.0, 0.0]], r=[1.0])
+    assert qp.scale == 1.0 + 1e200 + 1.0
 
 
 def test_oracle_constraint_cap():
