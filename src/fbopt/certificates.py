@@ -235,8 +235,10 @@ def estimate_constants(problem: ProblemSpec, alpha: float,
     evaluated once per sampled point; the Lipschitz constants, the multiplier
     bound and the metric floor all come from those points.  The multiplier
     bound depends on the step size used to linearize the output constraints,
-    hence the ``alpha`` argument.  Deterministic for a given sampler.
+    hence the ``alpha`` argument, which is checked first: a bad step size
+    costs no measurement.  Deterministic for a given sampler.
     """
+    _check_positive(alpha, "alpha")
     pts = sample_input_set(problem.input_set, sampler or SamplerSpec())
     if pts.shape[0] < 2:
         raise ValueError("sampler produced fewer than two feasible points")

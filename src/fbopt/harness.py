@@ -206,34 +206,6 @@ def load_scenario(path) -> ScenarioConfig:
 
 # ------------------------------------------------------------------ running
 
-class _Recorder:
-    def __init__(self):
-        self.rows = {k: [] for k in
-                     ("iters", "u", "y", "V", "residual", "max_violation", "mu")}
-
-    def add(self, k, u, y, V, residual, viol, mu):
-        self.rows["iters"].append(k)
-        self.rows["u"].append(np.array(u, dtype=float))
-        self.rows["y"].append(np.array(y, dtype=float))
-        self.rows["V"].append(float(V))
-        self.rows["residual"].append(float(residual))
-        self.rows["max_violation"].append(float(viol.max()) if viol.size else 0.0)
-        self.rows["mu"].append(np.array(mu, dtype=float))
-
-    def finish(self, status, violated, message):
-        # run_trajectory logs row 0 before it can stop, so no column is empty
-        r = self.rows
-        return TrajectoryLog(
-            iters=np.array(r["iters"], dtype=int),
-            u=np.array(r["u"]),
-            y=np.array(r["y"]),
-            V=np.array(r["V"]),
-            residual=np.array(r["residual"]),
-            max_violation=np.array(r["max_violation"]),
-            mu=np.array(r["mu"]),
-            status=status, certificate_violated=violated, message=message)
-
-
 def run_trajectory(config: ScenarioConfig,
                    constants: CertificateConstants | None = None) -> TrajectoryLog:
     """Run one closed-loop trajectory to convergence, budget, or error.
@@ -282,7 +254,7 @@ def run_trajectory(config: ScenarioConfig,
     penalty = constants.multiplier_bound if constants is not None else 1.0
     certify = (constants is not None
                and config.alpha < constants.step_size_bound)
-    rec = _Recorder()
+    rows = []
     violated = False
     message = ""
 
@@ -334,7 +306,10 @@ def run_trajectory(config: ScenarioConfig,
         else:  # y was checked as it was measured
             viol = _violation(problem.output_set, y)
             V = _merit(problem, penalty, u, y, viol)
-        rec.add(k, u, y, V, residual, viol, mu)
+        # tolist copies u, y and mu (a plant may reuse its output buffer);
+        # np.maximum.reduce is viol.max() without its Python wrapper
+        rows.append([k, *u.tolist(), *y.tolist(), V, residual,
+                     np.maximum.reduce(viol), *mu.tolist()])
         if certify and prev_w is not None:  # the step into this row
             bound = transient_violation_bound(constants.output_lipschitz,
                                               config.alpha, prev_w)
@@ -355,7 +330,9 @@ def run_trajectory(config: ScenarioConfig,
 
     if violated and status is not RunStatus.CONVERGED and status is not RunStatus.ERROR:
         status = RunStatus.CERTIFICATE_VIOLATED
-    return rec.finish(status, violated, message)
+    # row 0 is logged before the run can stop, so the table is never empty
+    return _log(np.array(rows), problem.input_dim, problem.output_dim,
+                status, violated, message)
 
 
 def _check_start(config: ScenarioConfig, problem: ProblemSpec) -> None:
@@ -492,47 +469,48 @@ def write_csv(log: TrajectoryLog, path) -> None:
     mu1..mul.  Floats carry 17 significant digits, so re-reading reproduces
     the rows bit-exactly; identical logs produce byte-identical files.
     """
-    p = log.u.shape[1] if log.u.ndim == 2 else 0
-    n = log.y.shape[1] if log.y.ndim == 2 else 0
-    l = log.mu.shape[1] if log.mu.ndim == 2 else 0
+    table = np.column_stack((log.iters, log.u, log.y, log.V, log.residual,
+                             log.max_violation, log.mu))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_csv_columns(p, n, l))
-        for k in range(log.num_rows):
-            row = ([str(int(log.iters[k]))]
-                   + [_fmt(v) for v in log.u[k]]
-                   + [_fmt(v) for v in log.y[k]]
-                   + [_fmt(log.V[k]), _fmt(log.residual[k]),
-                      _fmt(log.max_violation[k])]
-                   + [_fmt(v) for v in log.mu[k]])
-            writer.writerow(row)
+        writer.writerow(_csv_columns(log.u.shape[1], log.y.shape[1], log.mu.shape[1]))
+        writer.writerows([str(int(row[0]))] + [_fmt(v) for v in row[1:]]
+                         for row in table)
 
 
 def read_csv(path) -> TrajectoryLog:
     """Read a trajectory CSV back into a log.
 
     The terminal status is not serialized, so the result carries
-    ``status=None``; all numeric columns round-trip bit-exactly.
+    ``status=None``; all numeric columns round-trip bit-exactly.  A header
+    other than :func:`write_csv`'s, or a row with another field count than
+    the header's, raises ``ValueError`` (naming ``path:lineno``, for a row).
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [row for row in reader]
-    p = sum(1 for name in header if name.startswith("u") and name != "u")
-    n = sum(1 for name in header if name.startswith("y"))
-    l = sum(1 for name in header if name.startswith("mu"))
-    expected = _csv_columns(p, n, l)
-    if header != expected:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
+        p, n, l = (sum(name.startswith(c) for name in header) for c in ("u", "y", "mu"))
+        if header != _csv_columns(p, n, l):
+            raise ValueError(f"unexpected CSV header {header!r}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{reader.line_num}: {len(row)} fields, "
+                                 f"the header has {len(header)}")
+            rows.append([float(v) for v in row])
+    return _log(np.array(rows, dtype=float).reshape(-1, len(header)), p, n)
+
+
+def _log(table: Array, p: int, n: int, status: RunStatus | None = None,
+         violated: bool = False, message: str = "") -> TrajectoryLog:
+    """Slice a table of rows in :func:`write_csv`'s column order, ``p``
+    inputs and ``n`` outputs, into a log: the one reader of a row."""
     return TrajectoryLog(
-        iters=data[:, 0].astype(int),
-        u=data[:, 1:1 + p],
-        y=data[:, 1 + p:1 + p + n],
-        V=data[:, 1 + p + n],
-        residual=data[:, 2 + p + n],
-        max_violation=data[:, 3 + p + n],
-        mu=data[:, 4 + p + n:],
-        status=None)
+        iters=table[:, 0].astype(int),
+        u=table[:, 1:1 + p],
+        y=table[:, 1 + p:1 + p + n],
+        V=table[:, 1 + p + n],
+        residual=table[:, 2 + p + n],
+        max_violation=table[:, 3 + p + n],
+        mu=table[:, 4 + p + n:],
+        status=status, certificate_violated=violated, message=message)

@@ -208,6 +208,20 @@ def test_multiplier_bound_checks_alpha_before_any_step(monkeypatch):
     assert steps == []
 
 
+def test_estimate_constants_checks_alpha_before_any_measurement():
+    prob = builtin_example()
+    evals = []
+    h, J = prob.plant.eval, prob.plant.jacobian
+    plant = dataclasses.replace(prob.plant,
+                                eval=lambda u: evals.append("y") or h(u),
+                                jacobian=lambda u: evals.append("J") or J(u))
+    prob = dataclasses.replace(prob, plant=plant)
+    for alpha in (0.0, np.nan, -1.0, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            estimate_constants(prob, alpha)
+    assert evals == []
+
+
 def test_estimate_constants_needs_two_points():
     # |u1| + |u2| <= 1: a 2 x 2 grid over its bounding box has only the
     # four corners, and every one lies outside

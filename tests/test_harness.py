@@ -693,19 +693,40 @@ def test_finite_difference_flags_wrong_jacobian():
 
 # --------------------------------------------------------------------- csv
 
-def test_csv_round_trip(tmp_path):
-    log = run_trajectory(make_config(max_iters=200, stationarity_tol=1e-6))
+@pytest.fixture(scope="module")
+def nan_plant_problem():
+    try:
+        register_problem("nan_plant.csv", lambda: _nan_below(-0.05))
+    except ValueError:
+        pass  # already registered
+    return "nan_plant.csv"
+
+
+# a converged projected run, a saddle run with nonzero multipliers, and a run
+# that ends with an error on a NaN row
+ROUND_TRIP_RUNS = {
+    "projected": dict(max_iters=200, stationarity_tol=1e-6),
+    "saddle": dict(scheme="saddle", gamma=0.5, rho=1.0, u0=np.array([1.0, 1.0]),
+                   max_iters=300),
+    "error": dict(problem_name="nan_plant.csv", max_iters=5000),
+}
+
+
+@pytest.mark.parametrize("run", sorted(ROUND_TRIP_RUNS))
+def test_csv_round_trip(tmp_path, nan_plant_problem, run):
+    log = run_trajectory(make_config(**ROUND_TRIP_RUNS[run]))
+    if run == "saddle":
+        assert np.count_nonzero(log.mu)
+    if run == "error":
+        assert log.status is RunStatus.ERROR and np.isnan(log.y[-1, 0])
     path = tmp_path / "t.csv"
     write_csv(log, path)
     back = read_csv(path)
     assert back.status is None
     assert back.num_rows == log.num_rows
-    assert np.array_equal(back.u, log.u)
-    assert np.array_equal(back.y, log.y)
-    assert np.array_equal(back.V, log.V)
-    assert np.array_equal(back.residual, log.residual)
-    assert np.array_equal(back.max_violation, log.max_violation)
-    assert np.array_equal(back.mu, log.mu)
+    for field in ("iters", "u", "y", "V", "residual", "max_violation", "mu"):
+        assert np.array_equal(getattr(back, field), getattr(log, field),
+                              equal_nan=True), field
 
 
 def test_csv_repeat_runs_byte_identical(tmp_path):
@@ -732,6 +753,21 @@ def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("time,state\n0,1\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("body, lineno, fields", [
+    ("0,0,0,0,1,2,0,0\n1,0,0,0,1,2,0,0\n", 2, 8),
+    ("0,0,0,0,1,2,0,0,0\n1,0,0,0,1,2,0,0\n", 3, 8),
+    ("0,0,0,0,1,2,0,0,0,7\n", 2, 10),
+    ("0,0,0,0,1,2,0,0,0\n\n", 3, 0),
+], ids=["every_row_short", "one_row_short", "one_row_long", "trailing_blank_line"])
+def test_csv_rejects_row_of_other_width(tmp_path, body, lineno, fields):
+    path = tmp_path / "short.csv"
+    path.write_text("iter,u1,u2,y1,V,residual,max_violation,mu1,mu2\n" + body,
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"short.csv:{lineno}: {fields} fields, "
+                                         f"the header has 9"):
         read_csv(path)
 
 
