@@ -483,21 +483,24 @@ def read_csv(path) -> TrajectoryLog:
 
     The terminal status is not serialized, so the result carries
     ``status=None``; all numeric columns round-trip bit-exactly.  A header
-    other than :func:`write_csv`'s, or a row with another field count than
-    the header's, raises ``ValueError`` (naming ``path:lineno``, for a row).
+    other than :func:`write_csv`'s (or none), a row of another width or a
+    non-numeric field raises ``ValueError`` naming ``path`` (and the line).
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         p, n, l = (sum(name.startswith(c) for name in header) for c in ("u", "y", "mu"))
         if header != _csv_columns(p, n, l):
-            raise ValueError(f"unexpected CSV header {header!r}")
+            raise ValueError(f"{path}: unexpected CSV header {header!r}")
         rows = []
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: {len(row)} fields, "
                                  f"the header has {len(header)}")
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return _log(np.array(rows, dtype=float).reshape(-1, len(header)), p, n)
 
 

@@ -27,7 +27,9 @@ numpy's matmul gufunc, and every all/any verdict is ``np.count_nonzero``,
 not ``.all()``/``.any()``, which go through Python-level wrappers.  Both
 give the same bits and the same verdicts, NaN included, at a fraction of
 the call cost.  The reference code (:func:`kkt_residual`,
-:func:`enumerate_oracle`) keeps ``@``.
+:func:`enumerate_oracle`) keeps ``@``.  LAPACK is bound by the first solve,
+not by ``import fbopt``: :mod:`scipy.linalg` costs more to import than the
+rest of the package, and a process that solves no QP never needs it.
 
 Two independent routes are provided: :func:`solve_qp` (the production
 active-set method) and :func:`enumerate_oracle` (brute-force enumeration of
@@ -49,7 +51,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
 
 from .model import _finite, _norm
 
@@ -66,6 +67,8 @@ __all__ = [
 ]
 
 Array = np.ndarray
+
+dgesv = dgetrs = dpotrf = None  # LAPACK, bound by the first _check_spd
 
 
 def __getattr__(name: str):
@@ -233,6 +236,11 @@ def kkt_residual(qp: QpProblem, w, multipliers) -> float:
 
 
 def _check_spd(Q: Array) -> None:
+    """Raise unless ``Q`` passes its Cholesky test.  The first call of
+    both solvers, so the first run binds the LAPACK routines."""
+    global dgesv, dgetrs, dpotrf
+    if dpotrf is None:
+        from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
     if dpotrf(Q, lower=1)[1] != 0:
         raise NotPositiveDefinite("quadratic term is not positive definite")
 

@@ -771,6 +771,18 @@ def test_csv_rejects_row_of_other_width(tmp_path, body, lineno, fields):
         read_csv(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("", r"bad\.csv: unexpected CSV header \[\]"),
+    ("iter,u1,y1,V,residual,max_violation,mu1\n0,0,0,1,2,0,0\n1,x,0,1,2,0,0\n",
+     r"bad\.csv:3: could not convert string to float: 'x'"),
+], ids=["zero_bytes", "non_numeric_field"])
+def test_csv_rejects_malformed_file_naming_it(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        read_csv(path)
+
+
 def test_log_column_length_validation():
     with pytest.raises(ValueError):
         TrajectoryLog(iters=np.array([0, 1]), u=np.zeros((1, 2)),

@@ -6,6 +6,8 @@ import textwrap
 import sys
 from pathlib import Path
 
+import pytest
+
 import fbopt
 from fbopt import certificates, controller, harness, model, problems, qp, saddle, tangent
 
@@ -45,9 +47,14 @@ def run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+# appended to code run by ``run_fresh``: fail if any part of SciPy is loaded
+NO_SCIPY = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+
+
 def test_import_leaves_scipy_optimize_unloaded():
-    run_fresh("import sys, fbopt\n"
-              "assert 'scipy.optimize' not in sys.modules\n")
+    # scipy.optimize and scipy.linalg alike: the first QP solve imports LAPACK
+    run_fresh("import sys, fbopt\n" + NO_SCIPY)
 
 
 def test_qp_linprog_resolves_to_scipys():
@@ -70,6 +77,56 @@ def test_non_box_bounding_box_imports_linprog_lazily():
               "lo, hi = triangle.bounding_box()\n"
               "assert abs(lo).max() < 1e-9 and abs(hi - 1.0).max() < 1e-9, (lo, hi)\n"
               "assert 'scipy.optimize' in sys.modules\n")
+
+
+SADDLE_RUN = ("import sys\n"
+              "from fbopt import ScenarioConfig, run_trajectory\n"
+              "log = run_trajectory(ScenarioConfig('cubic2d', 'saddle', 0.01, (0.0, 0.0),\n"
+              "                                    max_iters=50, gamma=0.5, rho=1.0))\n"
+              "assert log.iters.size == 51, log.iters.size\n")
+
+
+@pytest.mark.parametrize("code", [
+    SADDLE_RUN,
+    SADDLE_RUN + "from fbopt import read_csv, write_csv\n"
+                 "write_csv(log, {csv!r})\n"
+                 "assert (read_csv({csv!r}).u == log.u).all()\n",
+    "import os, sys\n"
+    "from fbopt.cli import main\n"
+    "assert main(['run', '--scenario', {scenario!r}, '--out', {out!r}]) == 0\n"
+    "assert os.path.getsize(os.path.join({out!r}, 'trajectory.csv'))\n",
+], ids=["saddle_run", "csv_round_trip", "cli_run_saddle"])
+def test_saddle_run_and_csv_tools_load_no_scipy(tmp_path, code):
+    # the saddle baseline on a box input set clamps and solves no QP
+    scenario = tmp_path / "saddle.txt"
+    scenario.write_text("problem_name = cubic2d\nscheme = saddle\nalpha = 0.01\n"
+                        "gamma = 0.5\nrho = 1.0\nu0 = 0.0, 0.0\nmax_iters = 5000\n"
+                        "stationarity_tol = 1e-6\n", encoding="utf-8")
+    run_fresh(code.format(csv=str(tmp_path / "t.csv"), scenario=str(scenario),
+                          out=str(tmp_path / "out")) + NO_SCIPY)
+
+
+@pytest.mark.parametrize("call", [
+    "parts(solve_qp(loop_qp))",
+    "parts(enumerate_oracle(loop_qp))",
+    "(project_polyhedron(triangle, [1.0, 1.0]),)",
+], ids=["solve_qp", "enumerate_oracle", "project_polyhedron"])
+def test_first_qp_solve_binds_lapack_and_matches_a_warm_solve(call):
+    run_fresh("import sys\n"
+              "import numpy as np\n"
+              "from fbopt import (Polyhedron, QpProblem, enumerate_oracle,\n"
+              "                   project_polyhedron, solve_qp)\n"
+              "loop_qp = QpProblem(Q=np.eye(2), c=[-3.0, 0.0],\n"
+              "                    M=[[1.0, 0.0], [-1.0, 1.0]], r=[1.0, -1.5])\n"
+              "triangle = Polyhedron(A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],\n"
+              "                      b=[0.0, 0.0, 1.0])\n"
+              "parts = lambda sol: (sol.w, sol.multipliers)\n"
+              "assert 'scipy.linalg' not in sys.modules\n"
+              f"cold = {call}\n"
+              "assert 'scipy.linalg.lapack' in sys.modules\n"
+              f"warm = {call}\n"
+              "assert all(np.array_equal(a, b) for a, b in zip(cold, warm, strict=True))\n"
+              "assert np.allclose(project_polyhedron(triangle, [1.0, 1.0]), 0.5)\n")
 
 
 # Every product and every all/any verdict on a per-step or per-row path goes
