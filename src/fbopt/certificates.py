@@ -92,7 +92,7 @@ def sample_input_set(input_set: Polyhedron, spec: SamplerSpec) -> Array:
     while len(out) < spec.count:
         x = lo + (hi - lo) * rng.uniform(size=p)
         attempts += 1
-        if input_set.membership(x, tol=1e-12):
+        if input_set._contains(x, 1e-12):
             out.append(x)
         if attempts > 1000 * spec.count:
             raise RuntimeError("rejection sampling failed; set too thin")
@@ -222,8 +222,7 @@ def estimate_multiplier_bound(problem: ProblemSpec, alpha: float, pts: Array,
             warnings.warn(f"skipping sample {u.tolist()}: linearized set empty",
                           stacklevel=2)
             continue
-        if step.mu.size:
-            mu_max = max(mu_max, float(np.max(step.mu)))
+        mu_max = max(mu_max, float(np.max(step.mu)))
     return max(MULTIPLIER_SAFETY * mu_max, MULTIPLIER_FLOOR)
 
 

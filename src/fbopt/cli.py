@@ -27,6 +27,7 @@ import numpy as np
 from .certificates import SamplerSpec, estimate_constants, sample_input_set
 from .harness import _SCENARIO_KEYS, RunStatus, _read_key_values, load_scenario, \
     run_trajectory, sweep, write_csv, finite_difference_check
+from .model import _check_positive
 from .problems import get_problem, problem_names
 
 __all__ = ["main"]
@@ -35,11 +36,6 @@ __all__ = ["main"]
 # the scalar scenario keys, each taking a comma-separated list
 _GRID_KEYS = {key: lambda text, kind=kind: [kind(part) for part in text.split(",")]
               for key, kind in _SCENARIO_KEYS.items() if kind in (int, float)}
-
-
-def _parse_grid_file(path) -> dict:
-    """Parse a grid file: ``key = v1, v2, ...`` per line (scalar fields only)."""
-    return dict(_read_key_values(path, _GRID_KEYS))
 
 
 def _summary_line(label: str, log) -> str:
@@ -73,7 +69,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
-    grid = _parse_grid_file(args.grid) if args.grid else {}
+    grid = dict(_read_key_values(args.grid, _GRID_KEYS)) if args.grid else {}
     results = sweep(config, grid)
     os.makedirs(args.out, exist_ok=True)
     statuses = []
@@ -114,6 +110,7 @@ def _cmd_check(args) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _check_positive(args.alpha, "alpha")
     rng_spec = SamplerSpec(kind="random", count=args.points, seed=args.seed)
     points = sample_input_set(problem.input_set, rng_spec)
     report = finite_difference_check(problem, points)

@@ -29,7 +29,6 @@ from .model import (
     _jacobian,
     _measure,
     _vector,
-    eval_plant,
     eval_plant_jacobian,
     linearized_constraints,
     reduced_gradient,
@@ -104,6 +103,14 @@ def _projection_qp(problem: ProblemSpec, u: Array, y: Array, J: Array,
                             "alpha * metric G(u)")
 
 
+def _checked(problem: ProblemSpec, u, y, J, alpha: float) -> tuple[Array, Array, Array]:
+    """The step entries' argument gate: ``alpha``, ``u``, ``y`` and ``J``
+    checked once each, in that order; returns the checked ``(u, y, J)``."""
+    _check_positive(alpha, "alpha")
+    u = _vector(u, problem.input_dim, "u")
+    return u, _vector(y, problem.output_dim, "y"), _jacobian(J, problem.plant, u)
+
+
 def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float,
                            G) -> QpProblem:
     """Build the per-step projection QP at ``(u, y, J)`` with ``G = G(u)``.
@@ -122,10 +129,7 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float,
     finite, as must the QP after scaling by ``alpha`` (each raises
     ``ValueError``).  The QP is checked once, as it is built.
     """
-    _check_positive(alpha, "alpha")
-    u = _vector(u, problem.input_dim, "u")
-    y = _vector(y, problem.output_dim, "y")
-    J = _jacobian(J, problem.plant, u)
+    u, y, J = _checked(problem, u, y, J, alpha)
     return _projection_qp(problem, u, y, J, alpha, np.asarray(G, dtype=float))
 
 
@@ -160,10 +164,7 @@ def controller_step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerSt
     are checked once each, in that order, so the metric never sees an unchecked
     ``u``; the step QP is checked as :func:`assemble_projection_qp` builds it.
     """
-    _check_positive(alpha, "alpha")
-    u = _vector(u, problem.input_dim, "u")
-    y = _vector(y, problem.output_dim, "y")
-    J = _jacobian(J, problem.plant, u)
+    u, y, J = _checked(problem, u, y, J, alpha)
     return _step(problem, u, y, J, alpha, _metric(problem, u))
 
 
@@ -191,16 +192,13 @@ def check_licq(problem: ProblemSpec, u, y, J, alpha: float, w) -> LicqReport:
     Activity is measured on the projection rows built from ``y`` and ``J``
     (measured at ``u``) at the absolute tolerance ``DEFAULT_ACTIVE_TOL``; the
     rank of the unscaled rows ``[A; C J]`` is computed with singular-value
-    threshold ``LICQ_RANK_TOL`` times the largest singular value.  ``alpha``
-    and ``J`` are checked as by :func:`controller_step`, and ``u``, ``y`` and
-    ``w`` must be finite vectors of the problem's dimensions.
+    threshold ``LICQ_RANK_TOL`` times the largest singular value.  ``alpha``,
+    ``u``, ``y`` and ``J`` are checked as by :func:`controller_step`, and then
+    ``w``, which must be a finite vector of the input dimension.
     """
-    _check_positive(alpha, "alpha")
-    u = _vector(u, problem.input_dim, "u")
-    y = _vector(y, problem.output_dim, "y")
+    u, y, J = _checked(problem, u, y, J, alpha)
     w = _vector(w, problem.input_dim, "w")
-    rows, slack = linearized_constraints(problem, u, y,
-                                         _jacobian(J, problem.plant, u))
+    rows, slack = linearized_constraints(problem, u, y, J)
     resid = alpha * (rows @ w) - slack
     active = np.flatnonzero(np.abs(resid) <= DEFAULT_ACTIVE_TOL)
     if active.size == 0:
@@ -218,21 +216,22 @@ def kkt_point_residual(problem: ProblemSpec, u, nu, mu) -> float:
     Maximum over the stationarity defect of the reduced gradient, the input
     and output feasibility defects, dual negativity, and complementarity
     products.  At a converged controller fixed point this inherits the size
-    of the final projected direction.
+    of the final projected direction.  ``nu`` and ``mu`` must be finite, with
+    one entry per input row and per output row (else ``ValueError``).
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    nu = np.asarray(nu, dtype=float).reshape(-1)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    y = eval_plant(problem.plant, u)
+    u = _vector(u, problem.input_dim, "u")
+    q = problem.input_set.num_rows
+    nu = _vector(nu, q, "nu")
+    mu = _vector(mu, problem.output_set.num_rows, "mu")
+    y = _measure(problem.plant, u)
     J = eval_plant_jacobian(problem.plant, u)
     g = reduced_gradient(problem, u, y, J)
     rows, slack = linearized_constraints(problem, u, y, J)
-    q = problem.input_set.num_rows
     stat = g + nu @ rows[:q] + mu @ rows[q:]
     in_resid = -slack[:q]
     out_resid = -slack[q:]
     pieces = [
-        float(np.linalg.norm(stat, ord=np.inf)) if stat.size else 0.0,
+        float(np.linalg.norm(stat, ord=np.inf)),
         float(np.max(in_resid, initial=0.0)),
         float(np.max(out_resid, initial=0.0)),
         float(max(np.max(-nu, initial=0.0), np.max(-mu, initial=0.0))),

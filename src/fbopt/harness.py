@@ -164,9 +164,11 @@ def _read_key_values(path, kinds: dict):
     """Yield ``(key, kinds[key](value))`` for each ``key = value`` line.
 
     Lines starting with ``#`` and blank lines are skipped; a line without
-    ``=``, with a key outside ``kinds`` or with a value its converter rejects
-    raises ``ValueError`` naming ``path:lineno`` (and the key, for a value).
+    ``=``, with a key outside ``kinds`` or already given, or with a value its
+    converter rejects raises ``ValueError`` naming ``path:lineno`` (and the
+    key, for a value).
     """
+    first = {}  # key -> the line that gave it
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -178,6 +180,9 @@ def _read_key_values(path, kinds: dict):
             key = key.strip()
             if key not in kinds:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if first.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first on line {first[key]})")
             try:
                 converted = kinds[key](value.strip())
             except ValueError as exc:
@@ -211,18 +216,18 @@ def run_trajectory(config: ScenarioConfig,
     """Run one closed-loop trajectory to convergence, budget, or error.
 
     ``config.u0`` must be a concrete start of the problem's size inside its
-    input set (else ``ValueError``, after the problem is built): the one
-    check of a start, which :func:`sweep` also makes.  ``constants``,
-    when given, must hold one output Lipschitz constant per output row
-    (else ``ValueError``, before the first step).  Each logged
-    row costs one plant measurement: ``y`` and the sensitivity are measured
-    once each at the row's input (by ``feedback_step``, or here for
-    ``saddle_point_step``), and the same ``y`` fills the row and its merit
-    value and violation.  The row adds no check of its own:
-    ``feedback_step`` checks the input and the measured ``y``; a saddle
-    row's measurement checks ``y``, since its state's input was checked when
-    the state was built; and the step checks the sensitivity and what it
-    computes.  The row's output violation is computed once and serves both
+    input set (else ``ValueError``, after the problem is built): the one check
+    of a start, which :func:`sweep` also makes.  ``constants``, when given,
+    must hold one output Lipschitz constant per output row (else
+    ``ValueError``, before the first step).  Each logged row costs one plant
+    measurement: ``y`` and the sensitivity are measured once each at the row's
+    input (by ``feedback_step``, or here for ``saddle_point_step``), and the
+    same ``y`` fills the row and its merit value and violation.  The row adds
+    no check of its own: ``feedback_step`` checks the input and the measured
+    ``y``; a saddle row's measurement checks ``y`` (its state's input was
+    checked when the state was built), and ``saddle_point_step``'s public gate
+    checks that ``y`` a second time; the step checks the sensitivity and what
+    it computes.  The row's output violation is computed once and serves both
     its worst-violation column and its merit value, which equals
     :func:`~fbopt.certificates.lyapunov_value` bit for bit.
 
@@ -457,11 +462,6 @@ def _csv_columns(p: int, n: int, l: int) -> list[str]:
             + [f"mu{j + 1}" for j in range(l)])
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: round-trip exact for binary64
-    return f"{x:.17g}"
-
-
 def write_csv(log: TrajectoryLog, path) -> None:
     """Write the log's rows to ``path``.
 
@@ -474,7 +474,8 @@ def write_csv(log: TrajectoryLog, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_csv_columns(log.u.shape[1], log.y.shape[1], log.mu.shape[1]))
-        writer.writerows([str(int(row[0]))] + [_fmt(v) for v in row[1:]]
+        # 17 significant digits: round-trip exact for binary64
+        writer.writerows([str(int(row[0]))] + [f"{v:.17g}" for v in row[1:]]
                          for row in table)
 
 

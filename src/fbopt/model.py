@@ -109,8 +109,8 @@ class PlantModel:
     jacobian: Callable[[Array], Array]
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("plant dimensions must be positive")
+        for name in ("input_dim", "output_dim"):
+            _check_count(getattr(self, name), name, 1)
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,7 @@ def reduced_gradient(problem: ProblemSpec, u, y, J) -> Array:
 def reduced_cost(problem: ProblemSpec, u) -> float:
     """Cost evaluated on the plant manifold: ``cost(u, plant(u))``."""
     u = _vector(u, problem.input_dim, "u")
-    y = eval_plant(problem.plant, u)
-    return float(problem.objective.eval(u, y))
+    return float(problem.objective.eval(u, _measure(problem.plant, u)))
 
 
 def linearized_constraints(problem: ProblemSpec, u, y, J) -> tuple[Array, Array]:

@@ -143,8 +143,7 @@ class QpProblem:
         M = np.atleast_2d(M)
         if M.shape[1] != p:
             raise ValueError(f"M must have {p} columns, got {M.shape[1]}")
-        raw = self.r if self.r is not None else np.zeros(0)
-        r = np.array(raw, dtype=float).reshape(-1)
+        r = np.array(self.r, dtype=float).reshape(-1)
         if r.size != M.shape[0]:
             raise ValueError(f"r must have length {M.shape[0]}, got {r.size}")
         self._store(Q, c, M, r, "Q")

@@ -39,8 +39,7 @@ def project_polyhedron(set_: Polyhedron, x) -> Array:
     if x.size != set_.dim:
         raise ValueError(f"point has size {x.size}, set has dimension {set_.dim}")
     if set_.is_box:
-        lo, hi = set_.bounding_box()
-        return np.minimum(np.maximum(x, lo), hi)
+        return np.minimum(np.maximum(x, set_.lower), set_.upper)
     qp = QpProblem(Q=2.0 * np.eye(set_.dim), c=-2.0 * x, M=set_.A, r=set_.b)
     return solve_qp(qp).w
 
@@ -97,11 +96,6 @@ class SaddlePointState:
         object.__setattr__(self, "mu", mu)
 
 
-def _residual(problem: ProblemSpec, y: Array) -> Array:
-    # C h(u) - d, signed
-    return problem.output_set.A.dot(y) - problem.output_set.b
-
-
 def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
                                    y, J) -> tuple[Array, Array]:
     """Gradients of the augmented Lagrangian in ``u`` and ``mu``, from the
@@ -116,7 +110,7 @@ def augmented_lagrangian_gradients(problem: ProblemSpec, u, mu, rho: float,
     (the squared positive part makes this the continuous choice).  The
     arrays are used as given: :func:`saddle_point_step` checks them.
     """
-    resid = _residual(problem, y)
+    resid = problem.output_set.A.dot(y) - problem.output_set.b  # C y - d, signed
     weights = mu + rho * np.maximum(resid, 0.0)
     grad_u = reduced_gradient(problem, u, y, J) + weights.dot(problem.output_set.A.dot(J))
     return grad_u, resid

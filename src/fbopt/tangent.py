@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import controller_step
-from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_positive, _read_only, \
-    eval_plant, eval_plant_jacobian, linearized_constraints, reduced_gradient
+from .controller import _metric, _step
+from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_positive, _measure, \
+    _read_only, _vector, eval_plant, eval_plant_jacobian, linearized_constraints, \
+    reduced_gradient
 from .qp import QpProblem, solve_qp
 
 __all__ = [
@@ -64,8 +65,6 @@ class TangentCone:
     def membership(self, w, tol: float = 0.0) -> bool:
         """Whether ``w`` lies in the cone (active rows nonpositive up to tol)."""
         w = np.asarray(w, dtype=float).reshape(-1)
-        if self.rows.shape[0] == 0:
-            return True
         return bool(np.all(self.rows @ w <= tol))
 
 
@@ -108,20 +107,19 @@ def limit_consistency(problem: ProblemSpec, u,
                       alphas) -> list[tuple[float, float]]:
     """Distance from the controller's direction to its small-step limit.
 
-    The plant output ``y`` and its Jacobian ``J`` are evaluated once, at
-    ``u``.  For each step size the direction is
-    ``controller_step(problem, u, y, J, alpha).w``, the projection of
-    ``-G(u)^{-1} grad`` onto the feasible set of the step QP divided by
-    ``alpha``; the limit is the projection onto the tangent cone at ``u``.
-    Returns ``(alpha, deviation)`` pairs with the Euclidean distance between
-    the two.  The step-scaled sets shrink onto the cone as ``alpha``
+    ``u`` is checked once, and the plant output ``y``, its Jacobian ``J``
+    and the metric ``G(u)`` are evaluated once each, at ``u``.  For each step
+    size the direction is ``controller_step(problem, u, y, J, alpha).w``, the
+    projection of ``-G(u)^{-1} grad`` onto the feasible set of the step QP
+    divided by ``alpha``; the limit is the projection onto the tangent cone at
+    ``u``.  Returns ``(alpha, deviation)`` pairs with the Euclidean distance
+    between the two.  The step-scaled sets shrink onto the cone as ``alpha``
     decreases, so over a decreasing ladder the deviations are nonincreasing
     up to roundoff (and vanish whenever no constraint is ever hit).
 
     ``alphas`` must be positive, finite and strictly decreasing; raises
     :class:`NotFeasible` if ``u`` is not feasible.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one step size")
@@ -129,11 +127,12 @@ def limit_consistency(problem: ProblemSpec, u,
         _check_positive(a, "step sizes")
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("step sizes must be strictly decreasing")
-    y = eval_plant(problem.plant, u)
+    u = _vector(u, problem.input_dim, "u")
+    y = _measure(problem.plant, u)
     J = eval_plant_jacobian(problem.plant, u)
     cone = _cone_at(problem, u, y, J)
-    G = np.asarray(problem.metric.eval(u), dtype=float)
+    G = _metric(problem, u)
     g = reduced_gradient(problem, u, y, J)
     w_limit = project_tangent_cone(cone, G, -np.linalg.solve(G, g))
-    return [(a, float(np.linalg.norm(controller_step(problem, u, y, J, a).w
-                                      - w_limit))) for a in alphas]
+    return [(a, float(np.linalg.norm(_step(problem, u, y, J, a, G).w - w_limit)))
+            for a in alphas]

@@ -344,6 +344,14 @@ def test_step_checks_each_value_once(monkeypatch):
     controller_step(prob, u, y, J, 0.01)
     assert checked == ["u", "y", "J"]
     assert post_inits == []
+    # the three public entries share one gate: alpha, u, y, J; check_licq
+    # then checks w
+    checked.clear()
+    assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
+    assert checked == ["u", "y", "J"]
+    checked.clear()
+    check_licq(prob, u, y, J, 0.01, np.zeros(2))
+    assert checked == ["u", "y", "J", "w"]
     QpProblem(Q=np.eye(1), c=[0.0], M=[[1.0]], r=[1.0])  # the spy works
     assert len(post_inits) == 1
 
@@ -480,6 +488,9 @@ def test_check_licq_rejects_bad_measurement():
         check_licq(prob, OPTIMUM, y, J, 0.01, [np.nan, 0.0])
     with pytest.raises(ValueError, match="w must have length 2"):
         check_licq(prob, OPTIMUM, y, J, 0.01, [0.0])
+    # w is checked after the gate, so a bad J is named first
+    with pytest.raises(ValueError, match="jacobian must be finite"):
+        check_licq(prob, OPTIMUM, y, np.full((1, 2), np.nan), 0.01, [np.nan, 0.0])
 
 
 def test_kkt_point_residual_at_optimum():
@@ -494,6 +505,19 @@ def test_kkt_point_residual_flags_wrong_multiplier():
     nu = np.zeros(4)
     mu = np.zeros(2)
     assert kkt_point_residual(prob, OPTIMUM, nu, mu) >= 1.0
+
+
+def test_kkt_point_residual_checks_multipliers():
+    # a 3-entry mu used to fail inside matmul, naming neither argument, and a
+    # NaN multiplier gave a NaN residual
+    prob = builtin_example()
+    nu, mu = np.zeros(4), np.zeros(2)
+    for bad_nu, bad_mu, message in ((nu, np.zeros(3), "mu must have length 2"),
+                                    (np.zeros(2), mu, "nu must have length 4"),
+                                    ([np.nan, 0, 0, 0], mu, "nu must be finite"),
+                                    (nu, [0.0, np.nan], "mu must be finite")):
+        with pytest.raises(ValueError, match=message):
+            kkt_point_residual(prob, OPTIMUM, bad_nu, bad_mu)
 
 
 def test_linearized_set_empty():

@@ -38,6 +38,7 @@ from fbopt import (
     run_trajectory,
     sample_input_set,
     sweep,
+    transient_violation_bound,
     violation,
     write_csv,
 )
@@ -211,6 +212,16 @@ def test_load_scenario_errors(tmp_path):
     write_scenario(bad, problem_name="unknownproblem")
     with pytest.raises(KeyError):
         load_scenario(bad)
+
+
+def test_load_scenario_rejects_duplicate_key(tmp_path):
+    # the second alpha used to win without a word
+    path = write_scenario(tmp_path / "s.txt")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("alpha = 0.5\n")
+    with pytest.raises(ValueError) as err:
+        load_scenario(path)
+    assert str(err.value) == f"{path}:8: duplicate key 'alpha' (first on line 4)"
 
 
 # ------------------------------------------------------------------- runs
@@ -464,6 +475,33 @@ def test_transient_bound_breach_is_flagged():
         assert log.certificate_violated
         V = log.V
         assert np.all(V[1:] <= V[:-1] + 1e-12 * (1.0 + np.abs(V[:-1])))
+
+
+def test_merit_increase_is_flagged():
+    # step_size_bound is about 10, and output Lipschitz constants of 100 keep
+    # every violation within its transient bound: the flag comes from the
+    # merit check alone
+    constants = CertificateConstants(grad_lipschitz=1e-3, output_lipschitz=[100.0, 100.0],
+                                     multiplier_bound=1.0, metric_floor=1000.0)
+    assert 1.2 < constants.step_size_bound
+    output_set = builtin_example().output_set
+    for max_iters, status in ((1, RunStatus.CERTIFICATE_VIOLATED),
+                              (100, RunStatus.CONVERGED)):
+        log = run_trajectory(make_config(alpha=1.2, u0=np.array([-1.0, 0.5]),
+                                         max_iters=max_iters), constants)
+        assert log.status is status
+        assert log.certificate_violated
+        assert log.V[1] > log.V[0]  # 1.125 -> 1.86
+        for k in range(1, log.num_rows):
+            step = log.u[k] - log.u[k - 1]
+            assert np.all(violation(output_set, log.y[k])
+                          <= transient_violation_bound(constants.output_lipschitz, 1.0, step))
+    # the saddle scheme's usual instability signature
+    log = run_trajectory(make_config(scheme="saddle", gamma=5.0, rho=1.0,
+                                     max_iters=3000), constants)
+    assert log.status is RunStatus.CERTIFICATE_VIOLATED
+    assert log.certificate_violated
+    assert np.count_nonzero(np.diff(log.V) > 0)
 
 
 @pytest.mark.parametrize("ell", [[6.0], [6.0, 6.0, 6.0]])
@@ -896,6 +934,18 @@ def test_cli_sweep_rejects_bad_grid_line(tmp_path, capsys, line):
     assert f"{grid}:2:" in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_duplicate_grid_key(tmp_path, capsys):
+    # the second alpha line used to replace the first, dropping two runs
+    scenario = write_scenario(tmp_path / "s.txt")
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha = 0.01, 0.02\nalpha = 0.03\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli_main(["sweep", "--scenario", str(scenario), "--grid", str(grid),
+                     "--out", str(out)]) == 1
+    assert f"{grid}:2: duplicate key 'alpha' (first on line 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # compare exits 0 unless a run errors, also when the saddle run stalls
 @pytest.mark.parametrize("gamma, saddle_status", [("0.5", "Converged"),
                                                   ("5", "IterBudget")])
@@ -918,6 +968,27 @@ def test_cli_check(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "step_size_bound" in text
     assert "derivative check" in text
+
+
+def test_cli_check_rejects_bad_alpha_before_measuring(capsys):
+    # the derivative check used to measure 100 points and print its report
+    # before the constants' estimate rejected the step size
+    evals = []
+
+    def factory():
+        prob = builtin_example()
+        h = prob.plant.eval
+        return dataclasses.replace(prob, plant=dataclasses.replace(
+            prob.plant, eval=lambda u: evals.append(u) or h(u)))
+
+    register_problem("cubic2d.check_counted", factory)
+    for alpha in ("0", "nan", "-1", "inf"):
+        assert cli_main(["check", "--problem", "cubic2d.check_counted",
+                         "--alpha", alpha]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: alpha must be positive and finite\n"
+    assert evals == []
 
 
 def test_cli_missing_file(tmp_path):

@@ -282,6 +282,49 @@ def test_problem_spec_dimension_mismatch():
                     output_set=prob.output_set, metric=prob.metric)
 
 
+# each validation error of the model, and the start of its message
+MODEL_ERRORS = {
+    "plant_dims": (lambda: identity_plant(0), "input_dim must be an integer >= 1"),
+    "row_mismatch": (lambda: Polyhedron(A=np.eye(2), b=[1.0]),
+                     "row mismatch: A has 2 rows, b has 1"),
+    "no_rows": (lambda: Polyhedron(A=np.zeros((0, 2)), b=[]),
+                "a polyhedron needs at least one row"),
+    "box_lengths": (lambda: Polyhedron.box([0.0], [1.0, 2.0]),
+                    "lower and upper must have the same length"),
+    "box_order": (lambda: Polyhedron.box([1.0], [0.0]), "box must satisfy lower <= upper"),
+    "unbounded": (lambda: Polyhedron(A=[[1.0, 0.0]], b=[1.0]).bounding_box(),
+                  "polyhedron must be bounded and nonempty"),
+    "output_set_dim": (lambda: dataclasses.replace(
+        builtin_example(), output_set=Polyhedron.box([0.0, 0.0], [1.0, 1.0])),
+        "output set dimension does not match the plant"),
+    "plant_outputs": (lambda: eval_plant(dataclasses.replace(
+        builtin_example().plant, eval=lambda u: np.zeros(2)), [0.0, 0.0]),
+        "plant returned 2 outputs, expected 1"),
+    "gradient_length": (lambda: reduced_gradient(dataclasses.replace(
+        builtin_example(), objective=ObjectiveSpec(
+            eval=lambda u, y: 0.0, gradient=lambda u, y: np.zeros(2))),
+        np.zeros(2), np.zeros(1), np.ones((1, 2))),
+        "objective gradient must have length 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_ERRORS))
+def test_model_validation_errors(name):
+    make, message = MODEL_ERRORS[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+@pytest.mark.parametrize("field", ["input_dim", "output_dim"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_plant_dimensions_are_counts(field, value):
+    # a float or a bool passed the old `dim < 1` test
+    kwargs = dict(input_dim=1, output_dim=1, eval=lambda u: u, jacobian=lambda u: np.eye(1))
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        PlantModel(**kwargs)
+
+
 def test_immutable_arrays():
     box = Polyhedron.box([-1.0], [1.0])
     with pytest.raises(ValueError):

@@ -136,7 +136,7 @@ def test_first_qp_solve_binds_lapack_and_matches_a_warm_solve(call):
 # sizes of a step.
 STEP_PATH = (model.Polyhedron._contains, model.reduced_gradient,
              model.linearized_constraints, model._violation, controller._step,
-             qp.QpProblem._store, qp._independent, qp.solve_qp, saddle._residual,
+             qp.QpProblem._store, qp._independent, qp.solve_qp,
              saddle.augmented_lagrangian_gradients, harness.run_trajectory,
              certificates.transient_violation_bound,
              certificates.estimate_lipschitz_constants)

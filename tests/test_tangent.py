@@ -166,7 +166,7 @@ def test_limit_deviation_is_controller_direction_to_cone_projection():
 
 def test_limit_consistency_measures_plant_once():
     prob = builtin_example()
-    calls, jacobians = [], []
+    calls, jacobians, metrics = [], [], []
 
     def measured(u):
         calls.append(u)
@@ -176,12 +176,19 @@ def test_limit_consistency_measures_plant_once():
         jacobians.append(u)
         return prob.plant.jacobian(u)
 
-    counted = dataclasses.replace(prob, plant=dataclasses.replace(
-        prob.plant, eval=measured, jacobian=sensitivity))
+    def metric(u):
+        metrics.append(u)
+        return prob.metric.eval(u)
+
+    counted = dataclasses.replace(
+        prob, plant=dataclasses.replace(prob.plant, eval=measured, jacobian=sensitivity),
+        metric=MetricField(eval=metric))
     alphas = [10.0 ** (-k) for k in range(1, 7)]
     limit_consistency(counted, OPTIMUM, alphas)
     assert len(calls) == 1
     assert len(jacobians) == 1
+    # G(u) too: one read serves the cone projection and every step size
+    assert len(metrics) == 1
 
 
 def test_limit_consistency_validates_ladder():
