@@ -27,7 +27,7 @@ for label, u in points.items():
     cone = tangent_cone(problem, u)
     y = eval_plant(problem.plant, u)
     print(f"{label}: u = {u.tolist()}, output = {y[0]:.3f}, "
-          f"{cone.rows.shape[0]} active rows")
+          f"{cone.shape[0]} active rows")
     for alpha, dev in limit_consistency(problem, u, ladder):
         print(f"  alpha = {alpha:7.0e}   |direction - limit| = {dev:9.3e}")
     print()

@@ -235,7 +235,9 @@ def estimate_constants(problem: ProblemSpec, alpha: float,
     bound and the metric floor all come from those points.  The multiplier
     bound depends on the step size used to linearize the output constraints,
     hence the ``alpha`` argument, which is checked first: a bad step size
-    costs no measurement.  Deterministic for a given sampler.
+    costs no measurement.  The metric floor is checked before the other
+    estimates, so a metric that is not positive definite on the sample
+    raises ``ValueError``.  Deterministic for a given sampler.
     """
     _check_positive(alpha, "alpha")
     pts = sample_input_set(problem.input_set, sampler or SamplerSpec())
@@ -244,13 +246,13 @@ def estimate_constants(problem: ProblemSpec, alpha: float,
     ys = [eval_plant(problem.plant, u) for u in pts]
     Js = [eval_plant_jacobian(problem.plant, u) for u in pts]
     Gs = [_metric(problem, u) for u in pts]
-    grad_lipschitz, ell = estimate_lipschitz_constants(problem, pts, ys, Js)
-    mult = estimate_multiplier_bound(problem, alpha, pts, ys, Js, Gs)
     floor = np.inf
     for G in Gs:
         floor = min(floor, float(np.linalg.eigvalsh(G)[0]))
     if not np.isfinite(floor) or floor <= 0.0:
         raise ValueError("metric must be positive definite on the input set")
+    grad_lipschitz, ell = estimate_lipschitz_constants(problem, pts, ys, Js)
+    mult = estimate_multiplier_bound(problem, alpha, pts, ys, Js, Gs)
     return CertificateConstants(grad_lipschitz=grad_lipschitz,
                                 output_lipschitz=ell,
                                 multiplier_bound=mult,

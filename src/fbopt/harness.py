@@ -24,8 +24,8 @@ from .certificates import CertificateConstants, SamplerSpec, _merit, \
     sample_input_set, transient_violation_bound
 from .controller import feedback_step
 from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_count, _check_positive, \
-    _finite, _measure, _norm, _read_only, _violation, eval_plant, eval_plant_jacobian, \
-    reduced_cost, reduced_gradient
+    _finite, _measure, _norm, _read_only, _vector, _violation, eval_plant, \
+    eval_plant_jacobian, reduced_cost, reduced_gradient
 from .problems import _factory, get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
@@ -429,12 +429,14 @@ def finite_difference_check(problem: ProblemSpec, points) -> FiniteDifferenceRep
     Relative errors are ``||fd - analytic|| / max(1, ||analytic||)``.  The
     objective gradient is checked in the joint ``(u, y)`` variable at
     ``y = h(u)``; the reduced gradient against differences of the composed
-    cost ``u -> objective(u, h(u))``.
-    """
+    cost ``u -> objective(u, h(u))``.  Every point is checked before any is
+    measured, and an empty ``points`` raises ``ValueError``."""
+    points = [_vector(u, problem.input_dim, "u") for u in points]
+    if not points:
+        raise ValueError("need at least one point")
     worst_jac = worst_obj = worst_red = 0.0
     for u in points:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        y = eval_plant(problem.plant, u)
+        y = _measure(problem.plant, u)
         J = eval_plant_jacobian(problem.plant, u)
         fd_jac = _central_diff(lambda x: problem.plant.eval(x), u)
         worst_jac = max(worst_jac, _rel_error(fd_jac, J))

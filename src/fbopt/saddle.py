@@ -33,11 +33,15 @@ def project_polyhedron(set_: Polyhedron, x) -> Array:
     """Euclidean projection onto a polyhedron.
 
     Boxes are clamped coordinatewise; general polyhedra go through the
-    quadratic program ``min ||z - x||^2 s.t. A z <= b``.
+    quadratic program ``min ||z - x||^2 s.t. A z <= b``.  ``x`` is checked
+    by :func:`~fbopt.model._vector` on both paths.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != set_.dim:
-        raise ValueError(f"point has size {x.size}, set has dimension {set_.dim}")
+    return _project(set_, _vector(x, set_.dim, "x"))
+
+
+def _project(set_: Polyhedron, x: Array) -> Array:
+    """:func:`project_polyhedron` of a float vector ``x`` of the set's
+    dimension that the caller has built."""
     if set_.is_box:
         return np.minimum(np.maximum(x, set_.lower), set_.upper)
     qp = QpProblem(Q=2.0 * np.eye(set_.dim), c=-2.0 * x, M=set_.A, r=set_.b)
@@ -140,7 +144,7 @@ def saddle_point_step(problem: ProblemSpec, state: SaddlePointState,
     J = _jacobian(J, problem.plant, state.u)
     grad_u, grad_mu = augmented_lagrangian_gradients(problem, state.u, state.mu,
                                                      state.rho, y, J)
-    u_next = project_polyhedron(problem.input_set, state.u - state.alpha * grad_u)
+    u_next = _project(problem.input_set, state.u - state.alpha * grad_u)
     mu_next = np.maximum(state.mu + state.gamma * grad_mu, 0.0)
     return SaddlePointState._adopt(u_next, mu_next, state.alpha, state.gamma,
                                    state.rho)

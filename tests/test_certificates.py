@@ -113,6 +113,11 @@ def test_pair_slope_blocks_match_all_pairs_bitwise():
             all_pairs_slope(points, values) for values in value_sets]
 
 
+def test_pair_slopes_of_equal_points_are_zero():
+    # no pair has a positive distance, so no quotient is taken
+    assert _max_pair_slopes(np.zeros((3, 2)), [np.ones((3, 1))]) == [0.0]
+
+
 def test_pair_slope_memory_grows_linearly():
     rng = np.random.default_rng(9)
     points = rng.uniform(size=(1500, 3))
@@ -237,6 +242,16 @@ def test_multiplier_bound_floor_when_outputs_inactive():
     assert estimate_constants(prob, 0.01).multiplier_bound == 1.0
 
 
+@pytest.mark.parametrize("diagonal", [[-1.0, -1.0], [1.0, 0.0], [1.0, -1e-20]])
+def test_estimate_constants_rejects_metric_not_positive_definite(diagonal):
+    # the multiplier bound's first QP used to fail its Cholesky test first,
+    # with NotPositiveDefinite, a RuntimeError that fbopt check did not catch
+    prob = dataclasses.replace(builtin_example(),
+                               metric=MetricField.constant(np.diag(diagonal)))
+    with pytest.raises(ValueError, match="metric must be positive definite on the input set"):
+        estimate_constants(prob, 0.01)
+
+
 def test_multiplier_bound_known_single_active_sample():
     # y = u, cost (u - 2)^2, y <= 0.25: only the sample u = 1 activates the
     # output row, with multiplier (0.75 + 0.02) / 0.01 = 77 at alpha = 0.01
@@ -355,6 +370,14 @@ def test_grid_sampler_filters_infeasible():
     pts = sample_input_set(poly, SamplerSpec(kind="grid", count=5))
     assert pts.shape[0] < 25
     assert np.all(poly.A @ pts.T <= poly.b[:, None] + 1e-9)
+
+
+def test_random_sampler_gives_up_on_thin_set():
+    # a strip of width 1e-9 along the diagonal of the unit square
+    strip = Polyhedron(A=[[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]],
+                       b=[1e-9, 1e-9, 1.0, 0.0])
+    with pytest.raises(RuntimeError, match="set too thin"):
+        sample_input_set(strip, SamplerSpec(kind="random", count=2))
 
 
 def test_random_sampler_deterministic():

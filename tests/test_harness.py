@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,13 @@ def test_error_status_records_failure(clashing_problem):
     assert np.isnan(log.residual[0])
     assert np.all(np.isnan(log.mu[0]))
     assert "LinearizedSetEmpty" in log.message
+
+
+def test_multiplier_bound_skips_samples_with_empty_linearization(clashing_problem):
+    with pytest.warns(UserWarning, match="skipping sample") as record:
+        constants = estimate_constants(clashing_problem, 0.01, SamplerSpec(count=3))
+    assert sum("skipping sample" in str(w.message) for w in record) == 3
+    assert constants.multiplier_bound == 1.0  # the floor: no multiplier seen
 
 
 def test_certified_run_keeps_merit_monotone():
@@ -714,6 +722,19 @@ def test_finite_difference_affine_problem():
     assert report.max_error < 1e-8
 
 
+def test_finite_difference_checks_every_point_before_measuring():
+    # an empty list used to pass, a report of zero errors with nothing checked
+    prob = builtin_example()
+    evals = []
+    counted = dataclasses.replace(prob, plant=dataclasses.replace(
+        prob.plant, eval=lambda u: evals.append(u) or prob.plant.eval(u)))
+    with pytest.raises(ValueError, match="need at least one point"):
+        finite_difference_check(counted, [])
+    with pytest.raises(ValueError, match="u must be finite"):
+        finite_difference_check(counted, [[0.2, -0.3], [np.nan, 0.0]])
+    assert evals == []
+
+
 def test_finite_difference_flags_wrong_jacobian():
     plant = PlantModel(input_dim=2, output_dim=1,
                        eval=lambda u: np.array([u[0] + u[1]]),
@@ -847,6 +868,14 @@ def test_cli_run_byte_identical(tmp_path):
         (out2 / "trajectory.csv").read_bytes()
 
 
+def test_cli_run_error_prints_message(tmp_path, capsys, clashing_problem):
+    scenario = write_scenario(tmp_path / "s.txt", problem_name="clash1d",
+                              u0="0.0", max_iters="10")
+    assert cli_main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "message: LinearizedSetEmpty: " in capsys.readouterr().out
+
+
 def test_cli_run_rejects_grid_scenario(tmp_path):
     scenario = write_scenario(tmp_path / "s.txt", u0="grid:3")
     out = tmp_path / "out"
@@ -923,6 +952,15 @@ def test_cli_sweep(tmp_path):
     assert (out / "run_001.csv").exists()
 
 
+def test_cli_sweep_names_each_grid_start(tmp_path, capsys):
+    scenario = write_scenario(tmp_path / "s.txt", u0="grid:2", max_iters="5")
+    assert cli_main(["sweep", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert all(re.search(r"\[u0=\(-?[0-9.]+, -?[0-9.]+\)\]$", line) for line in lines[:4])
+
+
 @pytest.mark.parametrize("line", ["beta = 0.1, 0.2", "alpha 0.1", "seed = 1, 2",
                                   "alpha = 0.005, abc"])
 def test_cli_sweep_rejects_bad_grid_line(tmp_path, capsys, line):
@@ -968,6 +1006,32 @@ def test_cli_check(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "step_size_bound" in text
     assert "derivative check" in text
+
+
+def test_cli_check_unknown_problem(capsys):
+    assert cli_main(["check", "--problem", "nope"]) == 1
+    assert "unknown problem 'nope'" in capsys.readouterr().err
+
+
+def test_cli_check_flags_wrong_jacobian(capsys):
+    def factory():
+        prob = builtin_example()
+        jacobian = prob.plant.jacobian
+        return dataclasses.replace(prob, plant=dataclasses.replace(
+            prob.plant, jacobian=lambda u: 1.5 * jacobian(u)))
+
+    register_problem("cubic2d.wrong_jacobian", factory)
+    assert cli_main(["check", "--problem", "cubic2d.wrong_jacobian"]) == 1
+    assert "derivative check FAILED" in capsys.readouterr().err
+
+
+def test_cli_check_rejects_metric_not_positive_definite(capsys):
+    # used to end in a NotPositiveDefinite traceback from the multiplier bound
+    register_problem("cubic2d.negative_metric", lambda: dataclasses.replace(
+        builtin_example(), metric=MetricField.constant(-np.eye(2))))
+    assert cli_main(["check", "--problem", "cubic2d.negative_metric"]) == 1
+    assert capsys.readouterr().err == \
+        "error: metric must be positive definite on the input set\n"
 
 
 def test_cli_check_rejects_bad_alpha_before_measuring(capsys):

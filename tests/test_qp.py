@@ -150,6 +150,8 @@ def test_infeasible_raises():
     qp = QpProblem(Q=[[1.0]], c=[0.0], M=[[1.0], [-1.0]], r=[-1.0, -1.0])
     with pytest.raises(Infeasible):
         solve_qp(qp)
+    with pytest.raises(Infeasible):
+        enumerate_oracle(qp)
 
 
 def test_indefinite_raises():

@@ -134,6 +134,19 @@ def test_projection_of_replaced_box_stays_in_its_rows():
     assert_allclose(z, [0.5], atol=1e-10)
 
 
+@pytest.mark.parametrize("x, message", [([np.nan, 0.0], "x must be finite"),
+                                        ([0.5], "x must have length 2, got 1")],
+                         ids=["nan", "wrong_length"])
+def test_projection_checks_its_point_on_both_paths(x, message):
+    # the box clamp used to return [nan, 0.] where the triangle's QP raised
+    # "c must be finite", and a wrong length had a message of its own
+    box = Polyhedron.box([0.0, 0.0], [1.0, 1.0])
+    triangle = Polyhedron(A=[[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], b=[1.0, 0.0, 0.0])
+    for set_ in (box, triangle):
+        with pytest.raises(ValueError, match=message):
+            project_polyhedron(set_, x)
+
+
 def test_projection_nonexpansive():
     box = Polyhedron.box([-1.0, -1.0], [1.0, 1.0])
     rng = np.random.default_rng(31)
