@@ -63,7 +63,8 @@ class SamplerSpec:
 
     ``kind`` is ``"grid"`` (``count`` points per dimension) or ``"random"``
     (``count`` points total, uniform over the bounding box with membership
-    rejection, seeded).  ``count`` must be an integer ``>= 2``.
+    rejection, seeded).  ``count`` must be an integer ``>= 2`` and ``seed``
+    an integer ``>= 0``.
     """
 
     kind: str = "grid"
@@ -74,6 +75,7 @@ class SamplerSpec:
         if self.kind not in ("grid", "random"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         _check_count(self.count, "count", 2)
+        _check_count(self.seed, "seed", 0)
 
 
 def sample_input_set(input_set: Polyhedron, spec: SamplerSpec) -> Array:

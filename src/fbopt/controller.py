@@ -38,20 +38,13 @@ from .qp import Infeasible, QpProblem, solve_qp
 __all__ = [
     "LinearizedSetEmpty",
     "ControllerStep",
-    "LicqReport",
     "assemble_projection_qp",
     "controller_step",
     "feedback_step",
-    "check_licq",
     "kkt_point_residual",
 ]
 
 Array = np.ndarray
-
-# Relative singular-value threshold below which check_licq counts a
-# direction of the active rows as lost.
-LICQ_RANK_TOL = 1e-9
-
 
 class LinearizedSetEmpty(RuntimeError):
     """The linearized constraint set at the current point has no solution.
@@ -79,17 +72,6 @@ class ControllerStep:
     mu: Array
     u_next: Array
     sigma_norm_G: float
-
-
-@dataclass(frozen=True)
-class LicqReport:
-    """Row-rank summary of the active constraint gradients at a step."""
-
-    satisfied: bool
-    num_active: int
-    rank: int
-    active_rows: tuple[int, ...]
-    singular_values: Array
 
 
 def _projection_qp(problem: ProblemSpec, u: Array, y: Array, J: Array,
@@ -184,30 +166,6 @@ def feedback_step(problem: ProblemSpec, u, alpha: float) -> ControllerStep:
     y = _measure(problem.plant, u)
     J = eval_plant_jacobian(problem.plant, u)
     return _step(problem, u, y, J, alpha, _metric(problem, u))
-
-
-def check_licq(problem: ProblemSpec, u, y, J, alpha: float, w) -> LicqReport:
-    """Check linear independence of the active constraint rows at ``w``.
-
-    Activity is measured on the projection rows built from ``y`` and ``J``
-    (measured at ``u``) at the absolute tolerance ``DEFAULT_ACTIVE_TOL``; the
-    rank of the unscaled rows ``[A; C J]`` is computed with singular-value
-    threshold ``LICQ_RANK_TOL`` times the largest singular value.  ``alpha``,
-    ``u``, ``y`` and ``J`` are checked as by :func:`controller_step`, and then
-    ``w``, which must be a finite vector of the input dimension.
-    """
-    u, y, J = _checked(problem, u, y, J, alpha)
-    w = _vector(w, problem.input_dim, "w")
-    rows, slack = linearized_constraints(problem, u, y, J)
-    resid = alpha * (rows @ w) - slack
-    active = np.flatnonzero(np.abs(resid) <= DEFAULT_ACTIVE_TOL)
-    if active.size == 0:
-        return LicqReport(True, 0, 0, (), np.zeros(0))
-    svals = np.linalg.svd(rows[active], compute_uv=False)
-    rank = int(np.sum(svals > LICQ_RANK_TOL * svals[0]))
-    return LicqReport(satisfied=rank == active.size, num_active=int(active.size),
-                      rank=rank, active_rows=tuple(int(i) for i in active),
-                      singular_values=svals)
 
 
 def kkt_point_residual(problem: ProblemSpec, u, nu, mu) -> float:

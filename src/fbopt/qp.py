@@ -26,17 +26,9 @@ and use the step) is ``ndarray.dot``, not ``@``, which dispatches through
 numpy's matmul gufunc, and every all/any verdict is ``np.count_nonzero``,
 not ``.all()``/``.any()``, which go through Python-level wrappers.  Both
 give the same bits and the same verdicts, NaN included, at a fraction of
-the call cost.  The reference code (:func:`kkt_residual`,
-:func:`enumerate_oracle`) keeps ``@``.  LAPACK is bound by the first solve,
-not by ``import fbopt``: :mod:`scipy.linalg` costs more to import than the
-rest of the package, and a process that solves no QP never needs it.
-
-Two independent routes are provided: :func:`solve_qp` (the production
-active-set method) and :func:`enumerate_oracle` (brute-force enumeration of
-candidate active sets, usable as a ground-truth check for problems with a
-handful of rows; it solves through :mod:`numpy.linalg`).  Tie-breaking is
-always by lowest constraint index, so both routes are deterministic for
-identical input.
+the call cost.  LAPACK is bound by the first solve, not by
+``import fbopt``: :mod:`scipy.linalg` costs more to import than the rest of
+the package, and a process that solves no QP never needs it.
 
 Feasibility tolerances are relative to ``scale = 1 + ||c|| + ||r||``; the
 tests for linear dependence compare like quantities, so scaling ``Q`` and
@@ -45,7 +37,6 @@ tests for linear dependence compare like quantities, so scaling ``Q`` and
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -62,13 +53,11 @@ __all__ = [
     "QpProblem",
     "QpSolution",
     "solve_qp",
-    "enumerate_oracle",
-    "kkt_residual",
 ]
 
 Array = np.ndarray
 
-dgesv = dgetrs = dpotrf = None  # LAPACK, bound by the first _check_spd
+dgesv = dgetrs = dpotrf = None  # LAPACK, bound by the first solve_qp
 
 
 def __getattr__(name: str):
@@ -86,15 +75,6 @@ def __getattr__(name: str):
 
         return linprog
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# Absolute lower bound accepted for multipliers before a candidate active set
-# of the enumeration oracle is rejected.
-DUAL_TOL = 1e-10
-
-# Most constraint rows the enumeration oracle accepts: it tries every subset
-# of at most ``dim`` rows.
-ORACLE_MAX_CONSTRAINTS = 12
 
 
 class Infeasible(RuntimeError):
@@ -120,7 +100,7 @@ class QpProblem:
 
     ``M`` may have zero rows (unconstrained problem).  All entries must be
     finite and ``Q`` symmetric to within ``1e-12 * max(1, max|Q|)``;
-    positive definiteness is checked lazily by the solvers through
+    positive definiteness is checked lazily by :func:`solve_qp` through
     factorization.  The constructor converts, checks and copies every
     array, so the caller may go on changing its own.  The controller's step
     builds its QP through ``QpProblem._adopt`` instead, which keeps the
@@ -200,8 +180,7 @@ class QpSolution:
 
     ``active`` is the working set at termination; ``rank_deficient`` marks
     solutions whose geometrically active rows were linearly dependent, in
-    which case the multipliers are valid but not unique.  No KKT residual
-    is stored: :func:`kkt_residual` computes it on demand.
+    which case the multipliers are valid but not unique.
     """
 
     w: Array
@@ -209,39 +188,6 @@ class QpSolution:
     active: tuple[int, ...]
     iterations: int
     rank_deficient: bool = False
-
-
-def kkt_residual(qp: QpProblem, w, multipliers) -> float:
-    """Aggregate first-order optimality defect of a candidate pair.
-
-    Sums the norms of the stationarity defect ``Q w + c + M' mult``, the
-    primal infeasibility ``max(0, M w - r)``, the dual infeasibility
-    ``max(0, -mult)`` and the complementarity products.  Zero (up to
-    1e-8 * scale) exactly when ``(w, multipliers)`` is the optimal pair.
-    """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    mult = np.asarray(multipliers, dtype=float).reshape(-1)
-    stat = qp.Q @ w + qp.c
-    if qp.num_constraints:
-        stat = stat + qp.M.T @ mult
-        slack = qp.M @ w - qp.r
-        primal = float(np.linalg.norm(np.maximum(slack, 0.0)))
-        comp = float(np.linalg.norm(mult * slack))
-    else:
-        primal = 0.0
-        comp = 0.0
-    dual = float(np.linalg.norm(np.maximum(-mult, 0.0)))
-    return float(np.linalg.norm(stat)) + primal + dual + comp
-
-
-def _check_spd(Q: Array) -> None:
-    """Raise unless ``Q`` passes its Cholesky test.  The first call of
-    both solvers, so the first run binds the LAPACK routines."""
-    global dgesv, dgetrs, dpotrf
-    if dpotrf is None:
-        from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
-    if dpotrf(Q, lower=1)[1] != 0:
-        raise NotPositiveDefinite("quadratic term is not positive definite")
 
 
 def _finish(qp: QpProblem, w: Array, Mw: Array, mult: Array, work, iterations: int,
@@ -384,13 +330,16 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     and reported through :class:`RankDeficientActiveSet`, as are dependent
     rows active at the solution; since the working rows are independent,
     the rank of the active rows is computed only when a row outside the
-    working set is active.  The KKT residual is not computed here; call
-    :func:`kkt_residual` for it.
+    working set is active.
     """
     p, m = qp.dim, qp.num_constraints
     Q, c, M, r = qp.Q, qp.c, qp.M, qp.r
     scale = qp.scale
-    _check_spd(Q)
+    global dgesv, dgetrs, dpotrf
+    if dpotrf is None:  # the first solve binds the LAPACK routines
+        from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
+    if dpotrf(Q, lower=1)[1] != 0:
+        raise NotPositiveDefinite("quadratic term is not positive definite")
     if max_iter is None:
         max_iter = 50 * (m + 2)
 
@@ -461,57 +410,3 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
             work.sort()
             add = None
     raise MaxIterations(f"active-set method did not finish in {max_iter} iterations")
-
-
-def enumerate_oracle(qp: QpProblem) -> QpSolution:
-    """Solve the QP by enumerating candidate active sets.
-
-    Every subset of at most ``dim`` constraint rows with independent rows is
-    treated as an equality-constrained problem; the first candidate (in
-    size, then lexicographic order) that is primal feasible with
-    nonnegative multipliers is returned.  Intended as an independent
-    ground-truth oracle for small instances, not for production use: raises
-    ``ValueError`` above ``ORACLE_MAX_CONSTRAINTS`` rows.  Like
-    :func:`solve_qp`, it raises :class:`NotPositiveDefinite` when ``Q``
-    fails its Cholesky test or is singular, which the candidate with no
-    rows (``Q w = -c``) finds.
-    """
-    p, m = qp.dim, qp.num_constraints
-    if m > ORACLE_MAX_CONSTRAINTS:
-        raise ValueError(f"oracle is limited to {ORACLE_MAX_CONSTRAINTS} constraints, "
-                         f"got {m}")
-    Q, c, M, r = qp.Q, qp.c, qp.M, qp.r
-    scale = qp.scale
-    _check_spd(Q)
-
-    tried = 0
-    for size in range(0, min(p, m) + 1):
-        for subset in itertools.combinations(range(m), size):
-            idx = list(subset)
-            Ms = M[idx]
-            if size and np.linalg.matrix_rank(Ms) < size:
-                continue
-            kkt = np.zeros((p + size, p + size))
-            kkt[:p, :p] = Q
-            if size:
-                kkt[:p, p:] = Ms.T
-                kkt[p:, :p] = Ms
-            rhs = np.concatenate([-c, r[idx]])
-            tried += 1
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                if not size:  # the candidate with no rows solves Q w = -c
-                    raise NotPositiveDefinite(
-                        "quadratic term is singular to working precision") from None
-                continue
-            w, lam = sol[:p], sol[p:]
-            if size and np.any(lam < -DUAL_TOL):
-                continue
-            Mw = M @ w
-            if m and np.any(Mw > r + 1e-9 * scale):
-                continue
-            mult = np.zeros(m)
-            mult[idx] = lam
-            return _finish(qp, w, Mw, mult, subset, tried, False)
-    raise Infeasible("no candidate active set is primal and dual feasible")

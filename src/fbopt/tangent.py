@@ -33,14 +33,22 @@ class NotFeasible(ValueError):
     """The point does not lie in the feasible set, so no tangent cone exists."""
 
 
-def _cone_at(problem: ProblemSpec, u: Array, y: Array, J: Array) -> Array:
-    """Rows of the tangent cone at ``u`` from the output ``y`` measured there
-    and the Jacobian ``J`` evaluated there, or raise :class:`NotFeasible` if a
-    constraint is violated by more than ``DEFAULT_ACTIVE_TOL``."""
+def _cone_at(problem: ProblemSpec, u: Array) -> tuple[Array, Array, Array]:
+    """Rows of the tangent cone at the checked ``u``, with the output ``y``
+    and the Jacobian ``J`` measured there.  ``u`` must satisfy the input
+    constraints before the plant sees it, and then its output the output
+    constraints, each within ``DEFAULT_ACTIVE_TOL``, or :class:`NotFeasible`
+    is raised."""
+    U = problem.input_set
+    if not U._contains(u, DEFAULT_ACTIVE_TOL):
+        raise NotFeasible("input lies outside the input set by "
+                          f"{float((U.A.dot(u) - U.b).max()):.3e}")
+    y = _measure(problem.plant, u)
+    J = eval_plant_jacobian(problem.plant, u)
     rows, slack = linearized_constraints(problem, u, y, J)
     if np.any(slack < -DEFAULT_ACTIVE_TOL):
         raise NotFeasible(f"point violates constraints by {float(-slack.min()):.3e}")
-    return rows[slack <= DEFAULT_ACTIVE_TOL]
+    return rows[slack <= DEFAULT_ACTIVE_TOL], y, J
 
 
 def tangent_cone(problem: ProblemSpec, u) -> Array:
@@ -51,11 +59,10 @@ def tangent_cone(problem: ProblemSpec, u) -> Array:
     ``{w : R w <= 0}``, and an interior point gives ``k = 0``, the whole
     space.  ``u`` is checked once and measured once; it must satisfy the
     input constraints and its measured output the output constraints (within
-    ``DEFAULT_ACTIVE_TOL``), or :class:`NotFeasible` is raised.
+    ``DEFAULT_ACTIVE_TOL``), or :class:`NotFeasible` is raised; an input
+    outside its set is never measured.
     """
-    u = _vector(u, problem.input_dim, "u")
-    return _cone_at(problem, u, _measure(problem.plant, u),
-                    eval_plant_jacobian(problem.plant, u))
+    return _cone_at(problem, _vector(u, problem.input_dim, "u"))[0]
 
 
 def project_tangent_cone(rows, G, f) -> Array:
@@ -97,9 +104,7 @@ def limit_consistency(problem: ProblemSpec, u,
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("step sizes must be strictly decreasing")
     u = _vector(u, problem.input_dim, "u")
-    y = _measure(problem.plant, u)
-    J = eval_plant_jacobian(problem.plant, u)
-    cone = _cone_at(problem, u, y, J)
+    cone, y, J = _cone_at(problem, u)
     G = _metric(problem, u)
     g = reduced_gradient(problem, u, y, J)
     w_limit = project_tangent_cone(cone, G, -np.linalg.solve(G, g))

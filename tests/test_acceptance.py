@@ -14,7 +14,6 @@ from fbopt import (
     ScenarioConfig,
     RunStatus,
     builtin_example,
-    enumerate_oracle,
     estimate_constants,
     eval_plant,
     feedback_step,
@@ -29,6 +28,7 @@ from fbopt import (
     violation,
 )
 from fbopt.cli import main as cli_main
+from oracles import enumerate_oracle
 
 BUILTIN_NAMES = ("cubic2d", "quad1d")
 
@@ -47,6 +47,10 @@ LIMIT_POINTS = (np.array([-0.5, 1.0]), np.array([-0.5, -1.0]),
                 np.array([0.25, 0.5]), np.array([-0.45, 0.0]),
                 np.array([-0.4, 0.0]), np.array([0.0, 0.95]))
 
+# starts of the endpoint oracle of criterion 1
+SLSQP_STARTS = (np.array([0.0, 0.0]), np.array([1.0, 1.0]),
+                np.array([-1.0, -1.0]), np.array([0.5, -0.5]))
+
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'}: criterion {num} — {detail}")
@@ -57,10 +61,43 @@ def grid_starts(problem, points_per_dim=5):
     return sample_input_set(problem.input_set, SamplerSpec(count=points_per_dim))
 
 
+def slsqp_solutions(problem):
+    """Solutions of the steady-state problem ``min Phi(u, h(u))`` subject to
+    ``A u <= b`` and ``C h(u) <= d`` by SciPy's SLSQP, one per start in
+    ``SLSQP_STARTS``.  Built from the problem's data and its analytic
+    derivatives alone, this oracle shares no code with fbopt's controller."""
+    from scipy.optimize import minimize
+
+    plant, objective = problem.plant, problem.objective
+    A, b = problem.input_set.A, problem.input_set.b
+    C, d = problem.output_set.A, problem.output_set.b
+    p = A.shape[1]
+
+    def gradient(u):
+        g = objective.gradient(u, plant.eval(u))
+        return g[:p] + plant.jacobian(u).T @ g[p:]
+
+    constraints = [
+        {"type": "ineq", "fun": lambda u: b - A @ u, "jac": lambda u: -A},
+        {"type": "ineq", "fun": lambda u: d - C @ plant.eval(u),
+         "jac": lambda u: -C @ plant.jacobian(u)},
+    ]
+    solutions = []
+    for u0 in SLSQP_STARTS:
+        res = minimize(lambda u: objective.eval(u, plant.eval(u)), u0,
+                       jac=gradient, constraints=constraints, method="SLSQP",
+                       options={"ftol": 1e-15})
+        assert res.success, res.message
+        solutions.append(res.x)
+    return solutions
+
+
 def test_criterion_1_grid_convergence_to_kkt_points():
     prob = builtin_example()
     alpha = 0.01
     t0 = time.perf_counter()
+    oracle = slsqp_solutions(prob)
+    worst_oracle = 0.0
     worst_kkt = 0.0
     worst_iters = 0
     ok = True
@@ -86,11 +123,17 @@ def test_criterion_1_grid_convergence_to_kkt_points():
         if kkt > 1e-6:
             ok = False
             break
+        dist = max(float(np.linalg.norm(u_end - u_star)) for u_star in oracle)
+        worst_oracle = max(worst_oracle, dist)
+        if dist > 1e-9:
+            ok = False
+            break
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
     report(1, ok, f"25 grid runs converged (max {worst_iters} iters), "
                   f"feasible endpoints, max KKT residual {worst_kkt:.2e}, "
-                  f"{elapsed:.2f}s < 10s")
+                  f"max distance {worst_oracle:.2e} to SLSQP's solution from "
+                  f"{len(oracle)} starts, {elapsed:.2f}s < 10s")
 
 
 def test_criterion_2_certified_step_size_descent():

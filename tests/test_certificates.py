@@ -404,3 +404,14 @@ def test_sampler_count_must_be_an_integer(count):
         with pytest.raises(ValueError, match="count must be an integer >= 2"):
             SamplerSpec(kind=kind, count=count)
     assert SamplerSpec(count=np.int64(3)).count == 3
+
+
+# seed=-1 failed only when sampling, with numpy's error naming no field;
+# seed=1.5 raised TypeError there, and seed=True sampled as seed 1
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, np.nan, True, "3"])
+def test_sampler_seed_must_be_a_nonnegative_integer(seed):
+    for kind in ("grid", "random"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SamplerSpec(kind=kind, count=3, seed=seed)
+    assert SamplerSpec(seed=np.int64(3)).seed == 3
+    assert SamplerSpec(seed=0).seed == 0

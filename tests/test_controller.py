@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +17,12 @@ from fbopt import (
     Polyhedron,
     ProblemSpec,
     QpProblem,
+    RankDeficientActiveSet,
     SaddlePointState,
     assemble_projection_qp,
     augmented_lagrangian_gradients,
     builtin_example,
-    check_licq,
     controller_step,
-    enumerate_oracle,
     eval_plant,
     eval_plant_jacobian,
     feedback_step,
@@ -33,6 +33,7 @@ from fbopt import (
     saddle_point_step,
     solve_qp,
 )
+from oracles import enumerate_oracle
 
 OPTIMUM = np.array([-0.5, 1.0])
 
@@ -267,7 +268,6 @@ def test_step_math_makes_no_plant_call():
     offline = dataclasses.replace(prob, plant=dataclasses.replace(
         prob.plant, eval=unreachable, jacobian=unreachable))
     rng = np.random.default_rng(5)
-    # the optimum has two active rows for check_licq to find
     for u in [OPTIMUM] + [random_feasible_input(prob, rng) for _ in range(9)]:
         y, J = measure(prob, u)
         st = controller_step(offline, u, y, J, 0.01)
@@ -275,8 +275,6 @@ def test_step_math_makes_no_plant_call():
         qp = assemble_projection_qp(offline, u, y, J, 0.01, prob.metric.eval(u))
         assert np.array_equal(qp.M, assemble_projection_qp(
             prob, u, y, J, 0.01, prob.metric.eval(u)).M)
-        rep = check_licq(offline, u, y, J, 0.01, st.w)
-        assert rep.active_rows == check_licq(prob, u, y, J, 0.01, st.w).active_rows
         # the saddle baseline's step math is handed y and J the same way
         s = SaddlePointState(u=u, mu=[0.0, 0.5], alpha=0.01, gamma=0.5, rho=1.0)
         assert np.array_equal(saddle_point_step(offline, s, y, J).u,
@@ -294,19 +292,16 @@ BAD_JACOBIANS = [np.zeros((2, 2)), np.zeros((1, 3)), np.zeros((2, 1)),
 
 @pytest.mark.parametrize("bad_J", BAD_JACOBIANS,
                          ids=["2x2", "1x3", "2x1", "nan", "inf"])
-def test_step_assembly_and_licq_reject_malformed_sensitivity(bad_J):
+def test_step_and_assembly_reject_malformed_sensitivity(bad_J):
     prob = builtin_example()
     u = np.array([0.3, -0.2])
     y, J = measure(prob, u)
     G = prob.metric.eval(u)
-    w = controller_step(prob, u, y, J, 0.01).w
     message = "jacobian shape" if bad_J.shape != J.shape else "jacobian must be finite"
     with pytest.raises(ValueError, match=message):
         controller_step(prob, u, y, bad_J, 0.01)
     with pytest.raises(ValueError, match=message):
         assemble_projection_qp(prob, u, y, bad_J, 0.01, G)
-    with pytest.raises(ValueError, match=message):
-        check_licq(prob, u, y, bad_J, 0.01, w)
 
 
 def test_step_checks_each_value_once(monkeypatch):
@@ -344,14 +339,10 @@ def test_step_checks_each_value_once(monkeypatch):
     controller_step(prob, u, y, J, 0.01)
     assert checked == ["u", "y", "J"]
     assert post_inits == []
-    # the three public entries share one gate: alpha, u, y, J; check_licq
-    # then checks w
+    # the two public entries share one gate: alpha, u, y, J
     checked.clear()
     assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
     assert checked == ["u", "y", "J"]
-    checked.clear()
-    check_licq(prob, u, y, J, 0.01, np.zeros(2))
-    assert checked == ["u", "y", "J", "w"]
     QpProblem(Q=np.eye(1), c=[0.0], M=[[1.0]], r=[1.0])  # the spy works
     assert len(post_inits) == 1
 
@@ -422,28 +413,9 @@ def test_stationarity_residual_metric_norm():
     assert st_fix.sigma_norm_G <= 1e-10
 
 
-def test_check_licq_interior():
-    prob = builtin_example()
-    u = np.zeros(2)
-    y, J = measure(prob, u)
-    st = controller_step(prob, u, y, J, 0.01)
-    rep = check_licq(prob, u, y, J, 0.01, st.w)
-    assert rep.satisfied
-    assert rep.num_active == 0
-
-
-def test_check_licq_output_active():
-    prob = builtin_example()
-    u = np.array([0.329, -0.9])
-    y, J = measure(prob, u)
-    st = controller_step(prob, u, y, J, 0.01)
-    rep = check_licq(prob, u, y, J, 0.01, st.w)
-    assert rep.satisfied
-    assert rep.num_active >= 1
-    assert rep.rank == rep.num_active
-
-
-def test_check_licq_duplicate_rows():
+def test_step_qp_rank_flag_reports_licq():
+    # the step QP's rank test is the one LICQ signal: dependent active rows
+    # warn and set rank_deficient; two independent active rows do neither
     plant = PlantModel(input_dim=1, output_dim=1,
                        eval=lambda u: np.array(u, dtype=float),
                        jacobian=lambda u: np.eye(1))
@@ -456,41 +428,21 @@ def test_check_licq_duplicate_rows():
                        metric=MetricField.identity(1))
     u = np.array([1.0])
     y, J = measure(prob, u)
-    with pytest.warns(Warning):
-        st = controller_step(prob, u, y, J, 0.01)
-    rep = check_licq(prob, u, y, J, 0.01, st.w)
-    assert not rep.satisfied
-    assert rep.num_active == 2
-    assert rep.rank == 1
-
-
-@pytest.mark.parametrize("alpha", [np.nan, 0.0, -1.0, np.inf])
-def test_check_licq_rejects_bad_alpha(alpha):
-    # a NaN or infinite alpha would drop every row from the active set
+    with pytest.warns(RankDeficientActiveSet):
+        controller_step(prob, u, y, J, 0.01)
+    qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
+    with pytest.warns(RankDeficientActiveSet):
+        assert solve_qp(qp).rank_deficient
     prob = builtin_example()
     y, J = measure(prob, OPTIMUM)
-    w = controller_step(prob, OPTIMUM, y, J, 0.01).w
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        check_licq(prob, OPTIMUM, y, J, alpha, w)
-
-
-def test_check_licq_rejects_bad_measurement():
-    # an unchecked NaN output would drop the output row from the active set
-    prob = builtin_example()
-    y, J = measure(prob, OPTIMUM)
-    w = controller_step(prob, OPTIMUM, y, J, 0.01).w
-    assert check_licq(prob, OPTIMUM, y, J, 0.01, w).num_active == 2
-    with pytest.raises(ValueError, match="y must be finite"):
-        check_licq(prob, OPTIMUM, [np.nan], J, 0.01, w)
-    with pytest.raises(ValueError, match="y must have length 1"):
-        check_licq(prob, OPTIMUM, [0.0, 0.0], J, 0.01, w)
-    with pytest.raises(ValueError, match="w must be finite"):
-        check_licq(prob, OPTIMUM, y, J, 0.01, [np.nan, 0.0])
-    with pytest.raises(ValueError, match="w must have length 2"):
-        check_licq(prob, OPTIMUM, y, J, 0.01, [0.0])
-    # w is checked after the gate, so a bad J is named first
-    with pytest.raises(ValueError, match="jacobian must be finite"):
-        check_licq(prob, OPTIMUM, y, np.full((1, 2), np.nan), 0.01, [np.nan, 0.0])
+    qp = assemble_projection_qp(prob, OPTIMUM, y, J, 0.01, prob.metric.eval(OPTIMUM))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankDeficientActiveSet)
+        sol = solve_qp(qp)
+        controller_step(prob, OPTIMUM, y, J, 0.01)
+    assert not sol.rank_deficient
+    active = np.flatnonzero(np.abs(qp.M @ sol.w - qp.r) <= 1e-9 * qp.scale)
+    assert active.size == 2
 
 
 def test_kkt_point_residual_at_optimum():

@@ -35,6 +35,29 @@ def test_package_exports_union_of_modules():
     assert len(fbopt.__all__) == len(union) + 1
 
 
+# test-only diagnostics: the oracle and the KKT residual live in
+# tests/oracles.py, and the step QP's rank flag is the one LICQ signal
+@pytest.mark.parametrize("name", ["enumerate_oracle", "kkt_residual",
+                                  "check_licq", "LicqReport"])
+def test_oracles_are_not_exported(name):
+    assert name not in fbopt.__all__
+    for module in (fbopt,) + MODULES:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_oracles_import_numpy_only():
+    # the oracle must not drift back onto the solver's code
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module.split(".")[0])
+    assert imported <= {"itertools", "typing", "numpy"}
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -108,14 +131,12 @@ def test_saddle_run_and_csv_tools_load_no_scipy(tmp_path, code):
 
 @pytest.mark.parametrize("call", [
     "parts(solve_qp(loop_qp))",
-    "parts(enumerate_oracle(loop_qp))",
     "(project_polyhedron(triangle, [1.0, 1.0]),)",
-], ids=["solve_qp", "enumerate_oracle", "project_polyhedron"])
+], ids=["solve_qp", "project_polyhedron"])
 def test_first_qp_solve_binds_lapack_and_matches_a_warm_solve(call):
     run_fresh("import sys\n"
               "import numpy as np\n"
-              "from fbopt import (Polyhedron, QpProblem, enumerate_oracle,\n"
-              "                   project_polyhedron, solve_qp)\n"
+              "from fbopt import Polyhedron, QpProblem, project_polyhedron, solve_qp\n"
               "loop_qp = QpProblem(Q=np.eye(2), c=[-3.0, 0.0],\n"
               "                    M=[[1.0, 0.0], [-1.0, 1.0]], r=[1.0, -1.5])\n"
               "triangle = Polyhedron(A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],\n"

@@ -14,13 +14,12 @@ from fbopt import (
     QpProblem,
     RankDeficientActiveSet,
     assemble_projection_qp,
-    enumerate_oracle,
     eval_plant,
     eval_plant_jacobian,
     get_problem,
-    kkt_residual,
     solve_qp,
 )
+from oracles import enumerate_oracle, kkt_residual
 
 
 def bound_problem():
@@ -74,13 +73,6 @@ def test_duplicate_active_rows_flagged_by_solver():
         sol = solve_qp(qp)
     assert sol.rank_deficient
     assert_allclose(sol.w, [1.0], atol=1e-10)
-
-
-def test_duplicate_active_rows_flagged_by_oracle():
-    qp = QpProblem(Q=[[2.0]], c=[-6.0], M=[[1.0], [1.0]], r=[1.0, 1.0])
-    with pytest.warns(RankDeficientActiveSet):
-        sol = enumerate_oracle(qp)
-    assert sol.rank_deficient
 
 
 def test_solution_invariants_random_instances():
@@ -150,8 +142,6 @@ def test_infeasible_raises():
     qp = QpProblem(Q=[[1.0]], c=[0.0], M=[[1.0], [-1.0]], r=[-1.0, -1.0])
     with pytest.raises(Infeasible):
         solve_qp(qp)
-    with pytest.raises(Infeasible):
-        enumerate_oracle(qp)
 
 
 def test_indefinite_raises():
@@ -159,17 +149,13 @@ def test_indefinite_raises():
                    M=np.zeros((0, 2)), r=np.zeros(0))
     with pytest.raises(NotPositiveDefinite):
         solve_qp(qp)
-    with pytest.raises(NotPositiveDefinite):
-        enumerate_oracle(qp)
     # singular: the Cholesky test may pass on roundoff (L_22 ~ 1e-8), but
-    # the LU of Q meets an exact zero pivot; with or without rows, both
-    # routes must say so rather than report an infeasible problem
+    # the LU of Q meets an exact zero pivot; with or without rows, the
+    # solver must say so rather than report an infeasible problem
     for M, r in ((np.zeros((0, 2)), np.zeros(0)), ([[1.0, 0.0]], [1.0])):
         singular = QpProblem(Q=[[2.0, 1.0], [1.0, 0.5]], c=[1.0, 0.0], M=M, r=r)
         with pytest.raises(NotPositiveDefinite):
             solve_qp(singular)
-        with pytest.raises(NotPositiveDefinite):
-            enumerate_oracle(singular)
 
 
 def test_iteration_budget_enforced():
@@ -238,15 +224,6 @@ def test_scale_of_finite_data_stays_finite():
     assert qp.scale == 1.0 + 1e200 + 1.0
 
 
-def test_oracle_constraint_cap():
-    def rows(m):
-        return QpProblem(Q=np.eye(2), c=np.zeros(2), M=np.ones((m, 2)), r=np.ones(m))
-
-    assert enumerate_oracle(rows(12)).active == ()
-    with pytest.raises(ValueError, match="limited to 12 constraints, got 13"):
-        enumerate_oracle(rows(13))
-
-
 def test_infeasible_origin_agrees_with_oracle():
     # every instance has rows that the origin violates
     rng = np.random.default_rng(23)
@@ -292,7 +269,7 @@ def test_random_empty_sets_raise_infeasible():
 
 
 def test_large_instances_satisfy_kkt():
-    # 12 variables and 36 rows, beyond what enumerate_oracle accepts
+    # 12 variables and 36 rows, too many for the enumeration oracle
     rng = np.random.default_rng(31)
     for _ in range(20):
         p, m = 12, 36
@@ -441,9 +418,7 @@ def test_started_solve_agrees_with_cold_method(family, monkeypatch):
         assert sol.rank_deficient == full
         assert warned == full
         if qp.num_constraints <= 12:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RankDeficientActiveSet)
-                ref = enumerate_oracle(qp)
+            ref = enumerate_oracle(qp)
             assert np.linalg.norm(sol.w - ref.w) <= 1e-8 * qp.scale
         else:
             assert kkt_residual(qp, sol.w, sol.multipliers) <= 1e-8 * qp.scale

@@ -78,6 +78,19 @@ def test_infeasible_points_rejected():
     with pytest.raises(NotFeasible):
         limit_consistency(prob, [1.0, 1.0], [0.01])
 
+    # an input outside its set is never measured: at (2, 0) the input row
+    # is violated by 1.0 (and the output row by 1.5)
+    def unreachable(u):
+        raise AssertionError("the plant was called")
+
+    offline = dataclasses.replace(prob, plant=dataclasses.replace(
+        prob.plant, eval=unreachable, jacobian=unreachable))
+    message = r"^input lies outside the input set by 1\.000e\+00$"
+    with pytest.raises(NotFeasible, match=message):
+        tangent_cone(offline, [2.0, 0.0])
+    with pytest.raises(NotFeasible, match=message):
+        limit_consistency(offline, [2.0, 0.0], [0.01])
+
 
 def test_project_halfspace_cone():
     cone = np.array([[1.0, 0.0]])
