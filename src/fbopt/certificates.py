@@ -55,6 +55,9 @@ MULTIPLIER_FLOOR = 1.0
 
 # Rows of the pair table that _max_pair_slopes holds at once.
 PAIR_BLOCK_ROWS = 256
+# Largest grid sample_input_set builds: above the 4-input default grid
+# (15**4 = 50,625 points), below the 5-input one.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,19 @@ class SamplerSpec:
 
 
 def sample_input_set(input_set: Polyhedron, spec: SamplerSpec) -> Array:
-    """Sample points of the input set according to ``spec`` (N x p array)."""
+    """Sample points of the input set according to ``spec`` (N x p array).
+
+    A grid of more than ``MAX_GRID_POINTS`` nodes raises ``ValueError``
+    before any is built."""
     lo, hi = input_set.bounding_box()
     p = input_set.dim
     if spec.kind == "grid":
+        total = int(spec.count) ** p
+        if total > MAX_GRID_POINTS:
+            raise ValueError(f"a grid of count={spec.count} per dimension over {p} "
+                             f"inputs has {total:,} points, above MAX_GRID_POINTS="
+                             f"{MAX_GRID_POINTS:,}; sample with "
+                             "SamplerSpec(kind=\"random\", count=...) instead")
         axes = [np.linspace(lo[j], hi[j], spec.count) for j in range(p)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -141,10 +153,12 @@ def lyapunov_value(problem: ProblemSpec, penalty: float, u, y) -> float:
     the reduced cost plus the penalty term at that measurement.  Coincides
     with the reduced cost on the feasible set; non-increasing along
     closed-loop trajectories whenever the step size is below the certified
-    bound computed with the same penalty.  ``y`` is checked here, once (its
-    length and finiteness); ``u`` reaches the objective as a float vector.
+    bound computed with the same penalty.  ``penalty`` must be nonnegative
+    and finite, and ``u`` and ``y`` are checked here, once each (length and
+    finiteness); each raises ``ValueError``.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
+    _check_positive(penalty, "penalty", zero_ok=True)
+    u = _vector(u, problem.input_dim, "u")
     y = _vector(y, problem.output_dim, "y")
     return _merit(problem, penalty, u, y, _violation(problem.output_set, y))
 

@@ -221,14 +221,10 @@ def run_trajectory(config: ScenarioConfig,
     must hold one output Lipschitz constant per output row (else
     ``ValueError``, before the first step).  Each logged row costs one plant
     measurement: ``y`` and the sensitivity are measured once each at the row's
-    input (by ``feedback_step``, or here for ``saddle_point_step``), and the
-    same ``y`` fills the row and its merit value and violation.  The row adds
-    no check of its own: ``feedback_step`` checks the input and the measured
-    ``y``; a saddle row's measurement checks ``y`` (its state's input was
-    checked when the state was built), and ``saddle_point_step``'s public gate
-    checks that ``y`` a second time; the step checks the sensitivity and what
-    it computes.  The row's output violation is computed once and serves both
-    its worst-violation column and its merit value, which equals
+    input (by :func:`~fbopt.controller.feedback_step`, or here for
+    :func:`~fbopt.saddle.saddle_point_step`), and the same ``y`` fills the
+    row, its merit value and its worst violation; the row adds no check to
+    its step's.  The merit value equals
     :func:`~fbopt.certificates.lyapunov_value` bit for bit.
 
     The merit column uses the penalty from ``constants`` when given and 1.0
@@ -263,42 +259,24 @@ def run_trajectory(config: ScenarioConfig,
     violated = False
     message = ""
 
-    # Per scheme: the start state, ``logged(state)`` -> (input, multipliers)
-    # logged if the state's step fails, and ``step(state)`` -> (next state,
-    # measured y, residual, multipliers, direction w or None if unprojected).
-    if config.scheme == "projected":
-        state = config.u0
-        nan_mu = np.full(l, np.nan)
-
-        def logged(u):
-            return u, nan_mu
-
-        def step(u):
-            st = feedback_step(problem, u, config.alpha)
-            return st.u_next, st.y, st.sigma_norm_G, st.mu, st.w
-    else:
-        state = SaddlePointState(u=config.u0, mu=np.zeros(l),
-                                 alpha=config.alpha, gamma=config.gamma,
-                                 rho=config.rho)
-
-        def logged(s):
-            return s.u, s.mu
-
-        def step(s):
-            # s.u was checked as the state was built, and J is checked once,
-            # by saddle_point_step
-            y = _measure(problem.plant, s.u)
-            nxt = saddle_point_step(problem, s, y, problem.plant.jacobian(s.u))
-            residual = (_norm(nxt.u - s.u) / config.alpha
-                        + _norm(nxt.mu - s.mu) / config.gamma)
-            return nxt, y, residual, s.mu, None
-
-    prev_V = prev_w = None
+    projected = config.scheme == "projected"
+    state = config.u0 if projected else SaddlePointState(
+        u=config.u0, mu=np.zeros(l), alpha=config.alpha, gamma=config.gamma,
+        rho=config.rho)
+    nan_mu = np.full(l, np.nan)  # a failed projected row's multipliers
+    prev_V = prev_w = w = None
     status = RunStatus.ITER_BUDGET
     for k in range(config.max_iters + 1):
-        u, mu = logged(state)
+        u, mu = (state, nan_mu) if projected else (state.u, state.mu)
         try:
-            nxt, y, residual, mu, w = step(state)
+            if projected:
+                st = feedback_step(problem, u, config.alpha)
+                state, y, residual, mu, w = st.u_next, st.y, st.sigma_norm_G, st.mu, st.w
+            else:  # u was checked as the state was built, J is checked by the step
+                y = _measure(problem.plant, u)
+                state = saddle_point_step(problem, state, y, problem.plant.jacobian(u))
+                residual = (_norm(state.u - u) / config.alpha
+                            + _norm(state.mu - mu) / config.gamma)
         except Exception as exc:  # solver/model failures end the run
             status, message = RunStatus.ERROR, f"{type(exc).__name__}: {exc}"
             residual = np.nan
@@ -329,11 +307,8 @@ def run_trajectory(config: ScenarioConfig,
         if residual <= config.stationarity_tol:
             status = RunStatus.CONVERGED
             break
-        if k == config.max_iters:
-            break
-        state = nxt
 
-    if violated and status is not RunStatus.CONVERGED and status is not RunStatus.ERROR:
+    if violated and status is RunStatus.ITER_BUDGET:
         status = RunStatus.CERTIFICATE_VIOLATED
     # row 0 is logged before the run can stop, so the table is never empty
     return _log(np.array(rows), problem.input_dim, problem.output_dim,
@@ -354,8 +329,7 @@ def _check_start(config: ScenarioConfig, problem: ProblemSpec) -> None:
         raise ValueError("u0 is outside the input set")
 
 
-def sweep(base: ScenarioConfig, grid: dict,
-          constants: CertificateConstants | None = None) -> list[tuple[dict, TrajectoryLog]]:
+def sweep(base: ScenarioConfig, grid: dict) -> list[tuple[dict, TrajectoryLog]]:
     """Run one trajectory per point of a parameter grid.
 
     ``grid`` maps config field names to lists of values; the sweep covers
@@ -383,8 +357,7 @@ def sweep(base: ScenarioConfig, grid: dict,
                 for name in dict.fromkeys(c.problem_name for c in configs)}
     for config in configs:
         _check_start(config, problems[config.problem_name])
-    return [(ov, run_trajectory(config, constants))
-            for ov, config in zip(overrides, configs)]
+    return [(ov, run_trajectory(config)) for ov, config in zip(overrides, configs)]
 
 
 # ------------------------------------------------------- derivative checking

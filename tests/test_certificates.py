@@ -55,6 +55,21 @@ def test_lyapunov_adds_scaled_violation():
                     rtol=1e-12)
 
 
+@pytest.mark.parametrize("penalty, u, message", [
+    (1.0, [1.0], "u must have length 2"),       # was numpy's IndexError
+    (1.0, [0.7, 0.0, 7.0], "u must have length 2"),  # the extra entry was ignored
+    (1.0, [np.nan, 0.0], "u must be finite"),
+    (-1.0, [0.7, 0.0], "penalty must be nonnegative"),  # a violation lowered the merit
+    (np.nan, [0.7, 0.0], "penalty must be nonnegative"),  # returned NaN
+    (np.inf, [0.7, 0.0], "penalty must be nonnegative"),
+])
+def test_lyapunov_checks_penalty_and_input(penalty, u, message):
+    prob = builtin_example()
+    y = eval_plant(prob.plant, [0.7, 0.0])  # violates the output set
+    with pytest.raises(ValueError, match=message):
+        lyapunov_value(prob, penalty, u, y)
+
+
 def test_lyapunov_penalty_independent_on_feasible_samples():
     prob = builtin_example()
     rng = np.random.default_rng(13)
@@ -361,6 +376,24 @@ def test_grid_sampler_covers_box():
     pts = sample_input_set(box, SamplerSpec(kind="grid", count=5))
     assert pts.shape == (25, 2)
     assert np.all(np.abs(pts) <= 1.0)
+
+
+@pytest.mark.parametrize("p, count, points", [
+    (3, 15, 3_375),      # the default grid
+    (5, 10, 100_000),    # exactly MAX_GRID_POINTS
+    (5, 15, None),       # 759,375 points: each pair block of the constants ~7.8 GB
+    (12, 15, None),      # numpy failed to allocate 944 TiB: a MemoryError
+])
+def test_grid_sampler_budget(p, count, points):
+    box = Polyhedron.box([-1.0] * p, [1.0] * p)
+    spec = SamplerSpec(kind="grid", count=count)
+    if points is None:
+        assert count ** p > certificates.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=rf"count={count} per dimension over {p} "
+                           r"inputs .*SamplerSpec\(kind=\"random\""):
+            sample_input_set(box, spec)
+    else:
+        assert sample_input_set(box, spec).shape == (points, p)
 
 
 def test_grid_sampler_filters_infeasible():

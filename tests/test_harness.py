@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from fbopt import (
 )
 from fbopt.cli import main as cli_main
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BASE = dict(problem_name="cubic2d", scheme="projected", alpha=0.01,
             u0=np.array([0.0, 0.0]))
 
@@ -626,6 +629,28 @@ def test_projected_row_adds_no_check_of_y(monkeypatch):
     assert names == ["u", "J"] * log.num_rows
 
 
+def test_run_calls_the_step_names_the_benchmark_patches(monkeypatch):
+    # perfbench's run_stamped replaces harness.feedback_step or
+    # harness.saddle_point_step to time-stamp each step, and its tracer
+    # wraps every traced name wherever a measured module holds it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    patched = {(module, name) for module, name, _, _ in tracer.Tracer()._patches}
+    assert {(harness_module, "feedback_step"), (harness_module, "saddle_point_step"),
+            (harness_module, "eval_plant"), (harness_module, "run_trajectory")} <= patched
+    for name, config in (
+            ("feedback_step", make_config(max_iters=20)),
+            ("saddle_point_step", make_config(scheme="saddle", gamma=0.5, rho=1.0,
+                                              max_iters=20))):
+        calls = []
+        step = getattr(harness_module, name)
+        monkeypatch.setattr(harness_module, name,
+                            lambda *args, step=step: calls.append(args) or step(*args))
+        log = run_trajectory(config)
+        assert log.num_rows == 21
+        assert len(calls) == log.num_rows
+
+
 def test_saddle_residual_stays_finite_under_huge_dual_rate():
     # each dual step is about gamma = 1e300, so dmu.dmu overflows while
     # ||dmu|| / gamma is of order one; no overflow warning may be raised
@@ -660,6 +685,28 @@ def test_sweep_expands_grid_start():
     for overrides, log in results:
         assert log.status is RunStatus.CONVERGED
         assert "u0" in overrides
+
+
+def box_problem(p: int) -> ProblemSpec:
+    """``p`` inputs in the unit box, one output ``y = sum(u) <= 1``, cost
+    ``u.u``."""
+    return ProblemSpec(
+        plant=PlantModel(input_dim=p, output_dim=1,
+                         eval=lambda u: np.array([u.sum()]),
+                         jacobian=lambda u: np.ones((1, p))),
+        objective=ObjectiveSpec(eval=lambda u, y: float(u @ u),
+                                gradient=lambda u, y: np.append(2.0 * u, 0.0)),
+        input_set=Polyhedron.box([-1.0] * p, [1.0] * p),
+        output_set=Polyhedron(A=[[1.0]], b=[1.0]),
+        metric=MetricField.identity(p))
+
+
+def test_sweep_grid_start_obeys_grid_budget():
+    register_problem("box5.sweep", lambda: box_problem(5))
+    base = make_config(problem_name="box5.sweep", u0=SamplerSpec(count=11))
+    with pytest.raises(ValueError, match=r"count=11 per dimension over 5 inputs "
+                                         r"has 161,051 points"):
+        sweep(base, {})
 
 
 def test_sweep_checks_every_config_before_running(monkeypatch):
@@ -1053,6 +1100,16 @@ def test_cli_check_rejects_bad_alpha_before_measuring(capsys):
         assert out == ""
         assert err == "error: alpha must be positive and finite\n"
     assert evals == []
+
+
+def test_cli_check_reports_grid_over_budget(capsys):
+    # the constants' default 15-per-dimension grid over 5 inputs has 759,375
+    # points; over 12 it used to end in numpy's MemoryError traceback
+    register_problem("box5.check", lambda: box_problem(5))
+    assert cli_main(["check", "--problem", "box5.check"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a grid of count=15 per dimension over 5 inputs "
+                          "has 759,375 points")
 
 
 def test_cli_missing_file(tmp_path):
