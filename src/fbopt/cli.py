@@ -4,7 +4,8 @@ Four subcommands: ``run`` executes one scenario and writes its trajectory
 CSV; ``sweep`` expands a parameter grid over a base scenario; ``compare``
 runs the projection controller and the primal-dual baseline from the same
 scenario and prints a side-by-side summary; ``check`` validates a problem's
-derivatives and prints its certificate constants.
+derivatives and estimates its certificate constants over one random sample.
+A run that ends in an error has its message printed after its summary line.
 
 Exit codes: 0 when every run converged (or the report completed cleanly),
 2 when some run of ``run`` or ``sweep`` ended at the iteration budget or a
@@ -38,13 +39,15 @@ _GRID_KEYS = {key: lambda text, kind=kind: [kind(part) for part in text.split(",
               for key, kind in _SCENARIO_KEYS.items() if kind in (int, float)}
 
 
-def _summary_line(label: str, log) -> str:
+def _print_summary(label: str, log, tail: str = "") -> None:
+    """Print a run's summary line, ending in ``tail``, and its message."""
     last = log.num_rows - 1
-    status = log.status.value if log.status is not None else "?"
     u_txt = ", ".join(f"{v:.6g}" for v in log.u[last])
-    return (f"{label:>10}  {status:<19} iters={int(log.iters[last]):>6} "
-            f"residual={log.residual[last]:.3e} V={log.V[last]:.6g} "
-            f"max_violation={log.max_violation[last]:.3e} u=({u_txt})")
+    print(f"{label:>10}  {log.status.value:<19} iters={int(log.iters[last]):>6} "
+          f"residual={log.residual[last]:.3e} V={log.V[last]:.6g} "
+          f"max_violation={log.max_violation[last]:.3e} u=({u_txt}){tail}")
+    if log.message:
+        print(f"message: {log.message}")
 
 
 def _status_code(statuses) -> int:
@@ -60,9 +63,7 @@ def _cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "trajectory.csv")
     write_csv(log, path)
-    print(_summary_line("run", log))
-    if log.message:
-        print(f"message: {log.message}")
+    _print_summary("run", log)
     print(f"wrote {path}")
     return _status_code([log.status])
 
@@ -82,7 +83,7 @@ def _cmd_sweep(args) -> int:
             if isinstance(value, np.ndarray):
                 value = "(" + ", ".join(f"{v:g}" for v in value) + ")"
             pieces.append(f"{key}={value}")
-        print(_summary_line(f"run_{i:03d}", log) + "  [" + " ".join(pieces) + "]")
+        _print_summary(f"run_{i:03d}", log, "  [" + " ".join(pieces) + "]")
         statuses.append(log.status)
     print(f"wrote {len(results)} logs to {args.out}")
     return _status_code(statuses)
@@ -91,25 +92,20 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     config = load_scenario(args.scenario)
     if config.scheme != "saddle":
-        print("error: compare needs a saddle scenario (gamma and rho set); "
-              "the projected twin is derived from it", file=sys.stderr)
-        return 1
+        raise ValueError("compare needs a saddle scenario (gamma and rho set); "
+                         "the projected twin is derived from it")
     projected = replace(config, scheme="projected", gamma=None, rho=None)
     log_p = run_trajectory(projected)
     log_s = run_trajectory(config)
     print(f"problem: {config.problem_name}  alpha={config.alpha:g}  "
           f"gamma={config.gamma:g}  rho={config.rho:g}")
-    print(_summary_line("projected", log_p))
-    print(_summary_line("saddle", log_s))
+    _print_summary("projected", log_p)
+    _print_summary("saddle", log_s)
     return 1 if RunStatus.ERROR in (log_p.status, log_s.status) else 0
 
 
 def _cmd_check(args) -> int:
-    try:
-        problem = get_problem(args.problem)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    problem = get_problem(args.problem)
     _check_positive(args.alpha, "alpha")
     rng_spec = SamplerSpec(kind="random", count=args.points, seed=args.seed)
     points = sample_input_set(problem.input_set, rng_spec)
@@ -119,9 +115,9 @@ def _cmd_check(args) -> int:
     print(f"  plant_jacobian      rel err {report.plant_jacobian:.3e}")
     print(f"  objective_gradient  rel err {report.objective_gradient:.3e}")
     print(f"  reduced_gradient    rel err {report.reduced_gradient:.3e}")
-    constants = estimate_constants(problem, args.alpha)
+    constants = estimate_constants(problem, args.alpha, rng_spec)
     ell = ", ".join(f"{v:.6g}" for v in constants.output_lipschitz)
-    print(f"certificate constants (estimated at alpha={args.alpha:g}):")
+    print(f"certificate constants over the same points (alpha={args.alpha:g}):")
     print(f"  grad_lipschitz      {constants.grad_lipschitz:.6g}")
     print(f"  output_lipschitz    ({ell})")
     print(f"  multiplier_bound    {constants.multiplier_bound:.6g}")

@@ -93,9 +93,13 @@ def _checked(problem: ProblemSpec, u, y, J, alpha: float) -> tuple[Array, Array,
     return u, _vector(y, problem.output_dim, "y"), _jacobian(J, problem.plant, u)
 
 
-def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float,
-                           G) -> QpProblem:
-    """Build the per-step projection QP at ``(u, y, J)`` with ``G = G(u)``.
+def _metric(problem: ProblemSpec, u: Array) -> Array:
+    """The metric ``G(u)`` as a float array."""
+    return np.asarray(problem.metric.eval(u), dtype=float)
+
+
+def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float) -> QpProblem:
+    """Build the step QP that :func:`controller_step` solves at ``(u, y, J)``.
 
     The quadratic term is ``alpha * G(u)``, the linear term ``alpha`` times
     the reduced cost gradient, and the rows stack the input constraints
@@ -106,18 +110,14 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float,
 
     The first ``input_set.num_rows`` rows always belong to the input set, which
     is how multipliers are split back into ``(nu, mu)``.  ``alpha``, ``u``,
-    ``y`` and ``J`` (measured at ``u``) are checked here, in that order; ``G``
-    must be a symmetric ``(p, p)`` matrix, and ``G`` and the gradient must be
-    finite, as must the QP after scaling by ``alpha`` (each raises
-    ``ValueError``).  The QP is checked once, as it is built.
+    ``y`` and ``J`` (measured at ``u``) are checked here, in that order; then
+    the metric ``G(u)`` is evaluated at the checked ``u``.  ``G(u)`` must be a
+    symmetric ``(p, p)`` matrix, and it and the gradient must be finite, as
+    must the QP after scaling by ``alpha`` (each raises ``ValueError``).  The
+    QP is checked once, as it is built.
     """
     u, y, J = _checked(problem, u, y, J, alpha)
-    return _projection_qp(problem, u, y, J, alpha, np.asarray(G, dtype=float))
-
-
-def _metric(problem: ProblemSpec, u: Array) -> Array:
-    """The metric ``G(u)`` as a float array."""
-    return np.asarray(problem.metric.eval(u), dtype=float)
+    return _projection_qp(problem, u, y, J, alpha, _metric(problem, u))
 
 
 def _step(problem: ProblemSpec, u, y, J, alpha: float, G: Array) -> ControllerStep:

@@ -59,6 +59,9 @@ Array = np.ndarray
 
 dgesv = dgetrs = dpotrf = None  # LAPACK, bound by the first solve_qp
 
+# solve_qp's budget of working-set changes is MAX_ITER_PER_ROW * (m + 2)
+MAX_ITER_PER_ROW = 50
+
 
 def __getattr__(name: str):
     """Resolve ``fbopt.qp.linprog`` to SciPy's own function, importing
@@ -247,15 +250,13 @@ def _independent(S: Array) -> bool:
     return np.count_nonzero(passed) == passed.size
 
 
-def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
+def solve_qp(qp: QpProblem) -> QpSolution:
     """Solve the QP by the dual active-set method of Goldfarb and Idnani.
 
     Parameters
     ----------
     qp : QpProblem
         Problem data; the quadratic term must be positive definite.
-    max_iter : int, optional
-        Budget for working-set changes.  Defaults to ``50 * (m + 2)``.
 
     Returns
     -------
@@ -274,7 +275,9 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
         If the quadratic term fails its Cholesky factorization, or its LU
         factorization meets an exact zero pivot (``Q`` singular).
     MaxIterations
-        If the working-set loop exceeds its budget.
+        If the working-set loop exceeds its budget of
+        ``MAX_ITER_PER_ROW * (m + 2)`` = ``50 * (m + 2)`` working-set
+        changes for ``m`` rows.
 
     Notes
     -----
@@ -289,14 +292,14 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
 
     The start: let ``V`` be the rows that the unconstrained minimizer
     ``w0 = Q^{-1}(-c)`` violates by more than ``1e-11 * scale``.  When
-    ``|V| <= dim``, ``|V| + 1 <= max_iter`` and the rows of ``V`` pass the
-    independence test below applied to all of them at once (with
-    ``S = M_V Q^{-1} M_V' = L L'``, every ``L_kk^2 > 1e-13 S_kk``; a single
-    row passes unless it is zero, which the KKT solve then reports as
-    singular), the equality QP on ``V`` is solved by one KKT solve; the
-    rows ``M_V`` are sliced from ``M`` once, for the test and that solve.
-    If the system is not
-    singular and its multipliers are ``>= 0``, the start is dual feasible:
+    ``|V| <= dim`` and the rows of ``V`` pass the independence test below
+    applied to all of them at once (with ``S = M_V Q^{-1} M_V' = L L'``,
+    every ``L_kk^2 > 1e-13 S_kk``; a single row passes unless it is zero,
+    which the KKT solve then reports as singular), the equality QP on ``V``
+    is solved by one KKT solve; the rows ``M_V`` are sliced from ``M`` once,
+    for the test and that solve.  The start needs no budget test:
+    ``|V| <= m < 50 * (m + 2)``.  If the system is not singular and its
+    multipliers are ``>= 0``, the start is dual feasible:
     when it also satisfies every row to within ``1e-11 * scale`` it is
     returned, with the working set ``V`` and ``|V| + 1`` iterations (the
     count of a run that adds the rows of ``V`` with no drop); otherwise the
@@ -340,8 +343,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
         from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
     if dpotrf(Q, lower=1)[1] != 0:
         raise NotPositiveDefinite("quadratic term is not positive definite")
-    if max_iter is None:
-        max_iter = 50 * (m + 2)
+    max_iter = MAX_ITER_PER_ROW * (m + 2)
 
     lu, piv, w, info = dgesv(Q, -c)  # lu, piv also give every Q^-1 a_i
     if info:
@@ -358,7 +360,7 @@ def solve_qp(qp: QpProblem, max_iter: int | None = None) -> QpSolution:
     # drop would take the method below k + 1 iterations.  One row passes the
     # independence test unless it is zero, and then the KKT solve below is
     # singular, so the test runs only on two or more rows.
-    if k <= p and k < max_iter:
+    if k <= p:
         M_V = M[V]
         if k == 1 or _independent(M_V.dot(dgetrs(lu, piv, M_V.T)[0])):
             ws, mult, singular = _equality_solve(qp, V, M_V)

@@ -55,7 +55,7 @@ def test_assemble_origin():
     prob = builtin_example()
     u = np.zeros(2)
     y, J = measure(prob, u)
-    qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
+    qp = assemble_projection_qp(prob, u, y, J, 0.01)
     assert_allclose(qp.Q, 0.01 * np.eye(2))
     assert_allclose(qp.c, 0.01 * np.array([1.0, -4.0]))
     assert qp.num_constraints == 6
@@ -71,7 +71,7 @@ def test_assemble_face_rhs_zero():
     prob = builtin_example()
     u = np.array([1.0, 0.0])
     y, J = measure(prob, u)
-    qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
+    qp = assemble_projection_qp(prob, u, y, J, 0.01)
     assert qp.r[0] == 0.0  # u1 upper bound tight
 
 
@@ -81,7 +81,7 @@ def test_assemble_rejects_bad_alpha():
     y, J = measure(prob, u)
     for alpha in (0.0, -0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha must be positive"):
-            assemble_projection_qp(prob, u, y, J, alpha, prob.metric.eval(u))
+            assemble_projection_qp(prob, u, y, J, alpha)
 
 
 def test_step_at_origin_is_negative_gradient():
@@ -100,7 +100,7 @@ def test_step_matches_enumeration_oracle():
         u = random_feasible_input(prob, rng)
         y, J = measure(prob, u)
         st = controller_step(prob, u, y, J, 0.01)
-        qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
+        qp = assemble_projection_qp(prob, u, y, J, 0.01)
         ref = enumerate_oracle(qp)
         assert np.linalg.norm(st.w - ref.w) <= 1e-8
         mult = np.concatenate([st.nu, st.mu])
@@ -188,17 +188,16 @@ def test_step_and_assembly_reject_malformed_input_or_output():
     prob = builtin_example()
     u = np.zeros(2)
     y, J = measure(prob, u)
-    G = prob.metric.eval(u)
     for bad_u in BAD_INPUTS:
         with pytest.raises(ValueError):
             controller_step(prob, bad_u, y, J, 0.01)
         with pytest.raises(ValueError):
-            assemble_projection_qp(prob, bad_u, y, J, 0.01, G)
+            assemble_projection_qp(prob, bad_u, y, J, 0.01)
     for bad_y in BAD_OUTPUTS:
         with pytest.raises(ValueError):
             controller_step(prob, u, bad_y, J, 0.01)
         with pytest.raises(ValueError):
-            assemble_projection_qp(prob, u, bad_y, J, 0.01, G)
+            assemble_projection_qp(prob, u, bad_y, J, 0.01)
 
 
 def test_step_checks_input_before_metric_reads_it():
@@ -207,8 +206,9 @@ def test_step_checks_input_before_metric_reads_it():
         builtin_example(),
         metric=MetricField(eval=lambda u: np.diag([1.0, 1.0 + u[1] ** 2])))
     y, J = measure(prob, np.zeros(2))
-    with pytest.raises(ValueError, match="u must have length 2"):
-        controller_step(prob, np.zeros(1), y, J, 0.01)
+    for entry in (controller_step, assemble_projection_qp):
+        with pytest.raises(ValueError, match="u must have length 2"):
+            entry(prob, np.zeros(1), y, J, 0.01)
 
 
 def warped_cubic2d():
@@ -272,9 +272,8 @@ def test_step_math_makes_no_plant_call():
         y, J = measure(prob, u)
         st = controller_step(offline, u, y, J, 0.01)
         assert np.array_equal(st.w, controller_step(prob, u, y, J, 0.01).w)
-        qp = assemble_projection_qp(offline, u, y, J, 0.01, prob.metric.eval(u))
-        assert np.array_equal(qp.M, assemble_projection_qp(
-            prob, u, y, J, 0.01, prob.metric.eval(u)).M)
+        qp = assemble_projection_qp(offline, u, y, J, 0.01)
+        assert np.array_equal(qp.M, assemble_projection_qp(prob, u, y, J, 0.01).M)
         # the saddle baseline's step math is handed y and J the same way
         s = SaddlePointState(u=u, mu=[0.0, 0.5], alpha=0.01, gamma=0.5, rho=1.0)
         assert np.array_equal(saddle_point_step(offline, s, y, J).u,
@@ -296,12 +295,11 @@ def test_step_and_assembly_reject_malformed_sensitivity(bad_J):
     prob = builtin_example()
     u = np.array([0.3, -0.2])
     y, J = measure(prob, u)
-    G = prob.metric.eval(u)
     message = "jacobian shape" if bad_J.shape != J.shape else "jacobian must be finite"
     with pytest.raises(ValueError, match=message):
         controller_step(prob, u, y, bad_J, 0.01)
     with pytest.raises(ValueError, match=message):
-        assemble_projection_qp(prob, u, y, bad_J, 0.01, G)
+        assemble_projection_qp(prob, u, y, bad_J, 0.01)
 
 
 def test_step_checks_each_value_once(monkeypatch):
@@ -341,7 +339,7 @@ def test_step_checks_each_value_once(monkeypatch):
     assert post_inits == []
     # the two public entries share one gate: alpha, u, y, J
     checked.clear()
-    assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
+    assemble_projection_qp(prob, u, y, J, 0.01)
     assert checked == ["u", "y", "J"]
     QpProblem(Q=np.eye(1), c=[0.0], M=[[1.0]], r=[1.0])  # the spy works
     assert len(post_inits) == 1
@@ -368,7 +366,7 @@ def test_bad_metric_is_named_by_every_entry(metric, message):
     with pytest.raises(ValueError, match=message):
         controller_step(prob, u, y, J, 0.01)
     with pytest.raises(ValueError, match=message):
-        assemble_projection_qp(prob, u, y, J, 0.01, metric(u))
+        assemble_projection_qp(prob, u, y, J, 0.01)
 
 
 def test_indefinite_metric_raises():
@@ -391,7 +389,7 @@ def test_overflowing_step_size_raises():
         with pytest.raises(ValueError, match="must be finite"):
             controller_step(prob, u, y, J, 1e308)
         with pytest.raises(ValueError, match="must be finite"):
-            assemble_projection_qp(prob, u, y, J, 1e308, prob.metric.eval(u))
+            assemble_projection_qp(prob, u, y, J, 1e308)
 
 
 def test_fixed_point_invariant_under_metric_change():
@@ -430,12 +428,12 @@ def test_step_qp_rank_flag_reports_licq():
     y, J = measure(prob, u)
     with pytest.warns(RankDeficientActiveSet):
         controller_step(prob, u, y, J, 0.01)
-    qp = assemble_projection_qp(prob, u, y, J, 0.01, prob.metric.eval(u))
+    qp = assemble_projection_qp(prob, u, y, J, 0.01)
     with pytest.warns(RankDeficientActiveSet):
         assert solve_qp(qp).rank_deficient
     prob = builtin_example()
     y, J = measure(prob, OPTIMUM)
-    qp = assemble_projection_qp(prob, OPTIMUM, y, J, 0.01, prob.metric.eval(OPTIMUM))
+    qp = assemble_projection_qp(prob, OPTIMUM, y, J, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RankDeficientActiveSet)
         sol = solve_qp(qp)

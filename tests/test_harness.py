@@ -1043,9 +1043,42 @@ def test_cli_compare(tmp_path, capsys, gamma, saddle_status):
     assert f"saddle  {saddle_status} " in text
 
 
-def test_cli_compare_needs_saddle_scenario(tmp_path):
+def test_cli_compare_needs_saddle_scenario(tmp_path, capsys):
     scenario = write_scenario(tmp_path / "s.txt")
     assert cli_main(["compare", "--scenario", str(scenario)]) == 1
+    assert capsys.readouterr().err == (
+        "error: compare needs a saddle scenario (gamma and rho set); "
+        "the projected twin is derived from it\n")
+
+
+def test_cli_prints_each_erroring_runs_message(tmp_path, capsys):
+    # each summary line is followed by its run's message: run's before the
+    # path it wrote, sweep's after the overrides, compare's for both runs
+    register_problem("nan_plant.cli", lambda: _nan_below(-0.05))
+    scenario = write_scenario(tmp_path / "s.txt", problem_name="nan_plant.cli",
+                              max_iters="5000")
+    message = "message: ValueError: plant output"
+    assert cli_main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "run")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(message)
+    assert lines[2] == f"wrote {tmp_path / 'run' / 'trajectory.csv'}"
+    grid = tmp_path / "grid.txt"
+    grid.write_text("alpha = 0.01\n", encoding="utf-8")
+    assert cli_main(["sweep", "--scenario", str(scenario), "--grid", str(grid),
+                     "--out", str(tmp_path / "sweep")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("   run_000  Error ")
+    assert lines[0].endswith("  [alpha=0.01]")
+    assert lines[1].startswith(message)
+    saddle = write_scenario(tmp_path / "saddle.txt", problem_name="nan_plant.cli",
+                            scheme="saddle", gamma="0.5", rho="1.0", max_iters="5000")
+    assert cli_main(["compare", "--scenario", str(saddle)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith(" projected  Error ")
+    assert lines[2].startswith(message)
+    assert lines[3].startswith("    saddle  Error ")
+    assert lines[4].startswith(message)
 
 
 def test_cli_check(tmp_path, capsys):
@@ -1102,14 +1135,16 @@ def test_cli_check_rejects_bad_alpha_before_measuring(capsys):
     assert evals == []
 
 
-def test_cli_check_reports_grid_over_budget(capsys):
-    # the constants' default 15-per-dimension grid over 5 inputs has 759,375
-    # points; over 12 it used to end in numpy's MemoryError traceback
+def test_cli_check_estimates_constants_over_its_random_sample(capsys):
+    # the derivative check's random points also give the constants; the
+    # default 15-per-dimension grid over 5 inputs (759,375 points) is over
+    # the grid budget
     register_problem("box5.check", lambda: box_problem(5))
-    assert cli_main(["check", "--problem", "box5.check"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: a grid of count=15 per dimension over 5 inputs "
-                          "has 759,375 points")
+    assert cli_main(["check", "--problem", "box5.check", "--points", "50"]) == 0
+    text = capsys.readouterr().out
+    assert "derivative check over 50 random points:" in text
+    assert "certificate constants over the same points (alpha=0.01):" in text
+    assert "step_size_bound" in text
 
 
 def test_cli_missing_file(tmp_path):

@@ -61,13 +61,25 @@ def test_oracles_import_numpy_only():
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_fresh(code: str) -> None:
+def run_fresh(code: str) -> str:
     """Run ``code`` in a new interpreter that imports fbopt from ``src``, so
-    no module an earlier test imported is loaded; fail on a non-zero exit."""
+    no module an earlier test imported is loaded; fail on a non-zero exit,
+    else return its stdout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_readme_quick_start_prints_what_its_comment_says():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    last_print = max(i for i, line in enumerate(lines) if line.startswith("print("))
+    expected = lines[last_print + 1]
+    assert expected == "# RunStatus.CONVERGED False [-0.5  1. ]"
+    assert run_fresh(code).splitlines()[-1] == expected[2:]
 
 
 # appended to code run by ``run_fresh``: fail if any part of SciPy is loaded

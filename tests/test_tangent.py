@@ -139,7 +139,7 @@ def test_zeroed_active_rows_match_cone_data():
     prob = builtin_example()
     y = eval_plant(prob.plant, OPTIMUM)
     J = eval_plant_jacobian(prob.plant, OPTIMUM)
-    qp = assemble_projection_qp(prob, OPTIMUM, y, J, 0.01, prob.metric.eval(OPTIMUM))
+    qp = assemble_projection_qp(prob, OPTIMUM, y, J, 0.01)
     cone = tangent_cone(prob, OPTIMUM)
     active = np.flatnonzero(qp.r == 0.0)
     assert list(active) == [1, 5]  # u2 upper bound, lower output row
