@@ -20,7 +20,6 @@ from fbopt import (
     finite_difference_check,
     get_problem,
     kkt_point_residual,
-    limit_consistency,
     run_trajectory,
     sample_input_set,
     solve_qp,
@@ -28,6 +27,7 @@ from fbopt import (
     violation,
 )
 from fbopt.cli import main as cli_main
+from flow import deviations
 from oracles import enumerate_oracle
 
 BUILTIN_NAMES = ("cubic2d", "quad1d")
@@ -231,7 +231,7 @@ def test_criterion_5_small_step_limit():
         y = eval_plant(prob.plant, u)
         if np.any(np.abs(prob.output_set.A @ y - prob.output_set.b) <= 1e-12):
             active += 1
-        devs = [dev for _, dev in limit_consistency(prob, u, ladder)]
+        devs = deviations(prob, u, ladder)
         if not all(a >= b - 1e-10 for a, b in zip(devs, devs[1:])):
             ok = False
         worst_tail = max(worst_tail, devs[-1])

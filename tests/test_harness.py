@@ -35,6 +35,7 @@ from fbopt import (
     get_problem,
     load_scenario,
     lyapunov_value,
+    problem_names,
     project_polyhedron,
     read_csv,
     register_problem,
@@ -1088,9 +1089,16 @@ def test_cli_check(tmp_path, capsys):
     assert "derivative check" in text
 
 
-def test_cli_check_unknown_problem(capsys):
+def test_cli_check_unknown_problem(tmp_path, capsys):
+    # the KeyError's message, not its quoted repr; earlier tests may have
+    # registered more problems
+    line = f"error: unknown problem 'nope' (registered: {', '.join(problem_names())})\n"
     assert cli_main(["check", "--problem", "nope"]) == 1
-    assert "unknown problem 'nope'" in capsys.readouterr().err
+    assert capsys.readouterr().err == line
+    scenario = write_scenario(tmp_path / "s.txt", problem_name="nope")
+    assert cli_main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == line
 
 
 def test_cli_check_flags_wrong_jacobian(capsys):

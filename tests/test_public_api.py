@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import fbopt
-from fbopt import certificates, controller, harness, model, problems, qp, saddle, tangent
+from fbopt import certificates, controller, harness, model, problems, qp, saddle
 
-MODULES = (model, qp, controller, certificates, saddle, tangent, problems, harness)
+MODULES = (model, qp, controller, certificates, saddle, problems, harness)
 
 
 def test_module_exports_resolve():
@@ -36,9 +36,12 @@ def test_package_exports_union_of_modules():
 
 
 # test-only diagnostics: the oracle and the KKT residual live in
-# tests/oracles.py, and the step QP's rank flag is the one LICQ signal
+# tests/oracles.py, the small-step limit in tests/flow.py, and the step QP's
+# rank flag is the one LICQ signal
 @pytest.mark.parametrize("name", ["enumerate_oracle", "kkt_residual",
-                                  "check_licq", "LicqReport"])
+                                  "check_licq", "LicqReport", "NotFeasible",
+                                  "tangent_cone", "project_tangent_cone",
+                                  "limit_consistency", "tangent"])
 def test_oracles_are_not_exported(name):
     assert name not in fbopt.__all__
     for module in (fbopt,) + MODULES:
@@ -56,6 +59,23 @@ def test_oracles_import_numpy_only():
             assert node.level == 0, "relative import"
             imported.add(node.module.split(".")[0])
     assert imported <= {"itertools", "typing", "numpy"}
+
+
+def test_flow_uses_public_names_only():
+    # the small-step check must not drift back onto the controller's privates
+    tree = ast.parse((Path(__file__).resolve().parent / "flow.py").read_text())
+    from_fbopt = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "fbopt" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "fbopt":
+            assert node.module == "fbopt", node.module
+            from_fbopt.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            assert not node.attr.startswith("_"), node.attr
+    assert from_fbopt
+    for name in from_fbopt:
+        assert name in fbopt.__all__ and not name.startswith("_"), name
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
