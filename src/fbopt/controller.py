@@ -33,7 +33,7 @@ from .model import (
     linearized_constraints,
     reduced_gradient,
 )
-from .qp import Infeasible, QpProblem, solve_qp
+from .qp import Infeasible, QpProblem, _check_qp, _solve
 
 __all__ = [
     "LinearizedSetEmpty",
@@ -75,14 +75,14 @@ class ControllerStep:
 
 
 def _projection_qp(problem: ProblemSpec, u: Array, y: Array, J: Array,
-                   alpha: float, G: Array) -> QpProblem:
-    """The step QP from a checked ``alpha``, ``u``, ``y`` and ``J`` and the
-    float array ``G``.  The gradient is checked as it is evaluated; the QP
-    (only ``G`` is new) is checked once, uncopied, by ``QpProblem._adopt``."""
+                   alpha: float, G: Array) -> tuple[Array, Array, Array, Array, float]:
+    """The step QP's ``(Q, c, M, r, scale)`` from a checked ``alpha``, ``u``,
+    ``y`` and ``J`` and the float array ``G``: the gradient is checked as it
+    is evaluated, the uncopied QP (only ``G`` is new) by ``qp._check_qp``."""
     g = reduced_gradient(problem, u, y, J)
     rows, slack = linearized_constraints(problem, u, y, J)
-    return QpProblem._adopt(alpha * G, alpha * g, alpha * rows, slack,
-                            "alpha * metric G(u)")
+    Q, c, M = alpha * G, alpha * g, alpha * rows
+    return Q, c, M, slack, _check_qp(Q, c, M, slack, "alpha * metric G(u)")
 
 
 def _checked(problem: ProblemSpec, u, y, J, alpha: float) -> tuple[Array, Array, Array]:
@@ -117,24 +117,26 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float) -> QpPro
     QP is checked once, as it is built.
     """
     u, y, J = _checked(problem, u, y, J, alpha)
-    return _projection_qp(problem, u, y, J, alpha, _metric(problem, u))
+    return QpProblem._adopt(*_projection_qp(problem, u, y, J, alpha, _metric(problem, u)))
 
 
 def _step(problem: ProblemSpec, u, y, J, alpha: float, G: Array) -> ControllerStep:
     """The step from a checked ``alpha``, ``u``, ``y`` and ``J`` and the
-    float array ``G = G(u)``."""
+    float array ``G = G(u)``.  The QP's arrays go straight to the core
+    ``qp._solve``, whose rank warning names this line, and the step is
+    filled as ``SaddlePointState._adopt`` fills its state."""
     qp = _projection_qp(problem, u, y, J, alpha, G)
     try:
-        sol = solve_qp(qp)
+        w, mult = _solve(*qp, 1)[:2]
     except Infeasible as exc:
         raise LinearizedSetEmpty(
             f"linearized constraint set is empty at u={u.tolist()}") from exc
     q = problem.input_set.num_rows
-    w = sol.w
     sigma_norm = math.sqrt(max(w.dot(G).dot(w), 0.0))
-    return ControllerStep(u=u, y=y, alpha=float(alpha), w=w,
-                          nu=sol.multipliers[:q], mu=sol.multipliers[q:],
-                          u_next=u + alpha * w, sigma_norm_G=sigma_norm)
+    step = object.__new__(ControllerStep)
+    vars(step).update(u=u, y=y, alpha=float(alpha), w=w, nu=mult[:q], mu=mult[q:],
+                      u_next=u + alpha * w, sigma_norm_G=sigma_norm)
+    return step
 
 
 def controller_step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerStep:

@@ -16,7 +16,7 @@ KKT solve replaces the loop; when only its multipliers are nonnegative, the
 loop goes on from it.  Problems of this shape appear once per controller
 step, so the solver is tuned for very small dense instances, determinism,
 and faithful Lagrange multipliers rather than for scale.  At that size a
-solve costs call overhead, not flops, so :func:`solve_qp` calls LAPACK
+solve costs call overhead, not flops, so the solver calls LAPACK
 directly through :mod:`scipy.linalg.lapack`, whose wrappers cost a fraction
 of :mod:`numpy.linalg`'s, and factors ``Q`` once by LU: the factor gives
 the unconstrained minimizer and every ``Q^-1 a_i``.  The Cholesky
@@ -33,6 +33,10 @@ the package, and a process that solves no QP never needs it.
 Feasibility tolerances are relative to ``scale = 1 + ||c|| + ||r||``; the
 tests for linear dependence compare like quantities, so scaling ``Q`` and
 ``M`` together leaves the path of :func:`solve_qp` unchanged.
+
+The public types wrap two array-level cores, ``_check_qp`` (the one check
+of a QP) and ``_solve`` (the method), which the controller's step calls
+directly: a step builds no :class:`QpProblem` and no :class:`QpSolution`.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ __all__ = [
 
 Array = np.ndarray
 
-dgesv = dgetrs = dpotrf = None  # LAPACK, bound by the first solve_qp
+dgesv = dgetrs = dpotrf = None  # LAPACK, bound by the first _solve
 
 # solve_qp's budget of working-set changes is MAX_ITER_PER_ROW * (m + 2)
 MAX_ITER_PER_ROW = 50
@@ -97,6 +101,32 @@ class RankDeficientActiveSet(UserWarning):
     """The active rows are linearly dependent; multipliers are not unique."""
 
 
+def _check_qp(Q: Array, c: Array, M: Array, r: Array, q_name: str) -> float:
+    """Check a QP of float arrays whose ``M`` and ``r`` already match the
+    vector ``c``: ``Q``'s shape, every entry's finiteness, then ``Q``'s
+    symmetry, with ``q_name`` naming ``Q`` in the errors.  Returns the
+    tolerance scale ``1 + ||c|| + ||r||``."""
+    p = c.size
+    if Q.shape != (p, p):
+        raise ValueError(f"{q_name} must be ({p}, {p}), got {Q.shape}")
+    scale = 1.0 + _norm(c) + _norm(r)
+    # a sum is finite only if every term is, and Q·Q only if every entry
+    # of Q is (as in _finite: no overflow warning); the loop names the array
+    if not math.isfinite(np.vdot(Q, Q) + scale + np.vdot(M, M)):
+        for name, a in ((q_name, Q), ("c", c), ("M", M), ("r", r)):
+            if not _finite(a):
+                raise ValueError(f"{name} must be finite")
+    # an exactly symmetric Q (the usual case) needs no reduction; the
+    # bound 1e-12 * max(1, max|Q|) is at least 1e-12, so max|Q| is needed
+    # only above that.  Q is finite here, but Q - Q.T may overflow.
+    if np.count_nonzero(Q != Q.T):
+        with np.errstate(over="ignore"):
+            asym = np.abs(Q - Q.T).max()
+        if asym > 1e-12 and asym > 1e-12 * float(np.abs(Q).max()):
+            raise ValueError(f"{q_name} must be symmetric (asymmetry {asym:.3e})")
+    return scale
+
+
 @dataclass(frozen=True)
 class QpProblem:
     """Data of one strictly convex inequality-constrained QP.
@@ -105,9 +135,9 @@ class QpProblem:
     finite and ``Q`` symmetric to within ``1e-12 * max(1, max|Q|)``;
     positive definiteness is checked lazily by :func:`solve_qp` through
     factorization.  The constructor converts, checks and copies every
-    array, so the caller may go on changing its own.  The controller's step
-    builds its QP through ``QpProblem._adopt`` instead, which keeps the
-    arrays it has just made and checks only what is not checked yet.
+    array, so the caller may go on changing its own.  The step QP's builder
+    uses ``QpProblem._adopt`` instead, which keeps the arrays it has just
+    made and checked.
     """
 
     Q: Array
@@ -129,44 +159,22 @@ class QpProblem:
         r = np.array(self.r, dtype=float).reshape(-1)
         if r.size != M.shape[0]:
             raise ValueError(f"r must have length {M.shape[0]}, got {r.size}")
-        self._store(Q, c, M, r, "Q")
+        self._store(Q, c, M, r, _check_qp(Q, c, M, r, "Q"))
 
     @classmethod
-    def _adopt(cls, Q: Array, c: Array, M: Array, r: Array, q_name: str) -> "QpProblem":
-        """The QP of float arrays that the caller has just created and
-        keeps no other use of: they are marked read-only in place, not
-        copied.  ``c`` must be a vector and ``M`` and ``r`` must match it;
-        ``Q``'s shape and symmetry and every entry's finiteness are checked
-        as by the constructor, with ``q_name`` naming ``Q`` in the errors."""
+    def _adopt(cls, Q: Array, c: Array, M: Array, r: Array, scale: float) -> "QpProblem":
+        """The QP of arrays that the caller has just made and checked by
+        :func:`_check_qp`, which gave ``scale``, and keeps no other use of:
+        they are marked read-only in place, not copied."""
         qp = object.__new__(cls)
-        qp._store(Q, c, M, r, q_name)
+        qp._store(Q, c, M, r, scale)
         return qp
 
-    def _store(self, Q: Array, c: Array, M: Array, r: Array, q_name: str) -> None:
-        """Check ``Q`` against ``c`` and every entry for finiteness, then
-        keep the four arrays, read-only, and their ``scale``."""
-        p = c.size
-        if Q.shape != (p, p):
-            raise ValueError(f"{q_name} must be ({p}, {p}), got {Q.shape}")
-        scale = 1.0 + _norm(c) + _norm(r)
-        # a sum is finite only if every term is, and Q·Q only if every entry
-        # of Q is (as in _finite: no overflow warning); the loop names the array
-        if not math.isfinite(np.vdot(Q, Q) + scale + np.vdot(M, M)):
-            for name, a in ((q_name, Q), ("c", c), ("M", M), ("r", r)):
-                if not _finite(a):
-                    raise ValueError(f"{name} must be finite")
-        # an exactly symmetric Q (the usual case) needs no reduction; the
-        # bound 1e-12 * max(1, max|Q|) is at least 1e-12, so max|Q| is needed
-        # only above that.  Q is finite here, but Q - Q.T may overflow.
-        if np.count_nonzero(Q != Q.T):
-            with np.errstate(over="ignore"):
-                asym = np.abs(Q - Q.T).max()
-            if asym > 1e-12 and asym > 1e-12 * float(np.abs(Q).max()):
-                raise ValueError(f"{q_name} must be symmetric (asymmetry {asym:.3e})")
-        for name, a in (("Q", Q), ("c", c), ("M", M), ("r", r)):
+    def _store(self, Q: Array, c: Array, M: Array, r: Array, scale: float) -> None:
+        """Keep the four checked arrays, read-only, and their ``scale``."""
+        for a in (Q, c, M, r):
             a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "scale", scale)
+        vars(self).update(Q=Q, c=c, M=M, r=r, scale=scale)
 
     @property
     def dim(self) -> int:
@@ -193,23 +201,23 @@ class QpSolution:
     rank_deficient: bool = False
 
 
-def _finish(qp: QpProblem, w: Array, Mw: Array, mult: Array, work, iterations: int,
-            rank_flag: bool) -> QpSolution:
-    """The solution ``w`` with ``Mw = M @ w``, which the caller has already
-    formed to test feasibility; ``work`` holds Python ints."""
+def _finish(M: Array, r: Array, scale: float, w: Array, Mw: Array, mult: Array, work,
+            iterations: int, rank_flag: bool, stacklevel: int):
+    """:func:`_solve`'s result for the solution ``w`` with ``Mw = M @ w``,
+    which the caller has already formed to test feasibility; ``work`` holds
+    Python ints."""
     # ``work`` holds independent rows, so only active rows outside it can
     # make the active set rank-deficient
-    if qp.num_constraints:
-        act = (np.abs(Mw - qp.r) <= 1e-9 * qp.scale).nonzero()[0]
+    if r.size:
+        act = (np.abs(Mw - r) <= 1e-9 * scale).nonzero()[0]
         if act.size and not set(act.tolist()).issubset(work) \
-                and np.linalg.matrix_rank(qp.M[act]) < act.size:
+                and np.linalg.matrix_rank(M[act]) < act.size:
             rank_flag = True
     if rank_flag:
         warnings.warn("active constraint rows are linearly dependent; "
                       "multipliers are not unique", RankDeficientActiveSet,
-                      stacklevel=3)
-    return QpSolution(w=w, multipliers=mult, active=tuple(work),
-                      iterations=iterations, rank_deficient=rank_flag)
+                      stacklevel=stacklevel + 2)
+    return w, mult, tuple(work), iterations, rank_flag
 
 
 def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bool]:
@@ -228,14 +236,14 @@ def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bo
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
 
 
-def _equality_solve(qp: QpProblem, work, N: Array) -> tuple[Array, Array, bool]:
+def _equality_solve(Q: Array, c: Array, r: Array, work, N: Array) -> tuple[Array, Array, bool]:
     """Point and full multiplier vector of the QP with the rows ``work``
     (sorted), whose block of ``M`` is ``N``, held as equalities; the flag
     marks a singular KKT system."""
-    sol, singular = _kkt_solve(qp.Q, N, -qp.c, qp.r[work])
-    mult = np.zeros(qp.num_constraints)
-    mult[work] = sol[qp.dim:]
-    return sol[:qp.dim], mult, singular
+    sol, singular = _kkt_solve(Q, N, -c, r[work])
+    mult = np.zeros(r.size)
+    mult[work] = sol[c.size:]
+    return sol[:c.size], mult, singular
 
 
 def _independent(S: Array) -> bool:
@@ -334,10 +342,18 @@ def solve_qp(qp: QpProblem) -> QpSolution:
     rows active at the solution; since the working rows are independent,
     the rank of the active rows is computed only when a row outside the
     working set is active.
+
+    The method is the core :func:`_solve`; this packs its result.
     """
-    p, m = qp.dim, qp.num_constraints
-    Q, c, M, r = qp.Q, qp.c, qp.M, qp.r
-    scale = qp.scale
+    return QpSolution(*_solve(qp.Q, qp.c, qp.M, qp.r, qp.scale, 2))
+
+
+def _solve(Q: Array, c: Array, M: Array, r: Array, scale: float, stacklevel: int):
+    """:func:`solve_qp` on arrays that :func:`_check_qp` checked and scaled:
+    ``(w, multipliers, working set, iterations, rank flag)``.  The first
+    call binds LAPACK.  The rank warning's ``stacklevel`` counts from the
+    caller, as if it called :func:`warnings.warn`."""
+    p, m = c.size, r.size
     global dgesv, dgetrs, dpotrf
     if dpotrf is None:  # the first solve binds the LAPACK routines
         from scipy.linalg.lapack import dgesv, dgetrs, dpotrf
@@ -353,7 +369,7 @@ def solve_qp(qp: QpProblem) -> QpSolution:
     V = (Mw > r + tol).nonzero()[0]  # the violated rows
     k = V.size
     if not k:
-        return _finish(qp, w, Mw, np.zeros(m), (), 1, False)
+        return _finish(M, r, scale, w, Mw, np.zeros(m), (), 1, False, stacklevel)
     lam = np.zeros(m)
     work: list[int] = []  # sorted
     # first try the violated rows as the working set: adding them without a
@@ -363,11 +379,12 @@ def solve_qp(qp: QpProblem) -> QpSolution:
     if k <= p:
         M_V = M[V]
         if k == 1 or _independent(M_V.dot(dgetrs(lu, piv, M_V.T)[0])):
-            ws, mult, singular = _equality_solve(qp, V, M_V)
+            ws, mult, singular = _equality_solve(Q, c, r, V, M_V)
             if not singular and np.count_nonzero(mult >= 0.0) == m:
                 Mws = M.dot(ws)
                 if np.count_nonzero(Mws <= r + tol) == m:
-                    return _finish(qp, ws, Mws, mult, V.tolist(), k + 1, False)
+                    return _finish(M, r, scale, ws, Mws, mult, V.tolist(), k + 1,
+                                   False, stacklevel)
                 w, lam, work = ws, mult, V.tolist()  # dual feasible: go on from it
 
     Qinv_Mt = dgetrs(lu, piv, M.T)[0]  # column i is Q^-1 a_i
@@ -381,8 +398,9 @@ def solve_qp(qp: QpProblem) -> QpSolution:
             viol[work] = -np.inf
             add = int(np.argmax(viol))  # lowest index on ties
             if viol[add] <= tol:
-                w, mult, singular = _equality_solve(qp, work, M[work])
-                return _finish(qp, w, M.dot(w), mult, work, it, rank_flag or singular)
+                w, mult, singular = _equality_solve(Q, c, r, work, M[work])
+                return _finish(M, r, scale, w, M.dot(w), mult, work, it,
+                               rank_flag or singular, stacklevel)
 
         a = M[add]
         sol, singular = _kkt_solve(Q, M[work], a, np.zeros(len(work)))

@@ -1,14 +1,18 @@
 import dataclasses
+import importlib
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import fbopt.certificates as certificates_module
 import fbopt.controller as controller_module
 import fbopt.model as model_module
 from fbopt import (
+    ControllerStep,
     LinearizedSetEmpty,
     MetricField,
     NotPositiveDefinite,
@@ -36,6 +40,7 @@ from fbopt import (
 from oracles import enumerate_oracle
 
 OPTIMUM = np.array([-0.5, 1.0])
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def measure(prob, u):
@@ -411,19 +416,24 @@ def test_stationarity_residual_metric_norm():
     assert st_fix.sigma_norm_G <= 1e-10
 
 
-def test_step_qp_rank_flag_reports_licq():
-    # the step QP's rank test is the one LICQ signal: dependent active rows
-    # warn and set rank_deficient; two independent active rows do neither
+def duplicate_bound_problem():
+    """A 1-input problem that lists its bound ``u <= 1`` twice, so at
+    ``u = 1`` the step QP's active rows are dependent."""
     plant = PlantModel(input_dim=1, output_dim=1,
                        eval=lambda u: np.array(u, dtype=float),
                        jacobian=lambda u: np.eye(1))
     obj = ObjectiveSpec(eval=lambda u, y: float((u[0] - 2.0) ** 2),
                         gradient=lambda u, y: np.array([2.0 * (u[0] - 2.0), 0.0]))
-    # u <= 1 twice: active rows at the bound are dependent
-    prob = ProblemSpec(plant=plant, objective=obj,
+    return ProblemSpec(plant=plant, objective=obj,
                        input_set=Polyhedron(A=[[1.0], [1.0], [-1.0]], b=[1.0, 1.0, 1.0]),
                        output_set=Polyhedron.box([-5.0], [5.0]),
                        metric=MetricField.identity(1))
+
+
+def test_step_qp_rank_flag_reports_licq():
+    # the step QP's rank test is the one LICQ signal: dependent active rows
+    # warn and set rank_deficient; two independent active rows do neither
+    prob = duplicate_bound_problem()
     u = np.array([1.0])
     y, J = measure(prob, u)
     with pytest.warns(RankDeficientActiveSet):
@@ -441,6 +451,76 @@ def test_step_qp_rank_flag_reports_licq():
     assert not sol.rank_deficient
     active = np.flatnonzero(np.abs(qp.M @ sol.w - qp.r) <= 1e-9 * qp.scale)
     assert active.size == 2
+
+
+def test_rank_warning_names_the_solve_qp_caller_and_the_controller():
+    # solve_qp's warning names the line that called it; a step's names
+    # controller.py, whichever entry took the step (the estimator too)
+    prob = duplicate_bound_problem()
+    u = np.array([1.0])
+    y, J = measure(prob, u)
+    qp = assemble_projection_qp(prob, u, y, J, 0.01)
+    in_controller = controller_module.__file__
+    for call, filename in (
+            (lambda: solve_qp(qp), __file__),
+            (lambda: controller_step(prob, u, y, J, 0.01), in_controller),
+            (lambda: feedback_step(prob, u, 0.01), in_controller),
+            (lambda: certificates_module.estimate_multiplier_bound(
+                prob, 0.01, u[None], [y], [J], [np.eye(1)]), in_controller)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in caught] == [
+            (RankDeficientActiveSet, filename)]
+
+
+def synthetic_p12(monkeypatch):
+    """Problem 0 of seed 1 of perfbench's 12-input family, and its start."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synthetic = importlib.import_module("synthetic")
+    data = synthetic.generate(1, 0)
+    return synthetic.build(data, "synthetic_p12"), data.start
+
+
+# (problem and input, alpha, the solve's working set, iterations and rank
+# flag), one case per path of the solver
+SOLVER_PATHS = {
+    "free": (lambda mp: (builtin_example(), np.zeros(2)), 0.01, ((), 1, False)),
+    "one_row_start": (lambda mp: (builtin_example(), np.array([0.0, 1.0])), 0.01,
+                      ((1,), 2, False)),
+    # the start {1} is dual feasible but violates row 5; the loop adds it
+    "vertex_continued_start": (lambda mp: (builtin_example(), OPTIMUM), 0.01,
+                               ((1, 5), 3, False)),
+    "p12_two_row_start": (synthetic_p12, 0.1, ((28, 33), 3, False)),
+    "p12_six_row_loop": (synthetic_p12, 1.0, ((25, 26, 28, 29, 30, 33), 7, False)),
+    "rank_deficient": (lambda mp: (duplicate_bound_problem(), np.array([1.0])), 0.01,
+                       ((0,), 2, True)),
+}
+
+
+@pytest.mark.parametrize("make, alpha, path", SOLVER_PATHS.values(), ids=SOLVER_PATHS.keys())
+def test_step_equals_solve_of_assembled_qp_on_every_solver_path(monkeypatch, make, alpha, path):
+    # the step hands its QP's arrays to the solver core: the bits must be
+    # solve_qp's on the QP that assemble_projection_qp builds
+    prob, u = make(monkeypatch)
+    y, J = measure(prob, u)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_qp(assemble_projection_qp(prob, u, y, J, alpha))
+        st = controller_step(prob, u, y, J, alpha)
+    assert (sol.active, sol.iterations, sol.rank_deficient) == path
+    assert len(caught) == 2 * sol.rank_deficient
+    q = prob.input_set.num_rows
+    assert np.array_equal(st.w, sol.w)
+    assert np.array_equal(st.nu, sol.multipliers[:q])
+    assert np.array_equal(st.mu, sol.multipliers[q:])
+    # still a frozen ControllerStep, equal to one its constructor builds
+    assert type(st) is ControllerStep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.w = sol.w
+    ref = ControllerStep(**{f.name: getattr(st, f.name)
+                            for f in dataclasses.fields(ControllerStep)})
+    assert st == ref and vars(st).keys() == vars(ref).keys()
 
 
 def test_kkt_point_residual_at_optimum():

@@ -164,19 +164,24 @@ def test_saddle_run_and_csv_tools_load_no_scipy(tmp_path, code):
 @pytest.mark.parametrize("call", [
     "parts(solve_qp(loop_qp))",
     "(project_polyhedron(triangle, [1.0, 1.0]),)",
-], ids=["solve_qp", "project_polyhedron"])
+    # the step calls the solver core, not solve_qp: cubic2d's vertex QP
+    "step_parts(feedback_step(builtin_example(), [-0.5, 1.0], 0.01))",
+], ids=["solve_qp", "project_polyhedron", "feedback_step"])
 def test_first_qp_solve_binds_lapack_and_matches_a_warm_solve(call):
     run_fresh("import sys\n"
               "import numpy as np\n"
-              "from fbopt import Polyhedron, QpProblem, project_polyhedron, solve_qp\n"
+              "from fbopt import Polyhedron, QpProblem, builtin_example, feedback_step, \\\n"
+              "    project_polyhedron, qp, solve_qp\n"
               "loop_qp = QpProblem(Q=np.eye(2), c=[-3.0, 0.0],\n"
               "                    M=[[1.0, 0.0], [-1.0, 1.0]], r=[1.0, -1.5])\n"
               "triangle = Polyhedron(A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],\n"
               "                      b=[0.0, 0.0, 1.0])\n"
               "parts = lambda sol: (sol.w, sol.multipliers)\n"
+              "step_parts = lambda st: (st.w, st.nu, st.mu, st.u_next)\n"
               "assert 'scipy.linalg' not in sys.modules\n"
               f"cold = {call}\n"
               "assert 'scipy.linalg.lapack' in sys.modules\n"
+              "assert None not in (qp.dgesv, qp.dgetrs, qp.dpotrf)\n"
               f"warm = {call}\n"
               "assert all(np.array_equal(a, b) for a, b in zip(cold, warm, strict=True))\n"
               "assert np.allclose(project_polyhedron(triangle, [1.0, 1.0]), 0.5)\n")
@@ -188,13 +193,14 @@ def test_first_qp_solve_binds_lapack_and_matches_a_warm_solve(call):
 # through Python wrappers, each costing several times the arithmetic at the
 # sizes of a step.
 STEP_PATH = (model.Polyhedron._contains, model.reduced_gradient,
-             model.linearized_constraints, model._violation, controller._step,
-             qp.QpProblem._store, qp._independent, qp.solve_qp,
+             model.linearized_constraints, model._violation,
+             controller._projection_qp, controller._step, qp._check_qp,
+             qp._independent, qp.solve_qp, qp._solve, qp._finish,
              saddle.augmented_lagrangian_gradients, harness.run_trajectory,
              certificates.transient_violation_bound,
              certificates.estimate_lipschitz_constants)
-# the one exception: QpProblem._store measures an asymmetry only once an
-# exact comparison has found one
+# the one exception: qp._check_qp, the one check of every QP, measures an
+# asymmetry only once an exact comparison has found one
 ASYMMETRY_PATH = "np.count_nonzero(Q != Q.T)"
 
 
