@@ -165,7 +165,7 @@ def main(argv=None) -> int:
                 "compare": _cmd_compare, "check": _cmd_check}
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
         # str() of a KeyError quotes its message
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)

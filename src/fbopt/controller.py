@@ -114,10 +114,12 @@ def assemble_projection_qp(problem: ProblemSpec, u, y, J, alpha: float) -> QpPro
     the metric ``G(u)`` is evaluated at the checked ``u``.  ``G(u)`` must be a
     symmetric ``(p, p)`` matrix, and it and the gradient must be finite, as
     must the QP after scaling by ``alpha`` (each raises ``ValueError``).  The
-    QP is checked once, as it is built.
+    builder checks the QP as it makes it; then :class:`~fbopt.qp.QpProblem`'s
+    constructor checks and copies it, as for any caller.
     """
     u, y, J = _checked(problem, u, y, J, alpha)
-    return QpProblem._adopt(*_projection_qp(problem, u, y, J, alpha, _metric(problem, u)))
+    Q, c, M, r, _ = _projection_qp(problem, u, y, J, alpha, _metric(problem, u))
+    return QpProblem(Q=Q, c=c, M=M, r=r)
 
 
 def _step(problem: ProblemSpec, u, y, J, alpha: float, G: Array) -> ControllerStep:
@@ -146,7 +148,8 @@ def controller_step(problem: ProblemSpec, u, y, J, alpha: float) -> ControllerSt
     used as given.  Raises :class:`LinearizedSetEmpty` if the linearized
     constraints admit no direction at all.  ``alpha``, ``u``, ``y`` and ``J``
     are checked once each, in that order, so the metric never sees an unchecked
-    ``u``; the step QP is checked as :func:`assemble_projection_qp` builds it.
+    ``u``; the step QP is checked once, by the builder that
+    :func:`assemble_projection_qp` uses too.
     """
     u, y, J = _checked(problem, u, y, J, alpha)
     return _step(problem, u, y, J, alpha, _metric(problem, u))

@@ -25,7 +25,7 @@ from .certificates import CertificateConstants, SamplerSpec, _merit, \
 from .controller import feedback_step
 from .model import DEFAULT_ACTIVE_TOL, ProblemSpec, _check_count, _check_positive, \
     _finite, _measure, _norm, _read_only, _vector, _violation, eval_plant, \
-    eval_plant_jacobian, reduced_cost, reduced_gradient
+    eval_plant_jacobian, reduced_gradient
 from .problems import _factory, get_problem
 from .saddle import SaddlePointState, saddle_point_step
 
@@ -400,28 +400,36 @@ def finite_difference_check(problem: ProblemSpec, points) -> FiniteDifferenceRep
     gradient against central differences at the given input points.
 
     Relative errors are ``||fd - analytic|| / max(1, ||analytic||)``.  The
-    objective gradient is checked in the joint ``(u, y)`` variable at
-    ``y = h(u)``; the reduced gradient against differences of the composed
-    cost ``u -> objective(u, h(u))``.  Every point is checked before any is
-    measured, and an empty ``points`` raises ``ValueError``."""
+    plant Jacobian and the reduced gradient are checked against the first
+    ``n`` rows and the last row of one difference of the stacked map
+    ``x -> [h(x); objective(x, h(x))]``; the objective gradient in the joint
+    ``(u, y)`` variable at ``y = h(u)``, with no plant call.  A point of
+    ``p`` inputs costs ``1 + 2p`` measurements, each checked as by
+    :func:`~fbopt.model.eval_plant`, and one Jacobian.  Every point is
+    checked before any is measured, and an empty ``points`` raises
+    ``ValueError``."""
     points = [_vector(u, problem.input_dim, "u") for u in points]
     if not points:
         raise ValueError("need at least one point")
+
+    def stacked(x):  # measured as by reduced_cost
+        y = _measure(problem.plant, x)
+        return np.append(y, float(problem.objective.eval(x, y)))
+
     worst_jac = worst_obj = worst_red = 0.0
     for u in points:
         y = _measure(problem.plant, u)
         J = eval_plant_jacobian(problem.plant, u)
-        fd_jac = _central_diff(lambda x: problem.plant.eval(x), u)
-        worst_jac = max(worst_jac, _rel_error(fd_jac, J))
+        fd = _central_diff(stacked, u)
+        worst_jac = max(worst_jac, _rel_error(fd[:-1], J))
         z = np.concatenate([u, y])
         p = u.size
         fd_obj = _central_diff(
             lambda v: problem.objective.eval(v[:p], v[p:]), z)
         worst_obj = max(worst_obj, _rel_error(
             fd_obj, problem.objective.gradient(u, y)))
-        fd_red = _central_diff(lambda x: reduced_cost(problem, x), u)
         worst_red = max(worst_red, _rel_error(
-            fd_red, reduced_gradient(problem, u, y, J)))
+            fd[-1], reduced_gradient(problem, u, y, J)))
     return FiniteDifferenceReport(plant_jacobian=worst_jac,
                                   objective_gradient=worst_obj,
                                   reduced_gradient=worst_red)

@@ -135,9 +135,8 @@ class QpProblem:
     finite and ``Q`` symmetric to within ``1e-12 * max(1, max|Q|)``;
     positive definiteness is checked lazily by :func:`solve_qp` through
     factorization.  The constructor converts, checks and copies every
-    array, so the caller may go on changing its own.  The step QP's builder
-    uses ``QpProblem._adopt`` instead, which keeps the arrays it has just
-    made and checked.
+    array, so the caller may go on changing its own, and keeps its copies
+    read-only.
     """
 
     Q: Array
@@ -159,19 +158,7 @@ class QpProblem:
         r = np.array(self.r, dtype=float).reshape(-1)
         if r.size != M.shape[0]:
             raise ValueError(f"r must have length {M.shape[0]}, got {r.size}")
-        self._store(Q, c, M, r, _check_qp(Q, c, M, r, "Q"))
-
-    @classmethod
-    def _adopt(cls, Q: Array, c: Array, M: Array, r: Array, scale: float) -> "QpProblem":
-        """The QP of arrays that the caller has just made and checked by
-        :func:`_check_qp`, which gave ``scale``, and keeps no other use of:
-        they are marked read-only in place, not copied."""
-        qp = object.__new__(cls)
-        qp._store(Q, c, M, r, scale)
-        return qp
-
-    def _store(self, Q: Array, c: Array, M: Array, r: Array, scale: float) -> None:
-        """Keep the four checked arrays, read-only, and their ``scale``."""
+        scale = _check_qp(Q, c, M, r, "Q")
         for a in (Q, c, M, r):
             a.setflags(write=False)
         vars(self).update(Q=Q, c=c, M=M, r=r, scale=scale)

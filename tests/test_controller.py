@@ -342,12 +342,13 @@ def test_step_checks_each_value_once(monkeypatch):
     controller_step(prob, u, y, J, 0.01)
     assert checked == ["u", "y", "J"]
     assert post_inits == []
-    # the two public entries share one gate: alpha, u, y, J
+    # the two public entries share one gate: alpha, u, y, J; the assembled
+    # QP comes from QpProblem's one constructor, which keeps it read-only
     checked.clear()
-    assemble_projection_qp(prob, u, y, J, 0.01)
+    qp = assemble_projection_qp(prob, u, y, J, 0.01)
     assert checked == ["u", "y", "J"]
-    QpProblem(Q=np.eye(1), c=[0.0], M=[[1.0]], r=[1.0])  # the spy works
-    assert len(post_inits) == 1
+    assert len(post_inits) == 1 and post_inits[0] is qp
+    assert not any(a.flags.writeable for a in (qp.Q, qp.c, qp.M, qp.r))
 
 
 # a user metric's bad G(u), and the start of the error that names it

@@ -15,6 +15,7 @@ import fbopt.model as model_module
 import fbopt.saddle as saddle_module
 from fbopt import (
     CertificateConstants,
+    FiniteDifferenceReport,
     MetricField,
     ObjectiveSpec,
     PlantModel,
@@ -38,6 +39,8 @@ from fbopt import (
     problem_names,
     project_polyhedron,
     read_csv,
+    reduced_cost,
+    reduced_gradient,
     register_problem,
     run_trajectory,
     sample_input_set,
@@ -798,6 +801,102 @@ def test_finite_difference_flags_wrong_jacobian():
     assert report.max_error > 1e-2
 
 
+def counting_plant(prob, evals, jacobians):
+    """``prob`` with a plant that records each input it is evaluated at."""
+    plant = prob.plant
+    return dataclasses.replace(prob, plant=dataclasses.replace(
+        plant, eval=lambda u: evals.append(tuple(u)) or plant.eval(u),
+        jacobian=lambda u: jacobians.append(tuple(u)) or plant.jacobian(u)))
+
+
+def two_pass_report(prob, points, h=1e-6):
+    """The derivative report by separate differences of ``plant.eval`` and
+    of ``reduced_cost``, over public names only."""
+    def diff(f, x):
+        cols = []
+        for j in range(x.size):
+            e = np.zeros_like(x)
+            e[j] = h
+            cols.append((np.asarray(f(x + e), dtype=float)
+                         - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+
+    def rel(approx, exact):
+        approx, exact = np.asarray(approx, dtype=float), np.asarray(exact, dtype=float)
+        return float(np.linalg.norm((approx - exact).ravel())
+                     / max(1.0, float(np.linalg.norm(exact.ravel()))))
+
+    jac = obj = red = 0.0
+    for u in points:
+        u = np.asarray(u, dtype=float)
+        y = eval_plant(prob.plant, u)
+        J = eval_plant_jacobian(prob.plant, u)
+        jac = max(jac, rel(diff(prob.plant.eval, u), J))
+        p = u.size
+        obj = max(obj, rel(diff(lambda v: prob.objective.eval(v[:p], v[p:]),
+                                np.concatenate([u, y])),
+                           prob.objective.gradient(u, y)))
+        red = max(red, rel(diff(lambda x: reduced_cost(prob, x), u),
+                           reduced_gradient(prob, u, y, J)))
+    return FiniteDifferenceReport(plant_jacobian=jac, objective_gradient=obj,
+                                  reduced_gradient=red)
+
+
+def synthetic_problem(monkeypatch):
+    """Problem 0 of seed 1 of perfbench's 12-input family, and its start."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    synthetic = importlib.import_module("synthetic")
+    data = synthetic.generate(1, 0)
+    return synthetic.build(data, "synthetic.fd"), data.start
+
+
+def test_finite_difference_report_matches_two_pass_reference(monkeypatch):
+    rng = np.random.default_rng(4)
+    synthetic, start = synthetic_problem(monkeypatch)
+    cases = [(builtin_example(), [rng.uniform(-1.0, 1.0, size=2) for _ in range(20)]),
+             (get_problem("quad1d"), [np.array([x]) for x in np.linspace(-1.0, 1.0, 11)]),
+             (synthetic, [start + rng.uniform(-0.1, 0.1, size=12) for _ in range(3)])]
+    for prob, pts in cases:
+        assert finite_difference_check(prob, pts) == two_pass_report(prob, pts)
+
+
+@pytest.mark.parametrize("name", ["cubic2d", "quad1d", "synthetic"])
+def test_finite_difference_measures_each_offset_once(name, monkeypatch):
+    # a second difference through reduced_cost used to measure the 2p
+    # offsets again: k (1 + 4p) evaluations instead of k (1 + 2p)
+    rng = np.random.default_rng(5)
+    if name == "synthetic":
+        prob, start = synthetic_problem(monkeypatch)
+        pts = [start + rng.uniform(-0.1, 0.1, size=12) for _ in range(3)]
+    else:
+        prob = get_problem(name)
+        pts = [rng.uniform(-0.9, 0.9, size=prob.input_dim) for _ in range(7)]
+    evals, jacobians = [], []
+    finite_difference_check(counting_plant(prob, evals, jacobians), pts)
+    k, p = len(pts), prob.input_dim
+    assert len(evals) == k * (1 + 2 * p)
+    assert len(set(evals)) == len(evals)
+    assert jacobians == [tuple(u) for u in pts]
+
+
+def test_finite_difference_names_the_offset_point_it_measured():
+    prob = builtin_example()
+    u = np.array([0.2, -0.3])
+    below = u - np.array([0.0, 1e-6])  # u - h e2, formed as the check forms it
+    plant = dataclasses.replace(prob.plant, eval=lambda x: np.array([np.nan])
+                                if np.array_equal(x, below) else prob.plant.eval(x))
+    message = f"plant output must be finite, got [nan] at u={below.tolist()}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        finite_difference_check(dataclasses.replace(prob, plant=plant), [u])
+    # every offset is checked as a measurement: a wrong length used to fail
+    # in numpy's stack ("all input arrays must have the same shape")
+    above = u + np.array([1e-6, 0.0])
+    plant = dataclasses.replace(prob.plant, eval=lambda x: np.array([1.0, 2.0])
+                                if np.array_equal(x, above) else prob.plant.eval(x))
+    with pytest.raises(ValueError, match="plant returned 2 outputs, expected 1"):
+        finite_difference_check(dataclasses.replace(prob, plant=plant), [u])
+
+
 # --------------------------------------------------------------------- csv
 
 @pytest.fixture(scope="module")
@@ -1153,6 +1252,30 @@ def test_cli_check_estimates_constants_over_its_random_sample(capsys):
     assert "derivative check over 50 random points:" in text
     assert "certificate constants over the same points (alpha=0.01):" in text
     assert "step_size_bound" in text
+
+
+def test_cli_check_measures_each_offset_once():
+    # 100 points at 1 + 2p = 5 measurements and one Jacobian each, then the
+    # constants' estimate measures each point again (ROADMAP item 6)
+    plant = CountedCubic2d("cubic2d.check_offsets")
+    assert cli_main(["check", "--problem", plant.name]) == 0
+    assert plant.calls == {"eval": 600, "jacobian": 200}
+
+
+def test_cli_check_reports_thin_input_set(capsys):
+    # the sampler's RuntimeError used to end in a traceback out of main
+    def factory():
+        prob = builtin_example()
+        box = prob.input_set
+        strip = Polyhedron(A=np.vstack([box.A, [[1.0, -1.0], [-1.0, 1.0]]]),
+                           b=np.concatenate([box.b, [1e-9, 1e-9]]))
+        return dataclasses.replace(prob, input_set=strip)
+
+    register_problem("cubic2d.thin", factory)
+    assert cli_main(["check", "--problem", "cubic2d.thin", "--points", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: rejection sampling failed; set too thin\n"
 
 
 def test_cli_missing_file(tmp_path):
