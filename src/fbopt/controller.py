@@ -78,10 +78,16 @@ def _projection_qp(problem: ProblemSpec, u: Array, y: Array, J: Array,
                    alpha: float, G: Array) -> tuple[Array, Array, Array, Array, float]:
     """The step QP's ``(Q, c, M, r, scale)`` from a checked ``alpha``, ``u``,
     ``y`` and ``J`` and the float array ``G``: the gradient is checked as it
-    is evaluated, the uncopied QP (only ``G`` is new) by ``qp._check_qp``."""
+    is evaluated, the uncopied QP (only ``G`` is new) by ``qp._check_qp``.
+    A factor ``alpha > 1`` may overflow a finite entry to ``inf``, silently,
+    so that the check names the array; one ``<= 1`` cannot."""
     g = reduced_gradient(problem, u, y, J)
     rows, slack = linearized_constraints(problem, u, y, J)
-    Q, c, M = alpha * G, alpha * g, alpha * rows
+    if alpha > 1.0:
+        with np.errstate(over="ignore"):
+            Q, c, M = alpha * G, alpha * g, alpha * rows
+    else:
+        Q, c, M = alpha * G, alpha * g, alpha * rows
     return Q, c, M, slack, _check_qp(Q, c, M, slack, "alpha * metric G(u)")
 
 

@@ -236,8 +236,12 @@ def run_trajectory(config: ScenarioConfig,
     ``CERTIFICATE_VIOLATED``.  (A converged run keeps ``CONVERGED`` and only
     the flag.)  The transient bound of step ``k -> k+1`` is checked at row
     ``k+1``, on its measurement, before that row's convergence and budget
-    checks and also when its step fails.  Merit monotonicity is also checked
-    for saddle runs, where a rising merit is the usual instability signature.
+    checks and also when its step fails.  Only a row with a positive output
+    violation computes its bound: the bound ``½ℓ‖αw‖²`` is nonnegative (or
+    NaN) and the breach test adds a positive slack to it, so a row whose
+    violations are all ``<= 0``, or NaN (a failed re-measurement), cannot
+    breach it.  Merit monotonicity is also checked for saddle runs, where a
+    rising merit is the usual instability signature.
 
     Exceptions raised by a step (empty linearized set, solver or plant
     failure) end the run with status ``ERROR`` and the message recorded; the
@@ -291,9 +295,10 @@ def run_trajectory(config: ScenarioConfig,
             V = _merit(problem, penalty, u, y, viol)
         # tolist copies u, y and mu (a plant may reuse its output buffer);
         # np.maximum.reduce is viol.max() without its Python wrapper
-        rows.append([k, *u.tolist(), *y.tolist(), V, residual,
-                     np.maximum.reduce(viol), *mu.tolist()])
-        if certify and prev_w is not None:  # the step into this row
+        worst = np.maximum.reduce(viol)
+        rows.append([k, *u.tolist(), *y.tolist(), V, residual, worst, *mu.tolist()])
+        # the step into this row; one with no positive violation breaches nothing
+        if certify and prev_w is not None and worst > 0.0:
             bound = transient_violation_bound(constants.output_lipschitz,
                                               config.alpha, prev_w)
             if np.count_nonzero(viol > bound + VIOLATION_SLACK):

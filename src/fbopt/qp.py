@@ -26,7 +26,10 @@ and use the step) is ``ndarray.dot``, not ``@``, which dispatches through
 numpy's matmul gufunc, and every all/any verdict is ``np.count_nonzero``,
 not ``.all()``/``.any()``, which go through Python-level wrappers.  Both
 give the same bits and the same verdicts, NaN included, at a fraction of
-the call cost.  LAPACK is bound by the first solve, not by
+the call cost.  The symmetry test of every QP compares the bytes of ``Q``
+and ``Q'`` first; only when they differ is the asymmetry measured, so an
+exactly symmetric ``Q`` costs no reduction (a ±0 pair differs in its bytes
+and measures 0).  LAPACK is bound by the first solve, not by
 ``import fbopt``: :mod:`scipy.linalg` costs more to import than the rest of
 the package, and a process that solves no QP never needs it.
 
@@ -116,10 +119,12 @@ def _check_qp(Q: Array, c: Array, M: Array, r: Array, q_name: str) -> float:
         for name, a in ((q_name, Q), ("c", c), ("M", M), ("r", r)):
             if not _finite(a):
                 raise ValueError(f"{name} must be finite")
-    # an exactly symmetric Q (the usual case) needs no reduction; the
-    # bound 1e-12 * max(1, max|Q|) is at least 1e-12, so max|Q| is needed
-    # only above that.  Q is finite here, but Q - Q.T may overflow.
-    if np.count_nonzero(Q != Q.T):
+    # an exactly symmetric Q (the usual case) needs no reduction: equal
+    # bytes mean Q == Q.T entry by entry, and finite bytes that differ
+    # between equal values are a ±0 pair, which measures 0.  The bound
+    # 1e-12 * max(1, max|Q|) is at least 1e-12, so max|Q| is needed only
+    # above that.  Q is finite here, but Q - Q.T may overflow.
+    if Q.tobytes() != Q.T.tobytes():
         with np.errstate(over="ignore"):
             asym = np.abs(Q - Q.T).max()
         if asym > 1e-12 and asym > 1e-12 * float(np.abs(Q).max()):
@@ -194,11 +199,12 @@ def _finish(M: Array, r: Array, scale: float, w: Array, Mw: Array, mult: Array, 
     which the caller has already formed to test feasibility; ``work`` holds
     Python ints."""
     # ``work`` holds independent rows, so only active rows outside it can
-    # make the active set rank-deficient
+    # make the active set rank-deficient; an accepted start's active rows
+    # are usually ``work`` itself
     if r.size:
-        act = (np.abs(Mw - r) <= 1e-9 * scale).nonzero()[0]
-        if act.size and not set(act.tolist()).issubset(work) \
-                and np.linalg.matrix_rank(M[act]) < act.size:
+        act = (np.abs(Mw - r) <= 1e-9 * scale).nonzero()[0].tolist()
+        if act and act != work and not set(act).issubset(work) \
+                and np.linalg.matrix_rank(M[act]) < len(act):
             rank_flag = True
     if rank_flag:
         warnings.warn("active constraint rows are linearly dependent; "
@@ -223,26 +229,27 @@ def _kkt_solve(Q: Array, N: Array, top: Array, bottom: Array) -> tuple[Array, bo
     return np.linalg.lstsq(kkt, rhs, rcond=None)[0], True
 
 
-def _equality_solve(Q: Array, c: Array, r: Array, work, N: Array) -> tuple[Array, Array, bool]:
-    """Point and full multiplier vector of the QP with the rows ``work``
-    (sorted), whose block of ``M`` is ``N``, held as equalities; the flag
-    marks a singular KKT system."""
-    sol, singular = _kkt_solve(Q, N, -c, r[work])
+def _equality_solve(Q: Array, nc: Array, r: Array, work, N: Array) -> tuple[Array, Array, bool]:
+    """Point and full multiplier vector of the QP with linear term ``-nc``
+    and the rows ``work`` (sorted), whose block of ``M`` is ``N``, held as
+    equalities; the flag marks a singular KKT system."""
+    sol, singular = _kkt_solve(Q, N, nc, r[work])
     mult = np.zeros(r.size)
-    mult[work] = sol[c.size:]
-    return sol[:c.size], mult, singular
+    mult[work] = sol[nc.size:]
+    return sol[:nc.size], mult, singular
 
 
 def _independent(S: Array) -> bool:
     """The loop's independence test ``a' z > 1e-13 a' Q^-1 a`` of
     :func:`solve_qp`, applied to a set of rows ``N`` at once: with
     ``S = N Q^-1 N' = L L'``, ``L_kk^2`` is ``a' z`` of row ``k`` against
-    the rows before it."""
+    the rows before it.  The diagonals are tested as Python floats: the
+    same products and comparisons as on arrays, without their calls."""
     L, info = dpotrf(S, lower=1)
     if info:
         return False
-    passed = L.diagonal() ** 2 > 1e-13 * S.diagonal()
-    return np.count_nonzero(passed) == passed.size
+    return all(l * l > 1e-13 * s
+               for l, s in zip(L.diagonal().tolist(), S.diagonal().tolist()))
 
 
 def solve_qp(qp: QpProblem) -> QpSolution:
@@ -348,12 +355,14 @@ def _solve(Q: Array, c: Array, M: Array, r: Array, scale: float, stacklevel: int
         raise NotPositiveDefinite("quadratic term is not positive definite")
     max_iter = MAX_ITER_PER_ROW * (m + 2)
 
-    lu, piv, w, info = dgesv(Q, -c)  # lu, piv also give every Q^-1 a_i
+    nc = -c  # the right-hand side of w0 and of every equality solve
+    lu, piv, w, info = dgesv(Q, nc)  # lu, piv also give every Q^-1 a_i
     if info:
         raise NotPositiveDefinite("quadratic term is singular to working precision")
     tol = 1e-11 * scale
+    r_tol = r + tol
     Mw = M.dot(w)
-    V = (Mw > r + tol).nonzero()[0]  # the violated rows
+    V = (Mw > r_tol).nonzero()[0]  # the violated rows
     k = V.size
     if not k:
         return _finish(M, r, scale, w, Mw, np.zeros(m), (), 1, False, stacklevel)
@@ -366,10 +375,10 @@ def _solve(Q: Array, c: Array, M: Array, r: Array, scale: float, stacklevel: int
     if k <= p:
         M_V = M[V]
         if k == 1 or _independent(M_V.dot(dgetrs(lu, piv, M_V.T)[0])):
-            ws, mult, singular = _equality_solve(Q, c, r, V, M_V)
+            ws, mult, singular = _equality_solve(Q, nc, r, V, M_V)
             if not singular and np.count_nonzero(mult >= 0.0) == m:
                 Mws = M.dot(ws)
-                if np.count_nonzero(Mws <= r + tol) == m:
+                if np.count_nonzero(Mws <= r_tol) == m:
                     return _finish(M, r, scale, ws, Mws, mult, V.tolist(), k + 1,
                                    False, stacklevel)
                 w, lam, work = ws, mult, V.tolist()  # dual feasible: go on from it
@@ -383,9 +392,9 @@ def _solve(Q: Array, c: Array, M: Array, r: Array, scale: float, stacklevel: int
         if add is None:
             viol = M.dot(w) - r
             viol[work] = -np.inf
-            add = int(np.argmax(viol))  # lowest index on ties
+            add = int(viol.argmax())  # lowest index on ties
             if viol[add] <= tol:
-                w, mult, singular = _equality_solve(Q, c, r, work, M[work])
+                w, mult, singular = _equality_solve(Q, nc, r, work, M[work])
                 return _finish(M, r, scale, w, M.dot(w), mult, work, it,
                                rank_flag or singular, stacklevel)
 

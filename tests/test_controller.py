@@ -291,15 +291,28 @@ def test_step_math_makes_no_plant_call():
 
 # wrong shape (cubic2d's J is 1 x 2) and non-finite sensitivities
 BAD_JACOBIANS = [np.zeros((2, 2)), np.zeros((1, 3)), np.zeros((2, 1)),
-                 np.array([[np.nan, 0.0]]), np.array([[0.0, -np.inf]])]
+                 np.array([[np.nan, 0.0]]), np.array([[0.0, -np.inf]]),
+                 np.zeros((1, 1, 2))]
+# a J of fewer dimensions is read as one row: (problem, J's shape), for
+# cubic2d's 1 x 2 and quad1d's 1 x 1 J
+ONE_ROW_JACOBIANS = [("cubic2d", (2,)), ("quad1d", ())]
 
 
-@pytest.mark.parametrize("bad_J", BAD_JACOBIANS,
-                         ids=["2x2", "1x3", "2x1", "nan", "inf"])
-def test_step_and_assembly_reject_malformed_sensitivity(bad_J):
-    prob = builtin_example()
-    u = np.array([0.3, -0.2])
+@pytest.mark.parametrize("name, bad_J",
+                         [*(("cubic2d", J) for J in BAD_JACOBIANS), *ONE_ROW_JACOBIANS],
+                         ids=["2x2", "1x3", "2x1", "nan", "inf", "1x1x2", "1d", "0d"])
+def test_step_and_assembly_reject_malformed_sensitivity(name, bad_J):
+    prob = get_problem(name)
+    u = np.array([0.3, -0.2])[:prob.input_dim]
     y, J = measure(prob, u)
+    if isinstance(bad_J, tuple):  # accepted: the same step as the 2-D J's
+        flat = J.reshape(bad_J)
+        st, ref = controller_step(prob, u, y, flat, 0.01), controller_step(prob, u, y, J, 0.01)
+        for f in dataclasses.fields(ControllerStep):
+            assert np.array_equal(getattr(st, f.name), getattr(ref, f.name))
+        assert np.array_equal(assemble_projection_qp(prob, u, y, flat, 0.01).M,
+                              assemble_projection_qp(prob, u, y, J, 0.01).M)
+        return
     message = "jacobian shape" if bad_J.shape != J.shape else "jacobian must be finite"
     with pytest.raises(ValueError, match=message):
         controller_step(prob, u, y, bad_J, 0.01)
@@ -383,18 +396,19 @@ def test_indefinite_metric_raises():
 
 
 def test_overflowing_step_size_raises():
-    # alpha * G overflows to inf (and its symmetry test meets inf - inf);
-    # the built QP must not take it
-    prob = dataclasses.replace(builtin_example(),
-                               metric=MetricField.constant(4.0 * np.eye(2)))
+    # alpha * G (or, with G = I, alpha * g) overflows to inf: the built QP
+    # must not take it, and the overflow must not warn first (pytest makes
+    # a RuntimeWarning an error)
     u = np.array([0.3, -0.2])
-    y, J = measure(prob, u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="must be finite"):
+    for G, message in ((4.0 * np.eye(2), r"^alpha \* metric G\(u\) must be finite$"),
+                       (np.eye(2), "^c must be finite$")):
+        prob = dataclasses.replace(builtin_example(), metric=MetricField.constant(G))
+        y, J = measure(prob, u)
+        with pytest.raises(ValueError, match=message):
             feedback_step(prob, u, 1e308)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=message):
             controller_step(prob, u, y, J, 1e308)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=message):
             assemble_projection_qp(prob, u, y, J, 1e308)
 
 

@@ -492,6 +492,78 @@ def test_transient_bound_breach_is_flagged():
         assert np.all(V[1:] <= V[:-1] + 1e-12 * (1.0 + np.abs(V[:-1])))
 
 
+# criterion 3's starts, whose trajectories cross the lower output boundary
+CROSSING_STARTS = ([-0.75, -0.5], [-0.85, -0.6], [-0.8, -0.55])
+
+
+def _zero_lipschitz(c):
+    """``c`` with zero output Lipschitz constants: any violation above
+    ``VIOLATION_SLACK`` breaches the transient bound."""
+    return CertificateConstants(grad_lipschitz=c.grad_lipschitz, output_lipschitz=[0.0, 0.0],
+                                multiplier_bound=c.multiplier_bound,
+                                metric_floor=c.metric_floor)
+
+
+def _spy_bound(monkeypatch):
+    """Record each transient bound that ``run_trajectory`` computes; returns
+    the list of their arguments."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transient_violation_bound(*args)
+
+    monkeypatch.setattr(harness_module, "transient_violation_bound", counted)
+    return calls
+
+
+def test_only_violated_rows_compute_the_transient_bound(monkeypatch):
+    # a bound is >= 0, so a row with no positive violation cannot breach it
+    c = estimate_constants(builtin_example(), 0.01)
+    calls = _spy_bound(monkeypatch)
+    for constants, flagged in ((c, False), (_zero_lipschitz(c), True)):
+        for start in CROSSING_STARTS:
+            del calls[:]
+            log = run_trajectory(make_config(alpha=0.9 * c.step_size_bound,
+                                             u0=np.array(start), max_iters=20_000),
+                                 constants)
+            assert log.status is RunStatus.CONVERGED
+            assert log.certificate_violated is flagged
+            violated = np.count_nonzero(log.max_violation[1:] > 0.0)
+            assert violated and len(calls) == violated
+
+
+def _nan_above(u2):
+    """cubic2d whose plant returns NaN for u2 >= ``u2``."""
+    prob = get_problem("cubic2d")
+    h = prob.plant.eval
+    plant = dataclasses.replace(
+        prob.plant, eval=lambda u: np.array([np.nan]) if u[1] >= u2 else h(u))
+    return dataclasses.replace(prob, plant=plant)
+
+
+def test_certified_run_ending_in_error_keeps_its_flag(monkeypatch):
+    # the plant turns NaN after the trajectory has crossed the output
+    # boundary: the all-NaN error row breaches no bound, the rows before
+    # it breach the zero-Lipschitz bound, and the run stays an error
+    register_problem("nan_plant.certified", lambda: _nan_above(0.0))
+    c = estimate_constants(builtin_example(), 0.01)
+    calls = _spy_bound(monkeypatch)
+    for constants in (c, _zero_lipschitz(c)):
+        del calls[:]
+        log = run_trajectory(make_config(problem_name="nan_plant.certified",
+                                         alpha=0.9 * c.step_size_bound,
+                                         u0=np.array(CROSSING_STARTS[0]), max_iters=20_000),
+                             constants)
+        assert log.status is RunStatus.ERROR
+        assert log.message.startswith("ValueError: plant output")
+        assert np.isnan(log.max_violation[-1])
+        breached = np.count_nonzero(log.max_violation[1:] > harness_module.VIOLATION_SLACK)
+        assert breached
+        assert log.certificate_violated is (constants is not c)
+        assert len(calls) == np.count_nonzero(log.max_violation[1:] > 0.0)
+
+
 def test_merit_increase_is_flagged():
     # step_size_bound is about 10, and output Lipschitz constants of 100 keep
     # every violation within its transient bound: the flag comes from the

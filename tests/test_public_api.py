@@ -189,19 +189,21 @@ def test_first_qp_solve_binds_lapack_and_matches_a_warm_solve(call):
 
 # Every product and every all/any verdict on a per-step or per-row path goes
 # through numpy's C entry points: ``ndarray.dot`` and ``np.count_nonzero``.
-# ``@`` dispatches through the matmul gufunc, and ``.all``/``.any``/``.max``
-# through Python wrappers, each costing several times the arithmetic at the
-# sizes of a step.
+# ``@`` dispatches through the matmul gufunc, and ``.all``/``.any``/``.max``,
+# ``np.argmax`` and ``np.atleast_2d`` through Python wrappers, each costing
+# several times the arithmetic at the sizes of a step.
 STEP_PATH = (model.Polyhedron._contains, model.reduced_gradient,
-             model.linearized_constraints, model._violation,
-             controller._projection_qp, controller._step, qp._check_qp,
-             qp._independent, qp.solve_qp, qp._solve, qp._finish,
+             model.linearized_constraints, model._violation, model._jacobian,
+             controller._projection_qp, controller._step, controller.feedback_step,
+             qp._check_qp, qp._independent, qp.solve_qp, qp._solve, qp._finish,
+             qp._kkt_solve, qp._equality_solve,
              saddle.augmented_lagrangian_gradients, harness.run_trajectory,
              certificates.transient_violation_bound,
              certificates.estimate_lipschitz_constants)
 # the one exception: qp._check_qp, the one check of every QP, measures an
-# asymmetry only once an exact comparison has found one
-ASYMMETRY_PATH = "np.count_nonzero(Q != Q.T)"
+# asymmetry only once an exact comparison of bytes has found one
+ASYMMETRY_PATH = "Q.tobytes() != Q.T.tobytes()"
+SLOW_FUNCTIONS = ("np.argmax", "np.atleast_2d")
 
 
 def test_step_path_uses_numpy_entry_points():
@@ -215,6 +217,7 @@ def test_step_path_uses_numpy_entry_points():
         slow = [ast.unparse(node) for node in ast.walk(tree)
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
                 or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("all", "any", "max")]
+                and (node.func.attr in ("all", "any", "max")
+                     or ast.unparse(node.func) in SLOW_FUNCTIONS)]
         assert not slow, f"{func.__qualname__}: {slow}"
     assert exempt == 1

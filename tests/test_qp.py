@@ -191,10 +191,11 @@ def test_problem_rejects_non_finite_data():
 
 # (Q, error).  The asymmetry bound is 1e-12 * max(1, max|Q|).  pytest turns
 # a numpy RuntimeWarning into an error, so each case also checks that no
-# arithmetic on the way warns; the last three are an asymmetry that overflows
+# arithmetic on the way warns; three are an asymmetry that overflows
 # ``Q - Q.T``, an infinity facing itself and one facing another (``Q - Q.T``
-# would be inf - inf).  The step QP names its quadratic term
-# "alpha * metric G(u)".
+# would be inf - inf), and the last two face 0.0 with -0.0, which the
+# symmetry test's byte comparison tells apart.  The step QP names its
+# quadratic term "alpha * metric G(u)".
 NOT_FINITE = r"^(Q|alpha \* metric G\(u\)) must be finite$"
 QUADRATIC_TERMS = [
     ([[1e6, 0.0], [1e-7, 1e6]], None),
@@ -208,6 +209,8 @@ QUADRATIC_TERMS = [
     ([[1.0, 1e308], [-1e308, 1.0]], "must be symmetric"),
     ([[np.inf, 0.0], [0.0, 1.0]], NOT_FINITE),
     ([[1.0, np.inf], [np.inf, 1.0]], NOT_FINITE),
+    ([[1.0, 0.0], [-0.0, 1.0]], None),  # symmetric, though its bytes are not
+    ([[1.0, -0.0], [0.0, 1.0]], None),
 ]
 
 
