@@ -236,11 +236,13 @@ def run_trajectory(config: ScenarioConfig,
     ``CERTIFICATE_VIOLATED``.  (A converged run keeps ``CONVERGED`` and only
     the flag.)  The transient bound of step ``k -> k+1`` is checked at row
     ``k+1``, on its measurement, before that row's convergence and budget
-    checks and also when its step fails.  Only a row with a positive output
-    violation computes its bound: the bound ``½ℓ‖αw‖²`` is nonnegative (or
-    NaN) and the breach test adds a positive slack to it, so a row whose
-    violations are all ``<= 0``, or NaN (a failed re-measurement), cannot
-    breach it.  Merit monotonicity is also checked for saddle runs, where a
+    checks and also when its step fails.  A row whose violations are all
+    ``<= 0`` computes no bound: the bound ``½ℓ‖αw‖²`` is nonnegative (or
+    NaN) and the breach test adds a positive slack to it, so such a row
+    cannot breach it.  A row with any NaN violation has a NaN worst
+    violation, and its other rows may still breach, so it is tested: a
+    finite ``y`` can give a NaN row of ``C y`` (``inf - inf``) next to a
+    finite one.  Merit monotonicity is also checked for saddle runs, where a
     rising merit is the usual instability signature.
 
     Exceptions raised by a step (empty linearized set, solver or plant
@@ -297,8 +299,9 @@ def run_trajectory(config: ScenarioConfig,
         # np.maximum.reduce is viol.max() without its Python wrapper
         worst = np.maximum.reduce(viol)
         rows.append([k, *u.tolist(), *y.tolist(), V, residual, worst, *mu.tolist()])
-        # the step into this row; one with no positive violation breaches nothing
-        if certify and prev_w is not None and worst > 0.0:
+        # the step into this row; one whose violations are all <= 0 breaches
+        # nothing (a NaN worst, from any NaN violation, is tested)
+        if certify and prev_w is not None and not worst <= 0.0:
             bound = transient_violation_bound(constants.output_lipschitz,
                                               config.alpha, prev_w)
             if np.count_nonzero(viol > bound + VIOLATION_SLACK):

@@ -295,10 +295,8 @@ def eval_plant_jacobian(plant: PlantModel, u) -> Array:
 
 def _jacobian(J, plant: PlantModel, u) -> Array:
     """``J`` as a float ``(n, p)`` matrix that passes :func:`_finite`: the
-    check of every ``J``.  A 0-d or 1-d ``J`` is read as one row."""
-    J = np.asarray(J, dtype=float)
-    if J.ndim < 2:
-        J = J.reshape(1, -1)
+    check of every ``J``."""
+    J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.shape != (plant.output_dim, plant.input_dim):
         raise ValueError(
             f"jacobian shape {J.shape} does not match ({plant.output_dim}, {plant.input_dim})"

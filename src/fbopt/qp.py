@@ -199,12 +199,11 @@ def _finish(M: Array, r: Array, scale: float, w: Array, Mw: Array, mult: Array, 
     which the caller has already formed to test feasibility; ``work`` holds
     Python ints."""
     # ``work`` holds independent rows, so only active rows outside it can
-    # make the active set rank-deficient; an accepted start's active rows
-    # are usually ``work`` itself
+    # make the active set rank-deficient
     if r.size:
-        act = (np.abs(Mw - r) <= 1e-9 * scale).nonzero()[0].tolist()
-        if act and act != work and not set(act).issubset(work) \
-                and np.linalg.matrix_rank(M[act]) < len(act):
+        act = (np.abs(Mw - r) <= 1e-9 * scale).nonzero()[0]
+        if act.size and not set(act.tolist()).issubset(work) \
+                and np.linalg.matrix_rank(M[act]) < act.size:
             rank_flag = True
     if rank_flag:
         warnings.warn("active constraint rows are linearly dependent; "

@@ -531,6 +531,7 @@ def test_only_violated_rows_compute_the_transient_bound(monkeypatch):
             assert log.certificate_violated is flagged
             violated = np.count_nonzero(log.max_violation[1:] > 0.0)
             assert violated and len(calls) == violated
+            assert not np.isnan(log.max_violation).any()
 
 
 def _nan_above(u2):
@@ -544,8 +545,9 @@ def _nan_above(u2):
 
 def test_certified_run_ending_in_error_keeps_its_flag(monkeypatch):
     # the plant turns NaN after the trajectory has crossed the output
-    # boundary: the all-NaN error row breaches no bound, the rows before
-    # it breach the zero-Lipschitz bound, and the run stays an error
+    # boundary: the all-NaN error row is tested and breaches no bound, the
+    # rows before it breach the zero-Lipschitz bound, and the run stays an
+    # error
     register_problem("nan_plant.certified", lambda: _nan_above(0.0))
     c = estimate_constants(builtin_example(), 0.01)
     calls = _spy_bound(monkeypatch)
@@ -561,7 +563,30 @@ def test_certified_run_ending_in_error_keeps_its_flag(monkeypatch):
         breached = np.count_nonzero(log.max_violation[1:] > harness_module.VIOLATION_SLACK)
         assert breached
         assert log.certificate_violated is (constants is not c)
-        assert len(calls) == np.count_nonzero(log.max_violation[1:] > 0.0)
+        assert len(calls) == np.count_nonzero(log.max_violation[1:] > 0.0) + 1
+
+
+def test_partly_nan_violation_row_is_tested(monkeypatch):
+    # a finite y of about 1e308 can make a row of C y NaN (inf - inf, as the
+    # BLAS kernel sums it) next to a finite one; here the upper row of each
+    # measured violation is NaN, so each row's worst violation is NaN, and
+    # the lower row's violations still breach the zero-Lipschitz bound
+    violation_of = harness_module._violation
+
+    def partly_nan(set_, y):
+        viol = violation_of(set_, y)
+        viol[0] = np.nan
+        return viol
+
+    monkeypatch.setattr(harness_module, "_violation", partly_nan)
+    c = estimate_constants(builtin_example(), 0.01)
+    calls = _spy_bound(monkeypatch)
+    log = run_trajectory(make_config(alpha=0.9 * c.step_size_bound,
+                                     u0=np.array(CROSSING_STARTS[0]), max_iters=20_000),
+                         _zero_lipschitz(c))
+    assert np.isnan(log.max_violation).all()
+    assert log.certificate_violated
+    assert len(calls) == log.num_rows - 1
 
 
 def test_merit_increase_is_flagged():
