@@ -10,10 +10,12 @@ Goldfarb and Idnani (1983).  The method starts from the unconstrained
 minimizer and adds violated rows one at a time while keeping the
 multipliers nonnegative, so it needs no feasible starting point (no
 phase-1 problem) and it proves infeasibility on its own.  It first tries
-one guess: the rows the unconstrained minimizer violates, held as
+a guess: the rows the unconstrained minimizer violates, held as
 equalities.  When those rows are independent and the guess is optimal, one
-KKT solve replaces the loop; when only its multipliers are nonnegative, the
-loop goes on from it.  Problems of this shape appear once per controller
+KKT solve replaces the loop.  When only its multipliers are nonnegative,
+the guess grows by the rows its point violates and is tried again; once a
+guess fails, the loop goes on from the last one whose multipliers were
+nonnegative.  Problems of this shape appear once per controller
 step, so the solver is tuned for very small dense instances, determinism,
 and faithful Lagrange multipliers rather than for scale.  At that size a
 solve costs call overhead, not flops, so the solver calls LAPACK
@@ -93,7 +95,8 @@ class Infeasible(RuntimeError):
 
 class NotPositiveDefinite(RuntimeError):
     """The quadratic term failed its Cholesky factorization, or an LU
-    factorization of it met an exact zero pivot."""
+    factorization of it met an exact zero pivot or gave a non-finite
+    unconstrained minimizer: singular to working precision."""
 
 
 class MaxIterations(RuntimeError):
@@ -265,7 +268,7 @@ def solve_qp(qp: QpProblem) -> QpSolution:
         Optimal point, full multiplier vector (zeros off the working set),
         working set, and iteration count.  A problem
         whose unconstrained minimizer is feasible takes one iteration and
-        ends with an empty working set; an accepted start counts as the
+        ends with an empty working set; an accepted guess counts as the
         iterations that add its rows plus the one that finds no violation.
 
     Raises
@@ -274,7 +277,8 @@ def solve_qp(qp: QpProblem) -> QpSolution:
         If no point satisfies the constraints within tolerance.
     NotPositiveDefinite
         If the quadratic term fails its Cholesky factorization, or its LU
-        factorization meets an exact zero pivot (``Q`` singular).
+        factorization meets an exact zero pivot or gives a non-finite
+        ``w0`` (``Q`` singular to working precision).
     MaxIterations
         If the working-set loop exceeds its budget of
         ``MAX_ITER_PER_ROW * (m + 2)`` = ``50 * (m + 2)`` working-set
@@ -286,10 +290,12 @@ def solve_qp(qp: QpProblem) -> QpSolution:
     Cholesky factorization (``dpotrf``) that only tests definiteness, and
     one LU factorization (``dgesv``) that gives ``w0`` and is kept.  Every
     ``Q^{-1} a_i`` below is a solve with that LU (``dgetrs``), made only
-    when it is read: for the rows of ``V`` when it has two or more, and for
-    all rows when the loop runs.  A free solve or an accepted one-row start
-    makes none.  The KKT systems are solved by ``dgesv`` too, so a solve
-    that meets no singular system calls nothing from :mod:`numpy.linalg`.
+    when it is read: for the rows of each guess ``V`` of two or more rows,
+    and for all rows when the loop runs.  A free solve or an accepted
+    one-row start makes none.  The KKT systems are solved by ``dgesv`` too,
+    so a solve that meets no singular system calls nothing from
+    :mod:`numpy.linalg`.  One finiteness test of ``w0`` (one dot product)
+    tells an overflowed ``w0`` from a free solution.
 
     The start: let ``V`` be the rows that the unconstrained minimizer
     ``w0 = Q^{-1}(-c)`` violates by more than ``1e-11 * scale``.  When
@@ -298,15 +304,24 @@ def solve_qp(qp: QpProblem) -> QpSolution:
     every ``L_kk^2 > 1e-13 S_kk``; a single row passes unless it is zero,
     which the KKT solve then reports as singular), the equality QP on ``V``
     is solved by one KKT solve; the rows ``M_V`` are sliced from ``M`` once,
-    for the test and that solve.  The start needs no budget test:
-    ``|V| <= m < 50 * (m + 2)``.  If the system is not singular and its
-    multipliers are ``>= 0``, the start is dual feasible:
+    for the test and that solve.  If the system is not singular and its
+    multipliers are ``>= 0``, the guess is dual feasible:
     when it also satisfies every row to within ``1e-11 * scale`` it is
     returned, with the working set ``V`` and ``|V| + 1`` iterations (the
-    count of a run that adds the rows of ``V`` with no drop); otherwise the
-    method below goes on from it as from iteration ``|V| + 1``.  Any other
-    start is dropped and the method begins at ``w0`` with an empty working
-    set, so it needs no feasible starting point.  A started solve that ends
+    count of a run that adds the rows of ``V`` with no drop).  Otherwise
+    ``V`` grows by the rows the guess's point violates, and the new guess
+    is tried the same way, for one ``dgetrs`` (``Q^{-1} M_V'``), one
+    ``dpotrf`` (the test) and one ``dgesv`` (its KKT solve); an optimal
+    grown guess returns with the working set ``V`` and ``|V| + 1``
+    iterations too.  When a
+    guess fails a test (more than ``dim`` rows, dependent rows, a singular
+    system or a negative multiplier), or its point violates no row outside
+    ``V``, the method below goes on from the last dual-feasible guess as
+    from iteration ``|V| + 1``; when the first guess fails, the method
+    begins at ``w0`` with an empty working set, so it needs no feasible
+    starting point.  Each guess is larger than the last and has at most
+    ``dim`` rows, so there are at most ``dim`` guesses, and they need no
+    budget test: ``|V| <= m < 50 * (m + 2)``.  A started solve that ends
     on the working set the method would reach from ``w0`` gives the same
     bits, since both end with the same KKT solve.  A row that is active with
     a zero multiplier (weakly active) can make a started solve end on
@@ -356,7 +371,7 @@ def _solve(Q: Array, c: Array, M: Array, r: Array, scale: float, stacklevel: int
 
     nc = -c  # the right-hand side of w0 and of every equality solve
     lu, piv, w, info = dgesv(Q, nc)  # lu, piv also give every Q^-1 a_i
-    if info:
+    if info or not _finite(w):
         raise NotPositiveDefinite("quadratic term is singular to working precision")
     tol = 1e-11 * scale
     r_tol = r + tol
@@ -368,19 +383,29 @@ def _solve(Q: Array, c: Array, M: Array, r: Array, scale: float, stacklevel: int
     lam = np.zeros(m)
     work: list[int] = []  # sorted
     # first try the violated rows as the working set: adding them without a
-    # drop would take the method below k + 1 iterations.  One row passes the
-    # independence test unless it is zero, and then the KKT solve below is
-    # singular, so the test runs only on two or more rows.
-    if k <= p:
+    # drop would take the method below k + 1 iterations.  A dual-feasible
+    # guess whose point violates more rows grows by them and is tried again;
+    # every guess is larger than the last, so there are at most p.  One row
+    # passes the independence test unless it is zero, and then the KKT solve
+    # below is singular, so the test runs only on two or more rows.
+    while k <= p:
         M_V = M[V]
-        if k == 1 or _independent(M_V.dot(dgetrs(lu, piv, M_V.T)[0])):
-            ws, mult, singular = _equality_solve(Q, nc, r, V, M_V)
-            if not singular and np.count_nonzero(mult >= 0.0) == m:
-                Mws = M.dot(ws)
-                if np.count_nonzero(Mws <= r_tol) == m:
-                    return _finish(M, r, scale, ws, Mws, mult, V.tolist(), k + 1,
-                                   False, stacklevel)
-                w, lam, work = ws, mult, V.tolist()  # dual feasible: go on from it
+        if not (k == 1 or _independent(M_V.dot(dgetrs(lu, piv, M_V.T)[0]))):
+            break
+        ws, mult, singular = _equality_solve(Q, nc, r, V, M_V)
+        if singular or np.count_nonzero(mult >= 0.0) != m:
+            break
+        Mws = M.dot(ws)
+        if np.count_nonzero(Mws <= r_tol) == m:
+            return _finish(M, r, scale, ws, Mws, mult, V.tolist(), k + 1,
+                           False, stacklevel)
+        w, lam, work = ws, mult, V.tolist()  # dual feasible: go on from it
+        grown = Mws > r_tol
+        grown[V] = True
+        V = grown.nonzero()[0]
+        if V.size == k:  # only rows of V or NaN rows fail: the loop decides
+            break
+        k = V.size
 
     Qinv_Mt = dgetrs(lu, piv, M.T)[0]  # column i is Q^-1 a_i
     curvature = np.einsum("ij,ji->i", M, Qinv_Mt)  # a' Q^-1 a

@@ -503,7 +503,7 @@ SOLVER_PATHS = {
     "free": (lambda mp: (builtin_example(), np.zeros(2)), 0.01, ((), 1, False)),
     "one_row_start": (lambda mp: (builtin_example(), np.array([0.0, 1.0])), 0.01,
                       ((1,), 2, False)),
-    # the start {1} is dual feasible but violates row 5; the loop adds it
+    # the start {1} is dual feasible but violates row 5; the guess grows by it
     "vertex_continued_start": (lambda mp: (builtin_example(), OPTIMUM), 0.01,
                                ((1, 5), 3, False)),
     "p12_two_row_start": (synthetic_p12, 0.1, ((28, 33), 3, False)),

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,13 @@ from fbopt import (
     assemble_projection_qp,
     eval_plant,
     eval_plant_jacobian,
+    feedback_step,
     get_problem,
     solve_qp,
 )
 from oracles import enumerate_oracle, kkt_residual
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def bound_problem():
@@ -160,15 +165,60 @@ def test_indefinite_raises():
             solve_qp(singular)
 
 
+def test_overflowed_unconstrained_minimizer_raises_not_positive_definite():
+    # a subnormal Q passes the Cholesky test and its LU meets no zero pivot,
+    # but w0 = Q^-1 (-c) overflows to -inf: no free solution, no warning
+    qp = QpProblem(Q=1e-310 * np.eye(2), c=[1.0, 0.0], M=np.eye(2), r=[1.0, 1.0])
+    with pytest.raises(NotPositiveDefinite, match="singular to working precision"):
+        solve_qp(qp)
+
+
+def grown_problem():
+    """w0 = (3, 0) violates only w1 <= 1; the guess on it, w = (1, 0), is
+    dual feasible but violates -w1 + w2 <= -1.5, and the guess grown by that
+    row is optimal."""
+    return QpProblem(Q=np.eye(2), c=[-3.0, 0.0], M=[[1.0, 0.0], [-1.0, 1.0]],
+                     r=[1.0, -1.5])
+
+
+def drop_problem():
+    """w0 = (0, 0) violates both rows; the guess of both has a negative
+    multiplier, and the loop adds row 0 (the more violated) first, then
+    drops it to add row 1, whose projection (1.5, 1.5) satisfies row 0."""
+    return QpProblem(Q=np.eye(2), c=[0.0, 0.0], M=[[-10.0, 0.0], [-1.0, -1.0]],
+                     r=[-10.0, -3.0])
+
+
+def count_direction_solves(monkeypatch):
+    """A one-item list counting the loop's direction solves: the KKT solves
+    that are not an equality solve's (a guess or the final point)."""
+    count = [0]
+    kkt_solve, equality_solve = qp_module._kkt_solve, qp_module._equality_solve
+
+    def kkt_spy(*args):
+        count[0] += 1
+        return kkt_solve(*args)
+
+    def equality_spy(*args):
+        count[0] -= 1
+        return equality_solve(*args)
+
+    monkeypatch.setattr(qp_module, "_kkt_solve", kkt_spy)
+    monkeypatch.setattr(qp_module, "_equality_solve", equality_spy)
+    return count
+
+
 def test_iteration_budget_enforced(monkeypatch):
-    # w0 = (3, 0) violates row 0 only; the start on it, w = (1, 0), is dual
-    # feasible but violates row 1, so the loop goes on from it
-    qp = QpProblem(Q=np.eye(2), c=[-3.0, 0.0], M=[[1.0, 0.0], [-1.0, 1.0]],
-                   r=[1.0, -1.5])
-    assert solve_qp(qp).iterations == 3
+    # a guess grown to the optimum counts |V| + 1 iterations
+    assert solve_qp(grown_problem()).iterations == 3
+    # the loop's run: add row 0, drop it for row 1, add row 1, find no
+    # violation
+    sol = solve_qp(drop_problem())
+    assert (sol.active, sol.iterations) == ((1,), 4)
+    assert_allclose(sol.w, [1.5, 1.5], atol=1e-12)
     monkeypatch.setattr(qp_module, "MAX_ITER_PER_ROW", 0)
     with pytest.raises(MaxIterations):
-        solve_qp(qp)
+        solve_qp(drop_problem())
 
 
 def test_problem_validation():
@@ -397,7 +447,10 @@ def solve_counting_warnings(qp):
 
 
 def cold_solve(qp, monkeypatch):
-    """The dual method from an empty working set: every start rejected."""
+    """The method with no guess of two or more rows: the independence test
+    rejects each, so the loop begins at ``w0`` with an empty working set,
+    or goes on from a one-row start (which skips the test) that is dual
+    feasible but not optimal."""
     with monkeypatch.context() as patch:
         patch.setattr(qp_module, "_independent", lambda S: False)
         return solve_counting_warnings(qp)[0]
@@ -416,11 +469,14 @@ STARTED_FAMILIES = {
 def test_started_solve_agrees_with_cold_method(family, monkeypatch):
     rng = np.random.default_rng(41)
     make = STARTED_FAMILIES[family]
-    started = moved = 0
+    directions = count_direction_solves(monkeypatch)
+    started = moved = grown = 0
     for _ in range(40 if family == "p12" else 300):
         qp = make(rng)
         start = violated_rows(qp)
+        before = directions[0]
         sol, warned = solve_counting_warnings(qp)
+        looped = directions[0] > before
         cold = cold_solve(qp, monkeypatch)
         work = list(sol.active)
         if work:
@@ -448,10 +504,39 @@ def test_started_solve_agrees_with_cold_method(family, monkeypatch):
         if start and work == start and sol.iterations == len(start) + 1:
             started += 1
             moved += sol.active != cold.active
+        if start and not looped and set(start) < set(work):
+            # a grown guess: its rows added with no drop
+            assert sol.iterations == len(work) + 1
+            grown += 1
     if family in ("weak", "random", "p12"):
         assert started >= 5
+    if family in ("weak", "p12"):
+        assert grown >= 5
     if family == "weak":
         assert moved >= 5
+
+
+def test_guess_that_violates_only_its_own_row_stops_growing(monkeypatch):
+    # with Q = 1e-12 I the optimum is about (3.6e12, -1.2e12), where the
+    # doubles are 5e-4 apart, so no point meets the row to 1e-11 * scale:
+    # the guess's own row stays violated and no other row joins it.  V
+    # cannot grow, so the loop goes on from the guess and ends at once
+    qp = QpProblem(Q=1e-12 * np.eye(2), c=[-3.0, 3.0], M=[[-1000.0, -3000.0]],
+                   r=[-0.002])
+    assert violated_rows(qp) == [0]
+    guesses = []
+    equality_solve = qp_module._equality_solve
+
+    def spy(Q, nc, r, work, N):
+        guesses.append(list(work))
+        assert len(guesses) <= 2, "the same guess was tried again"
+        return equality_solve(Q, nc, r, work, N)
+
+    monkeypatch.setattr(qp_module, "_equality_solve", spy)
+    sol = solve_qp(qp)
+    assert guesses == [[0], [0]]  # the guess, then the loop's final solve
+    assert (sol.active, sol.iterations) == ((0,), 2)
+    assert qp.M.dot(sol.w) - qp.r > 1e-11 * qp.scale
 
 
 def test_duplicate_violated_rows_go_to_cold_method(monkeypatch):
@@ -487,10 +572,7 @@ def test_zero_violated_row_is_dropped_as_a_start():
 
 
 def test_dual_feasible_start_is_continued_not_restarted(monkeypatch):
-    # w0 = (3, 0) violates only w1 <= 1; the start's point (1, 0) then
-    # violates -w1 + w2 <= -1.5, which the method adds from there
-    qp = QpProblem(Q=np.eye(2), c=[-3.0, 0.0], M=[[1.0, 0.0], [-1.0, 1.0]],
-                   r=[1.0, -1.5])
+    qp = grown_problem()
     assert violated_rows(qp) == [0]
     cold = cold_solve(qp, monkeypatch)
     kkt_rows = []
@@ -502,15 +584,114 @@ def test_dual_feasible_start_is_continued_not_restarted(monkeypatch):
 
     monkeypatch.setattr(qp_module, "_kkt_solve", spy)
     sol = solve_qp(qp)
-    # the start, adding the second row to it, the final solve; a restart
-    # would add the first row again before the second
-    assert kkt_rows == [1, 1, 2]
+    # the start and the grown guess, which is optimal; the loop would add
+    # the second row by a direction solve and then solve again, and a
+    # restart would add the first row again before the second
+    assert kkt_rows == [1, 2]
     assert sol.active == cold.active == (0, 1)
     assert sol.iterations == cold.iterations == 3
     assert np.array_equal(sol.w, cold.w)
     assert np.array_equal(sol.multipliers, cold.multipliers)
     assert_allclose(sol.w, [1.0, -0.5], atol=1e-12)
     assert_allclose(sol.multipliers, [2.5, 0.5], atol=1e-12)
+
+
+def test_guess_grown_to_the_cubic2d_vertex_equals_the_loop(monkeypatch):
+    # the step QP near cubic2d's optimum: w0 violates only u2 <= 1 (row 1);
+    # that guess's point violates the linearized h(u) >= 0 (row 5), and the
+    # guess grown by it is the optimal vertex, which the loop reaches by
+    # adding row 5 with no drop and solving again on (1, 5)
+    prob = get_problem("cubic2d")
+    u = np.array([-0.5, 0.99])
+    y, J = eval_plant(prob.plant, u), eval_plant_jacobian(prob.plant, u)
+    qp = assemble_projection_qp(prob, u, y, J, 0.01)
+    assert violated_rows(qp) == [1]
+    cold = cold_solve(qp, monkeypatch)
+    directions = count_direction_solves(monkeypatch)
+    sol = solve_qp(qp)
+    assert directions == [0]
+    assert sol.active == cold.active == (1, 5)
+    assert sol.iterations == cold.iterations == 3
+    assert not sol.rank_deficient and not cold.rank_deficient
+    assert np.array_equal(sol.w, cold.w)
+    assert np.array_equal(sol.multipliers, cold.multipliers)
+
+
+def test_driven_cubic2d_grid_runs_no_loop(monkeypatch):
+    # perfbench's projected_grid runs: cubic2d at alpha = 0.01 from a seeded
+    # 5 x 5 jittered grid, stepped to the stationarity tolerance.  About 3 %
+    # of the steps reach the optimal vertex, where a one-row guess grows by
+    # the output row; with one guess only, the loop ran on 50 of them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    prob = get_problem("cubic2d")
+    directions = count_direction_solves(monkeypatch)
+    steps = 0
+    for u in workloads.jittered_grid(np.random.default_rng(1), 5):
+        for _ in range(workloads.MAX_ITERS):
+            st = feedback_step(prob, u, workloads.ALPHA)
+            steps += 1
+            if st.sigma_norm_G <= workloads.STATIONARITY_TOL:
+                break
+            u = st.u_next
+        else:
+            pytest.fail(f"no convergence from {u}")
+    assert steps > 1000
+    assert directions == [0]
+    solve_qp(drop_problem())  # the spy sees a loop that runs
+    assert directions[0] >= 1
+
+
+# (QP, its first guess, the grown guess's KKT solve or None, the
+# independence tests), where the grown guess fails a test and the loop goes
+# on from the first: a negative multiplier, more rows than dim, and rows
+# that are dependent (row 2 = row 1 - row 0)
+STOPPED_GROWTHS = {
+    "negative_multiplier": (
+        QpProblem(Q=np.eye(3), c=[-2.0, 4.0, -4.0],
+                  M=[[-1.0, 0.0, 0.0], [2.0, -2.0, 2.0], [-2.0, 0.0, -1.0]],
+                  r=[-1.0, -3.0, -3.0]), [1], [0, 1, 2], [(3, True)]),
+    "more_rows_than_dim": (
+        QpProblem(Q=np.eye(2), c=[-3.0, 0.0],
+                  M=[[1.0, 0.0], [-1.0, 1.0], [-2.0, 1.0]], r=[1.0, -1.5, -2.4]),
+        [0], None, []),
+    "dependent_rows": (
+        QpProblem(Q=np.eye(3), c=[-3.0, 0.0, 0.0],
+                  M=[[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-2.0, 1.0, 0.0]],
+                  r=[1.0, -1.5, -3.0]), [0], None, [(3, False)]),
+}
+
+
+@pytest.mark.parametrize("qp, first, grown, tests", STOPPED_GROWTHS.values(),
+                         ids=STOPPED_GROWTHS.keys())
+def test_stopped_growth_goes_on_through_the_loop(monkeypatch, qp, first, grown, tests):
+    guesses, tested = [], []
+    equality_solve, independent = qp_module._equality_solve, qp_module._independent
+
+    def equality_spy(Q, nc, r, work, N):
+        guesses.append(list(work))
+        return equality_solve(Q, nc, r, work, N)
+
+    def independent_spy(S):
+        tested.append((S.shape[0], independent(S)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(qp_module, "_equality_solve", equality_spy)
+    monkeypatch.setattr(qp_module, "_independent", independent_spy)
+    assert violated_rows(qp) == first
+    directions = count_direction_solves(monkeypatch)
+    sol = solve_qp(qp)
+    # the first guess, the grown one if it got as far as its KKT solve, and
+    # the loop's final solve after at least one direction solve
+    assert guesses[0] == first and guesses[-1] == list(sol.active)
+    assert guesses[1:-1] == ([grown] if grown else [])
+    assert tested == tests
+    assert directions[0] >= 1
+    assert sol.iterations == len(first) + directions[0] + 1
+    ref = enumerate_oracle(qp)
+    assert np.linalg.norm(sol.w - ref.w) <= 1e-8
+    assert np.max(np.abs(sol.multipliers - ref.multipliers)) <= 1e-6
+    assert kkt_residual(qp, sol.w, sol.multipliers) <= 1e-12 * qp.scale
 
 
 def test_started_solve_counts_its_iterations_against_the_budget():
@@ -562,9 +743,12 @@ def test_solve_calls_lapack_directly_and_factors_q_once(monkeypatch):
     # an accepted two-row start: Q^-1 M_V' and its Cholesky for the test
     assert calls(QpProblem(Q=np.eye(2), c=[-3.0, -3.0], M=np.eye(2),
                            r=[1.0, 1.0])) == (2, 2, 1)
-    # a continued one-row start: Q^-1 M' once, for the loop
-    assert calls(QpProblem(Q=np.eye(2), c=[-3.0, 0.0],
-                           M=[[1.0, 0.0], [-1.0, 1.0]], r=[1.0, -1.5])) == (1, 4, 1)
+    # a one-row start grown by one row: the grown guess's Q^-1 M_V', its
+    # Cholesky for the test and its KKT solve
+    assert calls(grown_problem()) == (2, 3, 1)
+    # a two-row start with a negative multiplier, then the loop: Q^-1 M'
+    # once, three direction solves (add, drop, add) and the final solve
+    assert calls(drop_problem()) == (2, 6, 2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called by a non-degenerate solve")
