@@ -53,8 +53,10 @@ LIPSCHITZ_FLOOR = 1e-12
 MULTIPLIER_SAFETY = 2.0
 MULTIPLIER_FLOOR = 1.0
 
-# Rows of the pair table that _max_pair_slopes holds at once.
-PAIR_BLOCK_ROWS = 256
+# Rows of the pair table that _max_pair_slopes holds at once.  Blocks this
+# small take few pairs twice (at 225 points, 54 % of the all-pairs table
+# against 100 % for one block of every row) and keep the table in cache.
+PAIR_BLOCK_ROWS = 16
 # Largest grid sample_input_set builds: above the 4-input default grid
 # (15**4 = 50,625 points), below the 5-input one.
 MAX_GRID_POINTS = 100_000
@@ -175,22 +177,30 @@ def _max_pair_slopes(points: Array, value_sets) -> list[float]:
     """Worst difference quotient ||v_i - v_j|| / ||x_i - x_j|| over all pairs,
     one for each ``values`` array in ``value_sets``.
 
-    The pairs are taken ``PAIR_BLOCK_ROWS`` values of ``i`` at a time, and
-    each block's distance table serves every value array, so memory grows
-    with the number of points, not with its square.
+    Both norms are symmetric in ``(i, j)`` bit for bit, so each pair is taken
+    once: a block of ``PAIR_BLOCK_ROWS`` values of ``i`` against every
+    ``j >= i``.  Each block's distance table serves every value array, so
+    memory grows with the number of points, not with its square.
     """
     worst = [0.0] * len(value_sets)
     for i in range(0, len(points), PAIR_BLOCK_ROWS):
-        block = slice(i, i + PAIR_BLOCK_ROWS)
-        dist = np.linalg.norm(points[block, None, :] - points[None, :, :], axis=2)
+        dist = _pair_norms(points, i)
         mask = dist > 1e-12
         if not np.any(mask):
             continue
         dist = dist[mask]
         for k, values in enumerate(value_sets):
-            num = np.linalg.norm(values[block, None, :] - values[None, :, :], axis=2)
+            num = _pair_norms(values, i)
             worst[k] = max(worst[k], float(np.max(num[mask] / dist)))
     return worst
+
+
+def _pair_norms(a: Array, i: int) -> Array:
+    """``||a[r] - a[j]||`` for the ``PAIR_BLOCK_ROWS`` rows ``r`` from ``i``
+    and every ``j >= i``: the arithmetic of ``np.linalg.norm(..., axis=-1)``,
+    without its ``conj`` copy."""
+    d = a[i:i + PAIR_BLOCK_ROWS, None, :] - a[None, i:, :]
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
 def estimate_lipschitz_constants(problem: ProblemSpec, pts: Array, ys,
@@ -252,8 +262,9 @@ def estimate_constants(problem: ProblemSpec, alpha: float,
     bound depends on the step size used to linearize the output constraints,
     hence the ``alpha`` argument, which is checked first: a bad step size
     costs no measurement.  The metric floor is checked before the other
-    estimates, so a metric that is not positive definite on the sample
-    raises ``ValueError``.  Deterministic for a given sampler.
+    estimates, so a metric that is not positive definite on the sample (or
+    has a NaN lowest eigenvalue at a sampled point) raises ``ValueError``.
+    Deterministic for a given sampler.
     """
     _check_positive(alpha, "alpha")
     pts = sample_input_set(problem.input_set, sampler or SamplerSpec())
@@ -262,9 +273,7 @@ def estimate_constants(problem: ProblemSpec, alpha: float,
     ys = [eval_plant(problem.plant, u) for u in pts]
     Js = [eval_plant_jacobian(problem.plant, u) for u in pts]
     Gs = [_metric(problem, u) for u in pts]
-    floor = np.inf
-    for G in Gs:
-        floor = min(floor, float(np.linalg.eigvalsh(G)[0]))
+    floor = float(np.min(np.linalg.eigvalsh(np.array(Gs))[:, 0]))
     if not np.isfinite(floor) or floor <= 0.0:
         raise ValueError("metric must be positive definite on the input set")
     grad_lipschitz, ell = estimate_lipschitz_constants(problem, pts, ys, Js)

@@ -128,6 +128,34 @@ def test_pair_slope_blocks_match_all_pairs_bitwise():
             all_pairs_slope(points, values) for values in value_sets]
 
 
+def test_pair_slopes_match_a_loop_over_ordered_pairs(monkeypatch):
+    # blocks of 7 rows straddle the diagonal of 40 points, and the last one
+    # is short; the loop takes every ordered pair, both (i, j) and (j, i)
+    monkeypatch.setattr(certificates, "PAIR_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(10)
+    points = rng.uniform(-1.0, 1.0, size=(40, 3))
+    points[29] = points[4]  # a repeated point has no quotient
+    # the steepest pair lies inside a block (9, 11) for the first value set
+    # and across two blocks (12, 16) for the second
+    points[11] = points[9] + 1e-3
+    points[16] = points[12] - 1e-3
+    value_sets = [np.tanh(points) @ rng.normal(size=(3, 3)), points[:, :2] ** 2]
+    value_sets[0][11] += 1.0
+    value_sets[1][16] += 1.0
+
+    def loop_slope(values):
+        worst = 0.0
+        for i in range(len(points)):
+            for j in range(len(points)):
+                dx, dv = points[i] - points[j], values[i] - values[j]
+                dist = np.sqrt(np.add.reduce(dx * dx))
+                if dist > 1e-12:
+                    worst = max(worst, float(np.sqrt(np.add.reduce(dv * dv)) / dist))
+        return worst
+
+    assert _max_pair_slopes(points, value_sets) == [loop_slope(v) for v in value_sets]
+
+
 def test_pair_slopes_of_equal_points_are_zero():
     # no pair has a positive distance, so no quotient is taken
     assert _max_pair_slopes(np.zeros((3, 2)), [np.ones((3, 1))]) == [0.0]
@@ -263,6 +291,15 @@ def test_estimate_constants_rejects_metric_not_positive_definite(diagonal):
     # with NotPositiveDefinite, a RuntimeError that fbopt check did not catch
     prob = dataclasses.replace(builtin_example(),
                                metric=MetricField.constant(np.diag(diagonal)))
+    with pytest.raises(ValueError, match="metric must be positive definite on the input set"):
+        estimate_constants(prob, 0.01)
+
+
+def test_estimate_constants_rejects_metric_infinite_at_some_points():
+    # an inf entry gives a NaN lowest eigenvalue, which the floor keeps
+    # rather than skips, so the metric fails its check before any QP
+    metric = MetricField(eval=lambda u: np.diag([np.inf if u[0] > 0.5 else 1.0, 1.0]))
+    prob = dataclasses.replace(builtin_example(), metric=metric)
     with pytest.raises(ValueError, match="metric must be positive definite on the input set"):
         estimate_constants(prob, 0.01)
 

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -763,6 +764,25 @@ def test_saddle_residual_stays_finite_under_huge_dual_rate():
         du, dmu = log.u[k + 1] - log.u[k], log.mu[k + 1] - log.mu[k]
         assert log.residual[k] == pytest.approx(
             math.hypot(*du) / 0.01 + math.hypot(*dmu) / 1e300, rel=1e-12)
+
+
+def test_long_run_holds_its_rows_in_one_float64_table():
+    # the saddle run at gamma = 5 stalls, so every step up to the budget is
+    # logged; a Python list of floats per row peaked at about 7x the table
+    log_width = 9  # iter, u1, u2, y1, V, residual, max_violation, mu1, mu2
+    tracemalloc.start()
+    try:
+        log = run_trajectory(make_config(scheme="saddle", gamma=5.0, rho=1.0,
+                                         max_iters=3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.status is RunStatus.ITER_BUDGET and log.num_rows == 3001
+    assert peak < 2 * log.num_rows * log_width * 8
+    table = log.u.base
+    assert table.dtype == np.float64 and table.size == log.num_rows * log_width
+    for column in (log.u, log.y, log.V, log.mu):
+        assert column.dtype == np.float64 and column.base is table
 
 
 # ------------------------------------------------------------------ sweeps
